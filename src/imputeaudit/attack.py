@@ -44,7 +44,7 @@ __all__ = [
 
 
 class OracleError(RuntimeError):
-    """An imputation oracle failed mid-attack; the message names the candidate."""
+    """An imputation oracle failed or broke its contract mid-attack; the message names the candidate."""
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,21 @@ def _masked_views(x: TimeSeries, cfg: AttackConfig):
 
 
 def _query(oracle: ImputationOracle, masked, role: str) -> TimeSeries:
+    """One black-box query; a failure or a completion that breaks the contract names the candidate."""
     try:
-        return oracle.impute(masked)
+        completed = oracle.impute(masked)
     except Exception as exc:
         raise OracleError(f"{role} oracle failed on candidate {masked.id!r}") from exc
+    if not isinstance(completed, TimeSeries) or completed.shape != masked.series.shape:
+        got = f"shape {completed.shape}" if isinstance(completed, TimeSeries) else type(completed).__name__
+        raise OracleError(
+            f"{role} oracle returned {got} for candidate {masked.id!r}, "
+            f"expected a series of shape {masked.series.shape}"
+        )
+    observed = masked.mask.observed()
+    if not np.array_equal(completed.values[observed], masked.series.values[observed]):
+        raise OracleError(f"{role} oracle changed observed entries of candidate {masked.id!r}")
+    return completed
 
 
 def lbrm_score(
@@ -225,7 +236,8 @@ def run_attack(
     """Score every candidate, resolve theta per the configured rule, classify.
 
     StdRule calibrates on ``known_nonmembers`` (series the auditor knows were
-    never trained on); the other rules need no side data. Output order matches
+    never trained on), reusing the score of any that is also a candidate (same
+    id and values); the other rules need no side data. Output order matches
     input order and the whole run is deterministic for a fixed config.
     """
     if not candidates:
@@ -240,7 +252,14 @@ def run_attack(
     elif isinstance(rule, StdRule):
         if not known_nonmembers:
             raise ValueError("StdRule calibration requires a known-nonmember list")
-        calibration = [lbrm_score(target, reference, x, cfg).r for x in known_nonmembers]
+        # A known nonmember that is also a candidate was scored already.
+        scored = {x.id: (x, score.r) for x, score in zip(candidates, scores)}
+        calibration = []
+        for x in known_nonmembers:
+            seen, r = scored.get(x.id, (None, 0.0))
+            if seen is None or not np.array_equal(seen.values, x.values):
+                r = lbrm_score(target, reference, x, cfg).r
+            calibration.append(r)
         theta = calibrate_theta_std(calibration, rule.n)
     else:  # pragma: no cover
         raise TypeError(f"unknown theta rule {rule!r}")

@@ -1,10 +1,13 @@
 """Dynamic time warping, the loss the audit scores oracle outputs with.
 
-``dtw_distance`` is the production dynamic program; ``dtw_brute_force``
-enumerates every alignment path and exists so the dynamic program can be
-checked against something dumber than itself.
+``dtw_distance`` is the production dynamic program, pruned to the cells
+that can lie on an optimal alignment and bit-identical to the full sweep;
+``dtw_brute_force`` enumerates every alignment path and exists so the
+dynamic program can be checked against something dumber than itself.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,39 +36,95 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: int | None = None) -> float:
     """Minimal accumulated pointwise distance over monotone alignments.
 
-    Standard O(n*m) dynamic program with the step set {down, right, diagonal},
+    Dynamic program with the step set {down, right, diagonal},
     boundary-anchored at both ends. Dimensions share one alignment and the
     pointwise cost is the Euclidean distance between the aligned points.
 
     ``band`` optionally restricts the alignment to |i - j| <= band around the
     diagonal (off by default; only useful as a speed knob on long series).
+
+    The program is pruned but exact: it returns the same bits as the full
+    O(n*m) sweep. For equal lengths the diagonal path's cost U, summed in the
+    order the sweep adds it, bounds the result in floating point. Costs are
+    nonnegative, so accumulated costs never decrease along a path, and a cell
+    whose accumulated cost is strictly above U cannot feed the optimal one.
+    Each row is therefore swept only from the previous row's first cell at or
+    below U, and stops past that row's last such cell at the first cell above
+    U. An audit pair differs only inside the masked block, so U is tight
+    and only a narrow strip around the diagonal is computed. Unequal lengths
+    have no diagonal: U is infinite and every cell is computed.
+
+    With one or two dimensions, point costs are computed for the visited
+    cells only: summing at most two squares takes one addition, so the order
+    numpy sums in cannot change the bits. With more dimensions, or unequal
+    lengths where every cell is visited anyway, the costs come from the full
+    matrix.
     """
     va, vb = _values(a), _values(b)
     if va.shape[1] != vb.shape[1]:
         raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
     if band is not None and band < 0:
         raise ValueError(f"band must be nonnegative, got {band}")
-    n, m = va.shape[0], vb.shape[0]
+    n, m, dims = va.shape[0], vb.shape[0], va.shape[1]
     if band is not None and band < abs(n - m):
         raise ValueError(f"band {band} cannot reach the corner for lengths {n}, {m}")
 
-    costs = _point_costs(va, vb).tolist()
     inf = float("inf")
+    sqrt = math.sqrt
+    costs = _point_costs(va, vb).tolist() if n != m or dims > 2 else None
+    bound = inf
+    if n == m:
+        if costs is None:
+            diff = va - vb
+            diagonal = np.sqrt(np.sum(diff * diff, axis=1)).tolist()
+        else:
+            diagonal = [row[i] for i, row in enumerate(costs)]
+        bound = 0.0
+        for c in diagonal:
+            bound = c + bound
+
+    # Points of a, and of b shifted to the sweep's 1-based columns; bare floats when D == 1.
+    xs = va[:, 0].tolist() if dims == 1 else va.tolist()
+    ys = [None, *(vb[:, 0].tolist() if dims == 1 else vb.tolist())]
     prev = [inf] * (m + 1)
     prev[0] = 0.0
+    first = last = 0  # the previous row's first and last column at or below the bound
     for i in range(1, n + 1):
+        lo, hi = max(first, 1), m
+        if band is not None:
+            lo, hi = max(lo, i - band), min(m, i + band)
         cur = [inf] * (m + 1)
-        row = costs[i - 1]
-        lo = 1 if band is None else max(1, i - band)
-        hi = m if band is None else min(m, i + band)
+        row = costs[i - 1] if costs is not None else None
+        x = xs[i - 1]
+        next_first, next_last = lo, 0
+        diag, left = prev[lo - 1], inf
         for j in range(lo, hi + 1):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] = row[j - 1] + best
-        prev = cur
+            up = prev[j]
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            diag = up
+            if row is not None:
+                c = row[j - 1]
+            elif dims == 1:
+                d = x - ys[j]
+                c = sqrt(d * d)
+            else:
+                y = ys[j]
+                d, e = x[0] - y[0], x[1] - y[1]
+                c = sqrt(d * d + e * e)
+            left = c + best
+            cur[j] = left
+            if left > bound:
+                if j == next_first:
+                    next_first = j + 1
+                if j > last:
+                    break  # later cells of this row have no predecessor at or below the bound
+            else:
+                next_last = j
+        prev, first, last = cur, next_first, next_last
     return float(prev[m])
 
 

@@ -75,21 +75,29 @@ class ImputerConfig:
             raise ValueError(f"mask_fraction must be in (0, 1), got {self.mask_fraction}")
 
 
-def _unpack(flat: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> dict[str, np.ndarray]:
-    out = {}
+_Layout = list[tuple[str, int, int, tuple[int, ...]]]
+
+
+def _layout(shapes: list[tuple[str, tuple[int, ...]]]) -> _Layout:
+    """(name, start, stop, shape) of each parameter in the flat vector, computed once per network."""
+    layout = []
     ofs = 0
     for name, shape in shapes:
         size = int(np.prod(shape))
-        out[name] = flat[ofs : ofs + size].reshape(shape)
+        layout.append((name, ofs, ofs + size, shape))
         ofs += size
-    return out
+    return layout
 
 
-def _fan_in_init(rng: np.random.Generator, shapes: list[tuple[str, tuple[int, ...]]]) -> np.ndarray:
+def _unpack(flat: np.ndarray, layout: _Layout) -> dict[str, np.ndarray]:
+    return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
+
+
+def _fan_in_init(rng: np.random.Generator, layout: _Layout) -> np.ndarray:
     """Uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
     chunks = []
-    for _, shape in shapes:
-        size = int(np.prod(shape))
+    for _, start, stop, shape in layout:
+        size = stop - start
         if len(shape) == 1:
             chunks.append(np.zeros(size))
         else:
@@ -104,17 +112,18 @@ class _Autoencoder:
     def __init__(self, n_steps: int, n_dims: int, cfg: ImputerConfig) -> None:
         flat = n_steps * n_dims
         sizes = [flat, cfg.hidden, cfg.latent, cfg.hidden, flat]
-        self.shapes: list[tuple[str, tuple[int, ...]]] = []
+        shapes = []
         for layer, (a, b) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-            self.shapes.append((f"W{layer}", (a, b)))
-            self.shapes.append((f"b{layer}", (b,)))
-        self.n_params = sum(int(np.prod(s)) for _, s in self.shapes)
+            shapes.append((f"W{layer}", (a, b)))
+            shapes.append((f"b{layer}", (b,)))
+        self.layout = _layout(shapes)
+        self.n_params = self.layout[-1][2]
 
     def init(self, rng: np.random.Generator) -> np.ndarray:
-        return _fan_in_init(rng, self.shapes)
+        return _fan_in_init(rng, self.layout)
 
     def forward(self, params: np.ndarray, x: np.ndarray):
-        p = _unpack(params, self.shapes)
+        p = _unpack(params, self.layout)
         b, t, d = x.shape
         a0 = x.reshape(b, t * d)
         h1 = np.tanh(a0 @ p["W1"] + p["b1"])
@@ -124,12 +133,12 @@ class _Autoencoder:
         return y.reshape(b, t, d), (a0, h1, z, h2)
 
     def backward(self, params: np.ndarray, cache, dy: np.ndarray) -> np.ndarray:
-        p = _unpack(params, self.shapes)
+        p = _unpack(params, self.layout)
         a0, h1, z, h2 = cache
         b = dy.shape[0]
         dyf = dy.reshape(b, -1)
         grad = np.zeros_like(params)
-        g = _unpack(grad, self.shapes)
+        g = _unpack(grad, self.layout)
 
         g["W4"][...] = h2.T @ dyf
         g["b4"][...] = dyf.sum(axis=0)
@@ -168,21 +177,22 @@ class _SelfAttentionImputer:
         self.head_dim = dm // cfg.heads
         self.blocks = cfg.blocks
         self.positions = _sinusoid_table(n_steps, dm)
-        self.shapes = [("We", (n_dims, dm)), ("be", (dm,))]
+        shapes = [("We", (n_dims, dm)), ("be", (dm,))]
         for k in range(cfg.blocks):
             for gate in ("q", "k", "v", "o"):
-                self.shapes.append((f"W{gate}{k}", (dm, dm)))
-                self.shapes.append((f"b{gate}{k}", (dm,)))
-            self.shapes.append((f"Wf1_{k}", (dm, ff)))
-            self.shapes.append((f"bf1_{k}", (ff,)))
-            self.shapes.append((f"Wf2_{k}", (ff, dm)))
-            self.shapes.append((f"bf2_{k}", (dm,)))
-        self.shapes.append(("Wout", (dm, n_dims)))
-        self.shapes.append(("bout", (n_dims,)))
-        self.n_params = sum(int(np.prod(s)) for _, s in self.shapes)
+                shapes.append((f"W{gate}{k}", (dm, dm)))
+                shapes.append((f"b{gate}{k}", (dm,)))
+            shapes.append((f"Wf1_{k}", (dm, ff)))
+            shapes.append((f"bf1_{k}", (ff,)))
+            shapes.append((f"Wf2_{k}", (ff, dm)))
+            shapes.append((f"bf2_{k}", (dm,)))
+        shapes.append(("Wout", (dm, n_dims)))
+        shapes.append(("bout", (n_dims,)))
+        self.layout = _layout(shapes)
+        self.n_params = self.layout[-1][2]
 
     def init(self, rng: np.random.Generator) -> np.ndarray:
-        return _fan_in_init(rng, self.shapes)
+        return _fan_in_init(rng, self.layout)
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, t, _ = x.shape
@@ -193,7 +203,7 @@ class _SelfAttentionImputer:
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
     def forward(self, params: np.ndarray, x: np.ndarray):
-        p = _unpack(params, self.shapes)
+        p = _unpack(params, self.layout)
         h = x @ p["We"] + p["be"] + self.positions
         block_caches = []
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -216,10 +226,10 @@ class _SelfAttentionImputer:
         return y, (x, h, block_caches)
 
     def backward(self, params: np.ndarray, cache, dy: np.ndarray) -> np.ndarray:
-        p = _unpack(params, self.shapes)
+        p = _unpack(params, self.layout)
         x, h_final, block_caches = cache
         grad = np.zeros_like(params)
-        g = _unpack(grad, self.shapes)
+        g = _unpack(grad, self.layout)
         scale = 1.0 / np.sqrt(self.head_dim)
 
         g["Wout"][...] = np.einsum("btm,btd->md", h_final, dy)

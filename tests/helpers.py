@@ -1,4 +1,4 @@
-"""Stub oracles and brute-force statistics shared across the test suite.
+"""Stub oracles, brute-force statistics and the reference DTW sweep shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -41,6 +41,20 @@ class FailingOracle:
         raise RuntimeError("deliberately broken oracle")
 
 
+class TruncatingOracle:
+    """Breaks the contract by dropping the last step of the completion."""
+
+    def impute(self, x: MaskedSeries) -> TimeSeries:
+        return TimeSeries(x.id, x.series.values[:-1])
+
+
+class ShiftingOracle:
+    """Breaks the contract by moving every entry, the observed ones included."""
+
+    def impute(self, x: MaskedSeries) -> TimeSeries:
+        return TimeSeries(x.id, x.series.values + 0.5)
+
+
 class RecordingOracle:
     """ZeroFill behavior, but remembers every masked view it was shown."""
 
@@ -59,3 +73,31 @@ def mann_whitney(scores: np.ndarray, is_member: np.ndarray) -> float:
     less = (members[:, None] < nonmembers[None, :]).sum()
     ties = (members[:, None] == nonmembers[None, :]).sum()
     return float((less + 0.5 * ties) / (members.size * nonmembers.size))
+
+
+def dtw_reference(a: np.ndarray, b: np.ndarray, band: int | None = None) -> float:
+    """The full, unpruned O(n*m) DTW sweep over the whole cost matrix.
+
+    ``dtw_distance`` prunes cells and computes point costs lazily; it must
+    return exactly these bits.
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    costs = np.sqrt(np.sum(diff * diff, axis=2)).tolist()
+    n, m = a.shape[0], b.shape[0]
+    inf = float("inf")
+    prev = [inf] * (m + 1)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        cur = [inf] * (m + 1)
+        row = costs[i - 1]
+        lo = 1 if band is None else max(1, i - band)
+        hi = m if band is None else min(m, i + band)
+        for j in range(lo, hi + 1):
+            best = prev[j - 1]
+            if prev[j] < best:
+                best = prev[j]
+            if cur[j - 1] < best:
+                best = cur[j - 1]
+            cur[j] = row[j - 1] + best
+        prev = cur
+    return prev[m]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import FailingOracle, OffsetOracle, PerfectOracle, ZeroFillOracle
+from helpers import FailingOracle, OffsetOracle, PerfectOracle, ShiftingOracle, TruncatingOracle, ZeroFillOracle
 
 from imputeaudit.attack import (
     AttackConfig,
@@ -110,6 +110,28 @@ def test_oracle_failure_names_candidate():
     x = series(5)
     with pytest.raises(OracleError, match="cand-5"):
         lbrm_score(FailingOracle(), ZeroFillOracle(), x, AttackConfig())
+
+
+@pytest.mark.parametrize("broken", [TruncatingOracle(), ShiftingOracle()], ids=["short", "moves-observed"])
+def test_oracle_contract_checked_at_query_boundary(broken):
+    x = series(6)
+    with pytest.raises(OracleError, match="target oracle .*'cand-6'"):
+        lbrm_score(broken, ZeroFillOracle(), x, AttackConfig())
+    with pytest.raises(OracleError, match="reference oracle .*'cand-6'"):
+        lbrm_score(ZeroFillOracle(), broken, x, AttackConfig())
+
+
+def test_std_rule_reuses_scores_of_candidate_nonmembers():
+    candidates = [series(i) for i in range(6)]
+    fresh = series(100)
+    renamed = TimeSeries("cand-0", candidates[1].values)  # same id as a candidate, other values
+    nonmembers = candidates[3:] + [fresh, renamed]
+    cfg = AttackConfig(repeats=3, theta_rule=StdRule(1.0))
+    target, reference = CountingOracle(OffsetOracle(0.2)), CountingOracle(OffsetOracle(0.6))
+    report = run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
+    assert target.calls == reference.calls == (len(candidates) + 2) * cfg.repeats
+    expected = [lbrm_score(OffsetOracle(0.2), OffsetOracle(0.6), x, cfg).r for x in nonmembers]
+    assert report.theta == calibrate_theta_std(expected, 1.0)
 
 
 def test_loss_ratio_scale_invariance():

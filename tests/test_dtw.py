@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import dtw_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imputeaudit.core import TimeSeries
 from imputeaudit.dtw import BRUTE_FORCE_CELL_LIMIT, dtw_brute_force, dtw_distance
@@ -98,3 +102,83 @@ def test_brute_force_guard():
     assert 7 * 6 > BRUTE_FORCE_CELL_LIMIT
     with pytest.raises(ValueError):
         dtw_brute_force(a, b)
+
+
+# Exactness of the pruned dynamic program: every case compares bits with ==
+# against the full sweep in tests/helpers.py. Widths 1 and 2 compute point
+# costs per visited cell, wider points read the precomputed cost matrix.
+DIMS = st.sampled_from([1, 2, 3, 7, 8, 9])
+VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+EXACT = settings(max_examples=200, deadline=None)
+
+
+def _matrix(draw, steps, dims):
+    return draw(arrays(np.float64, (steps, dims), elements=VALUES))
+
+
+def _band(draw, n, m):
+    return draw(st.none() | st.integers(abs(n - m), max(n, m)))
+
+
+@st.composite
+def free_pairs(draw, lengths=st.integers(1, 24)):
+    """Unrelated series, of equal length (pruned) or not (nothing to prune) about equally often."""
+    dims, n = draw(DIMS), draw(lengths)
+    m = draw(st.just(n) | lengths)
+    return _matrix(draw, n, dims), _matrix(draw, m, dims), _band(draw, n, m)
+
+
+@st.composite
+def block_pairs(draw, lengths=st.integers(2, 24)):
+    """An original and a completion that differs from it only inside one masked block."""
+    dims, n = draw(DIMS), draw(lengths)
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.integers(start + 1, min(n, start + n - 1)))
+    original = _matrix(draw, n, dims)
+    completion = original.copy()
+    dim = draw(st.integers(0, dims - 1))
+    completion[start:stop, dim] = draw(arrays(np.float64, stop - start, elements=VALUES))
+    return completion, original, _band(draw, n, n)
+
+
+@EXACT
+@given(free_pairs())
+def test_pruned_matches_full_sweep(case):
+    a, b, band = case
+    assert dtw_distance(a, b, band) == dtw_reference(a, b, band)
+
+
+@EXACT
+@given(block_pairs())
+def test_block_completions_match_full_sweep(case):
+    a, b, band = case
+    assert dtw_distance(a, b, band) == dtw_reference(a, b, band)
+    assert dtw_distance(b, a, band) == dtw_reference(b, a, band)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 1))
+def test_long_bivariate_block_completion_matches_full_sweep(seed, block, dim):
+    # The audit-long shape: 128 steps, 2 dims, a model-like error on one block.
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 4.0 * np.pi, 128)
+    original = np.stack([np.sin(t), np.cos(2.0 * t)], axis=1) + rng.normal(0.0, 0.3, size=(128, 2))
+    completion = original.copy()
+    start = int(rng.integers(0, 128 - block))
+    completion[start : start + block, dim] += rng.normal(0.0, 1.0, size=block)
+    assert dtw_distance(completion, original) == dtw_reference(completion, original)
+
+
+@EXACT
+@given(DIMS, st.integers(1, 24), st.integers(1, 24), VALUES, VALUES)
+def test_constant_series_match_full_sweep(dims, n, m, u, v):
+    a, b = np.full((n, dims), u), np.full((m, dims), v)
+    assert dtw_distance(a, b) == dtw_reference(a, b)
+    assert dtw_distance(a, a) == 0.0
+
+
+@EXACT
+@given(free_pairs(lengths=st.integers(1, 2)))
+def test_length_one_and_two_match_full_sweep(case):
+    a, b, band = case
+    assert dtw_distance(a, b, band) == dtw_reference(a, b, band)

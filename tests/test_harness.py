@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from imputeaudit.attack import AttackConfig, FixedTheta, StdRule, TopPercentRule, report_from_dict
+from imputeaudit.attack import AttackConfig, FixedTheta, StdRule, TopPercentRule, report_from_dict, run_attack
+from imputeaudit import harness
+from imputeaudit.core import CountingOracle
 from imputeaudit.data import SyntheticConfig
 from imputeaudit.harness import (
     CsvSource,
@@ -193,3 +195,17 @@ def test_std_rule_scenario_resolves_theta_from_test_split():
     cfg = mini_config(2, attack=AttackConfig(repeats=2, theta_rule=StdRule(1.0)))
     report = run_scenario2(cfg)
     assert np.isfinite(report.attack_report.theta)
+
+
+def test_std_rule_scenario_queries_each_candidate_once(monkeypatch):
+    counted = []
+
+    def counting_attack(target, reference, candidates, cfg, known_nonmembers=None):
+        oracles = CountingOracle(target), CountingOracle(reference)
+        counted.append((oracles, len(candidates), cfg.repeats))
+        return run_attack(*oracles, candidates, cfg, known_nonmembers=known_nonmembers)
+
+    monkeypatch.setattr(harness, "run_attack", counting_attack)
+    run_scenario2(mini_config(2, attack=AttackConfig(repeats=2, theta_rule=StdRule(1.0))))
+    (target, reference), candidates, repeats = counted[0]
+    assert target.calls + reference.calls == 2 * candidates * repeats
