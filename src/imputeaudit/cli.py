@@ -66,9 +66,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     candidates = _normalized_corpus(args.candidates)
     nonmembers = _normalized_corpus(args.known_nonmembers) if args.known_nonmembers else None
     report = attack_mod.run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
-    payload = json.dumps(attack_mod.report_to_dict(report), sort_keys=True, indent=2) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(payload)
+    harness._write_json(attack_mod.report_to_dict(report), args.out)
     flagged = sum(v.is_member for v in report.verdicts)
     print(f"scored {len(candidates)} candidates; theta={report.theta:.6g}; {flagged} flagged as members")
     return 0
@@ -84,11 +82,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         labels.append(bool(label_map[score.candidate_id]))
     lbrm = headline_summary(LabeledScores([s.r for s in report.scores], labels))
     naive = headline_summary(LabeledScores([s.l_t for s in report.scores], labels))
-    payload = json.dumps({"lbrm": lbrm, "naive": naive}, sort_keys=True, indent=2) + "\n"
+    summary = {"lbrm": lbrm, "naive": naive}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    sys.stdout.write(payload)
+        harness._write_json(summary, args.out)
+    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
 
 

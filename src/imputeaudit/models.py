@@ -6,6 +6,16 @@ masks every batch. Forward and backward passes are written out by hand in
 numpy so runs are exactly reproducible and gradients can be checked against
 finite differences.
 
+A training run allocates its parameter, gradient and velocity buffers once
+and names their blocks through views built once; ``forward`` reads the
+parameter views and ``backward`` overwrites every gradient view. Each epoch
+draws all of its masks in one ``(n, steps * dims)`` call and gathers the
+shuffled data once, and each batch slices both. That is the same stream as a
+draw per batch: ``Generator.random`` spends one 64-bit word per float64, so
+one draw of n rows equals the per-batch draws joined, and the hidden entries
+are picked per row (``argpartition`` along axis 1), exactly ``n_hidden`` of
+them in every row.
+
 Models operate in normalized space: callers are expected to z-score series
 (see core.zscore_normalize) before training or querying.
 """
@@ -90,6 +100,7 @@ def _layout(shapes: list[tuple[str, tuple[int, ...]]]) -> _Layout:
 
 
 def _unpack(flat: np.ndarray, layout: _Layout) -> dict[str, np.ndarray]:
+    """Name -> view into ``flat``; writes through a view land in ``flat``."""
     return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in layout}
 
 
@@ -122,8 +133,7 @@ class _Autoencoder:
     def init(self, rng: np.random.Generator) -> np.ndarray:
         return _fan_in_init(rng, self.layout)
 
-    def forward(self, params: np.ndarray, x: np.ndarray):
-        p = _unpack(params, self.layout)
+    def forward(self, p: dict[str, np.ndarray], x: np.ndarray):
         b, t, d = x.shape
         a0 = x.reshape(b, t * d)
         h1 = np.tanh(a0 @ p["W1"] + p["b1"])
@@ -132,13 +142,11 @@ class _Autoencoder:
         y = h2 @ p["W4"] + p["b4"]
         return y.reshape(b, t, d), (a0, h1, z, h2)
 
-    def backward(self, params: np.ndarray, cache, dy: np.ndarray) -> np.ndarray:
-        p = _unpack(params, self.layout)
+    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray]) -> None:
+        """Overwrite every gradient view in ``g``."""
         a0, h1, z, h2 = cache
         b = dy.shape[0]
         dyf = dy.reshape(b, -1)
-        grad = np.zeros_like(params)
-        g = _unpack(grad, self.layout)
 
         g["W4"][...] = h2.T @ dyf
         g["b4"][...] = dyf.sum(axis=0)
@@ -151,7 +159,6 @@ class _Autoencoder:
         dh1 = (dz @ p["W2"].T) * (1.0 - h1 * h1)
         g["W1"][...] = a0.T @ dh1
         g["b1"][...] = dh1.sum(axis=0)
-        return grad
 
 
 def _sinusoid_table(n_steps: int, model_dim: int) -> np.ndarray:
@@ -202,8 +209,7 @@ class _SelfAttentionImputer:
         b, h, t, hd = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
-    def forward(self, params: np.ndarray, x: np.ndarray):
-        p = _unpack(params, self.layout)
+    def forward(self, p: dict[str, np.ndarray], x: np.ndarray):
         h = x @ p["We"] + p["be"] + self.positions
         block_caches = []
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -225,11 +231,9 @@ class _SelfAttentionImputer:
         y = h @ p["Wout"] + p["bout"]
         return y, (x, h, block_caches)
 
-    def backward(self, params: np.ndarray, cache, dy: np.ndarray) -> np.ndarray:
-        p = _unpack(params, self.layout)
+    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray]) -> None:
+        """Overwrite every gradient view in ``g``."""
         x, h_final, block_caches = cache
-        grad = np.zeros_like(params)
-        g = _unpack(grad, self.layout)
         scale = 1.0 / np.sqrt(self.head_dim)
 
         g["Wout"][...] = np.einsum("btm,btd->md", h_final, dy)
@@ -265,7 +269,6 @@ class _SelfAttentionImputer:
 
         g["We"][...] = np.einsum("btd,btm->dm", x, dh)
         g["be"][...] = dh.sum(axis=(0, 1))
-        return grad
 
 
 def _build_net(n_steps: int, n_dims: int, cfg: ImputerConfig):
@@ -302,11 +305,15 @@ class TrainedImputer:
     def _net(self):
         return _build_net(self.n_steps, self.n_dims, self.config)
 
+    @cached_property
+    def _views(self) -> dict[str, np.ndarray]:
+        return _unpack(self.params, self._net.layout)
+
     def impute(self, x: MaskedSeries) -> TimeSeries:
         """Fill the masked entries; observed entries are copied through exactly."""
         if x.series.shape != (self.n_steps, self.n_dims):
             raise ValueError(f"expected shape ({self.n_steps}, {self.n_dims}), got {x.series.shape}")
-        predicted, _ = self._net.forward(self.params, x.series.values[None])
+        predicted, _ = self._net.forward(self._views, x.series.values[None])
         filled = np.where(x.mask.observed(), x.series.values, predicted[0])
         return TimeSeries(x.id, filled)
 
@@ -345,32 +352,39 @@ def _batch_observed(rng: np.random.Generator, n: int, steps: int, dims: int, n_h
 
 
 def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng: np.random.Generator):
+    """Descend from a copy of ``params``; the caller's array is not touched."""
     n, steps, dims = data.shape
     n_hidden = max(1, int(round(cfg.mask_fraction * steps * dims)))
+    params = params.copy()
+    grad = np.empty_like(params)
     velocity = np.zeros_like(params)
+    step = np.empty_like(params)
+    p = _unpack(params, net.layout)
+    g = _unpack(grad, net.layout)
     history = []
     # Overflow during a diverging run surfaces as DivergenceError below, not
     # as a stream of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
+            shuffled = data[rng.permutation(n)]
+            observed = _batch_observed(rng, n, steps, dims, n_hidden)
+            hidden = ~observed
+            inputs = np.where(observed, shuffled, 0.0)
             abs_err = 0.0
-            n_terms = 0
             for lo in range(0, n, cfg.batch_size):
-                batch = data[order[lo : lo + cfg.batch_size]]
-                observed = _batch_observed(rng, batch.shape[0], steps, dims, n_hidden)
-                inputs = np.where(observed, batch, 0.0)
-                predicted, cache = net.forward(params, inputs)
-                residual = predicted - batch
-                hidden = ~observed
-                count = int(hidden.sum())
-                dy = np.where(hidden, np.sign(residual), 0.0) / count
-                gradient = net.backward(params, cache, dy)
-                velocity = cfg.momentum * velocity + gradient
-                params = params - cfg.learning_rate * velocity
-                abs_err += float(np.abs(residual[hidden]).sum())
-                n_terms += count
-            epoch_loss = abs_err / n_terms
+                hi = lo + cfg.batch_size
+                batch_hidden = hidden[lo:hi]
+                count = batch_hidden.shape[0] * n_hidden
+                predicted, cache = net.forward(p, inputs[lo:hi])
+                residual = predicted - shuffled[lo:hi]
+                dy = np.where(batch_hidden, np.sign(residual), 0.0) / count
+                net.backward(p, cache, dy, g)
+                velocity *= cfg.momentum
+                velocity += grad
+                np.multiply(velocity, cfg.learning_rate, out=step)
+                params -= step
+                abs_err += float(np.abs(residual[batch_hidden]).sum())
+            epoch_loss = abs_err / (n * n_hidden)
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             history.append(epoch_loss)
@@ -400,14 +414,12 @@ def fine_tune(base: TrainedImputer, private: list[TimeSeries], cfg: ImputerConfi
     if (steps, dims) != (base.n_steps, base.n_dims):
         raise ValueError(f"private data shape ({steps}, {dims}) incompatible with base ({base.n_steps}, {base.n_dims})")
     rng = np.random.default_rng(cfg.seed)
-    params, history = _descend(base._net, base.params.copy(), data, cfg, rng)
+    params, history = _descend(base._net, base.params, data, cfg, rng)
     return TrainedImputer(config=cfg, n_steps=steps, n_dims=dims, params=params, history=history)
 
 
 def evaluate_mae(model, data: list[TimeSeries], fraction: float, seed: int) -> float:
     """Hide ``fraction`` of each series, impute, and average |error| over hidden entries."""
-    from .core import apply_mask, random_missing_mask
-
     if not data:
         raise ValueError("no series to evaluate")
     abs_err = 0.0

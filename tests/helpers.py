@@ -1,4 +1,4 @@
-"""Stub oracles, brute-force statistics and the reference DTW sweep shared across the test suite.
+"""Stub oracles, brute-force statistics and the reference DTW and training loops shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from imputeaudit.core import MaskedSeries, TimeSeries
+from imputeaudit.models import _batch_observed, _unpack
 
 
 class PerfectOracle:
@@ -101,3 +102,37 @@ def dtw_reference(a: np.ndarray, b: np.ndarray, band: int | None = None) -> floa
             cur[j] = row[j - 1] + best
         prev = cur
     return prev[m]
+
+
+def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.random.Generator):
+    """The per-batch training loop: every step draws its own mask, gathers its
+    batch and builds new parameter, gradient and velocity vectors.
+
+    ``models._descend`` draws each epoch's masks at once and updates its
+    buffers in place; it must return exactly these bits.
+    """
+    n, steps, dims = data.shape
+    n_hidden = max(1, int(round(cfg.mask_fraction * steps * dims)))
+    velocity = np.zeros_like(params)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        abs_err = 0.0
+        n_terms = 0
+        for lo in range(0, n, cfg.batch_size):
+            batch = data[order[lo : lo + cfg.batch_size]]
+            observed = _batch_observed(rng, batch.shape[0], steps, dims, n_hidden)
+            inputs = np.where(observed, batch, 0.0)
+            predicted, cache = net.forward(_unpack(params, net.layout), inputs)
+            residual = predicted - batch
+            hidden = ~observed
+            count = int(hidden.sum())
+            dy = np.where(hidden, np.sign(residual), 0.0) / count
+            gradient = np.zeros_like(params)
+            net.backward(_unpack(params, net.layout), cache, dy, _unpack(gradient, net.layout))
+            velocity = cfg.momentum * velocity + gradient
+            params = params - cfg.learning_rate * velocity
+            abs_err += float(np.abs(residual[hidden]).sum())
+            n_terms += count
+        history.append(abs_err / n_terms)
+    return params, tuple(history)

@@ -29,7 +29,7 @@ from imputeaudit.data import load_csv, save_csv, split_scenario1, split_scenario
 from imputeaudit.dtw import dtw_brute_force, dtw_distance
 from imputeaudit.harness import config_from_file, metrics_from_report, run_experiment, write_experiment_outputs
 from imputeaudit.metrics import LabeledScores, auroc, roc_curve
-from imputeaudit.models import ImputerConfig, _build_net, train
+from imputeaudit.models import ImputerConfig, _build_net, _unpack, train
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,12 +101,13 @@ def gradient_probe(cfg: ImputerConfig, steps: int, dims: int, seed: int) -> floa
     x_in = np.where(observed, x_true, 0.0)
     hidden = ~observed
 
-    predicted, cache = net.forward(params, x_in)
+    predicted, cache = net.forward(_unpack(params, net.layout), x_in)
     dy = np.where(hidden, np.sign(predicted - x_true), 0.0) / hidden.sum()
-    analytic = net.backward(params, cache, dy)
+    analytic = np.zeros_like(params)
+    net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout))
 
     def loss(p):
-        out, _ = net.forward(p, x_in)
+        out, _ = net.forward(_unpack(p, net.layout), x_in)
         return np.abs((out - x_true)[hidden]).sum() / hidden.sum()
 
     step = 1e-6

@@ -63,9 +63,11 @@ def test_train_and_attack_pipeline(workdir, capsys):
     assert load_model(str(model_t)).config.seed == 1
 
     scores = workdir / "scores.json"
+    scores.write_text("stale " * 10_000)
     assert main(["attack", "--target", str(model_t), "--reference", str(model_r),
                  "--candidates", str(corpus), "--out", str(scores)]) == 0
     doc = json.loads(scores.read_text())
+    assert not [p for p in workdir.iterdir() if ".tmp-" in p.name]
     assert len(doc["per_candidate"]) == 12
     assert {"id", "l_t", "l_r", "r", "is_member"} == set(doc["per_candidate"][0])
 
@@ -93,6 +95,36 @@ def test_metrics_command_matches_hand_auroc(tmp_path, capsys):
     # hand check: pairs (0.2,0.5),(0.2,0.9),(0.6,0.9) ordered correctly, (0.6,0.5) not -> 3/4
     assert expected == pytest.approx(0.75)
     assert summary["lbrm"]["auroc"] == pytest.approx(0.75)
+
+
+def test_output_files_are_replaced_whole(tmp_path, monkeypatch, capsys):
+    (tmp_path / "scores.json").write_text(json.dumps({
+        "theta": 1.0, "theta_rule": {"kind": "fixed", "theta": 1.0},
+        "per_candidate": [
+            {"id": "a", "l_t": 0.2, "l_r": 1.0, "r": 0.2, "is_member": True},
+            {"id": "b", "l_t": 0.6, "l_r": 1.0, "r": 0.6, "is_member": False},
+        ],
+    }))
+    (tmp_path / "labels.json").write_text(json.dumps({"a": True, "b": False}))
+    out = tmp_path / "summary.json"
+    out.write_text("stale " * 10_000)
+    argv = ["metrics", "--scores", str(tmp_path / "scores.json"), "--labels", str(tmp_path / "labels.json"),
+            "--out", str(out)]
+
+    assert main(argv) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert not [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
+
+    written = out.read_bytes()
+
+    def interrupted(doc, fh, **kwargs):
+        fh.write("{")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert out.read_bytes() == written
 
 
 def test_metrics_command_missing_label_errors(tmp_path, capsys):

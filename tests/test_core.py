@@ -33,8 +33,11 @@ def test_time_series_rejects_nonfinite_and_empty():
 
 
 def test_mask_matrix_rejects_non_binary():
-    with pytest.raises(ValueError):
-        MaskMatrix(np.array([[0, 2]]))
+    for bad in ([[0, 2]], [[0.5, 1.0]], [[-1, 1]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError):
+            MaskMatrix(np.array(bad))
+    mask = MaskMatrix(np.array([[True, False], [False, True]]))
+    assert mask.entries.tolist() == [[1, 0], [0, 1]]
 
 
 def test_single_unit_mask_one_point():

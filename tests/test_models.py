@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import ZeroFillOracle
+from helpers import ZeroFillOracle, descend_reference
 
 from imputeaudit.core import MaskMatrix, MaskSpec, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.models import (
@@ -10,6 +12,7 @@ from imputeaudit.models import (
     ImputerConfig,
     TrainedImputer,
     _build_net,
+    _unpack,
     evaluate_mae,
     fine_tune,
     load_model,
@@ -23,7 +26,7 @@ ATTN_TINY = ImputerConfig(architecture="attention", model_dim=4, heads=2, ff_dim
 
 
 def masked_mae_loss(net, params, x_in, x_true, hidden):
-    predicted, _ = net.forward(params, x_in)
+    predicted, _ = net.forward(_unpack(params, net.layout), x_in)
     return np.abs((predicted - x_true)[hidden]).sum() / hidden.sum()
 
 
@@ -51,9 +54,10 @@ def gradient_relative_error(cfg, steps, dims, seed):
     x_in = np.where(observed, x_true, 0.0)
     hidden = ~observed
 
-    predicted, cache = net.forward(params, x_in)
+    predicted, cache = net.forward(_unpack(params, net.layout), x_in)
     dy = np.where(hidden, np.sign(predicted - x_true), 0.0) / hidden.sum()
-    analytic = net.backward(params, cache, dy)
+    analytic = np.zeros_like(params)
+    net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout))
     numeric = finite_difference_gradient(net, params, x_in, x_true, hidden)
     return np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-300)
 
@@ -70,9 +74,48 @@ def test_attention_gradient_matches_finite_differences(seed):
     assert gradient_relative_error(ATTN_TINY, 4, 1, 100 + seed) < 1e-4
 
 
+@pytest.mark.parametrize("cfg", [AE_TINY, replace(ATTN_TINY, blocks=2)])
+def test_backward_overwrites_every_gradient_entry(cfg):
+    net = _build_net(5, 2, cfg)
+    rng = np.random.default_rng(0)
+    params = net.init(rng) + rng.normal(0, 0.05, net.n_params)
+    p = _unpack(params, net.layout)
+    predicted, cache = net.forward(p, rng.normal(size=(3, 5, 2)))
+    dy = rng.normal(size=predicted.shape)
+    stale = np.full(net.n_params, np.nan)
+    net.backward(p, cache, dy, _unpack(stale, net.layout))
+    fresh = np.zeros(net.n_params)
+    net.backward(p, cache, dy, _unpack(fresh, net.layout))
+    assert np.all(np.isfinite(stale))
+    assert np.array_equal(stale, fresh)
+
+
 def small_corpus(seed=0, n=8, steps=16, dims=1):
     rng = np.random.default_rng(seed)
     return [TimeSeries(f"s{i}", rng.normal(size=(steps, dims))) for i in range(n)]
+
+
+@pytest.mark.parametrize("arch_cfg", [AE_TINY, ATTN_TINY])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("n, batch_size, dims", [(7, 3, 1), (5, 8, 2), (6, 2, 2)])
+def test_training_matches_per_batch_reference(arch_cfg, momentum, n, batch_size, dims):
+    cfg = replace(arch_cfg, epochs=3, batch_size=batch_size, momentum=momentum, seed=11)
+    corpus = small_corpus(seed=1, n=n, steps=6, dims=dims)
+    model = train(corpus, cfg)
+    net = _build_net(6, dims, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    params, history = descend_reference(net, net.init(rng), np.stack([s.values for s in corpus]), cfg, rng)
+    assert np.array_equal(model.params, params)
+    assert model.history == history
+
+    tune_cfg = replace(cfg, epochs=2, learning_rate=0.01, seed=12)
+    private = small_corpus(seed=2, n=n + 1, steps=6, dims=dims)
+    tuned = fine_tune(model, private, tune_cfg)
+    params, history = descend_reference(
+        net, model.params.copy(), np.stack([s.values for s in private]), tune_cfg, np.random.default_rng(12)
+    )
+    assert np.array_equal(tuned.params, params)
+    assert tuned.history == history
 
 
 @pytest.mark.parametrize("arch_cfg", [AE_TINY, ATTN_TINY])
