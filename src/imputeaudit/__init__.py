@@ -18,7 +18,6 @@ from .attack import (
     calibrate_theta_topk,
     classify,
     lbrm_score,
-    naive_loss_score,
     run_attack,
 )
 from .core import (

@@ -1,9 +1,10 @@
-"""Loss-ratio membership scoring against a reference model, plus the naive baseline.
+"""Loss-ratio membership scoring against a reference model.
 
 A candidate is scored by hiding small blocks of it, asking both the target
 and a skill-matched reference model to fill them back in, and comparing the
 warping-distance losses of the two completions against the withheld original.
 Memorized candidates show an unusually small target/reference loss ratio.
+The naive baseline is the target loss ``l_t`` of the same score record.
 
 Classification rule: member iff ratio <= theta (low ratio = target beats a
 fair benchmark on this exact series = memorization).
@@ -31,7 +32,6 @@ __all__ = [
     "mask_schedule",
     "loss_ratio",
     "lbrm_score",
-    "naive_loss_score",
     "calibrate_theta_std",
     "calibrate_theta_topk",
     "classify",
@@ -150,11 +150,6 @@ def loss_ratio(l_t: float, l_r: float, epsilon: float = 1e-12) -> tuple[float, b
     return l_t / max(l_r, epsilon), False
 
 
-def _masked_views(x: TimeSeries, cfg: AttackConfig):
-    starts = mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed)
-    return [single_unit_mask(x, MaskSpec(start=s, length=cfg.block_length, dim=cfg.dim)) for s in starts]
-
-
 def _query(oracle: ImputationOracle, masked, role: str) -> TimeSeries:
     """One black-box query; a failure or a completion that breaks the contract names the candidate."""
     try:
@@ -181,19 +176,14 @@ def lbrm_score(
 ) -> MembershipScore:
     """Score one candidate: mask, query both oracles, ratio the mean warping losses."""
     l_t_vals, l_r_vals = [], []
-    for masked in _masked_views(x, cfg):
+    for start in mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
+        masked = single_unit_mask(x, MaskSpec(start=start, length=cfg.block_length, dim=cfg.dim))
         l_t_vals.append(dtw_distance(_query(target, masked, "target"), x))
         l_r_vals.append(dtw_distance(_query(reference, masked, "reference"), x))
     l_t = float(np.mean(l_t_vals))
     l_r = float(np.mean(l_r_vals))
     r, degenerate = loss_ratio(l_t, l_r, cfg.epsilon)
     return MembershipScore(candidate_id=x.id, l_t=l_t, l_r=l_r, r=r, degenerate=degenerate)
-
-
-def naive_loss_score(target: ImputationOracle, x: TimeSeries, cfg: AttackConfig) -> float:
-    """Target loss alone, computed over exactly the masks lbrm_score uses."""
-    l_t_vals = [dtw_distance(_query(target, masked, "target"), x) for masked in _masked_views(x, cfg)]
-    return float(np.mean(l_t_vals))
 
 
 def calibrate_theta_std(nonmember_scores: list[float], n: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import attack as attack_mod
 from . import data as data_mod
 from . import harness, models
-from .core import derive_seed, zscore_normalize
+from .core import _write_json, zscore_normalize
 from .metrics import LabeledScores, headline_summary
 
 
@@ -29,13 +29,7 @@ def _normalized_corpus(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config)
-    doc.pop("source", None)
-    if "components" in doc:
-        doc["components"] = tuple(doc["components"])
-    if "amplitude_range" in doc:
-        doc["amplitude_range"] = tuple(doc["amplitude_range"])
-    cfg = data_mod.SyntheticConfig(**doc)
+    cfg = harness._synthetic_config_from_dict(_load_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     data_mod.save_csv(data_mod.generate_synthetic(cfg), args.out)
@@ -55,10 +49,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config) if args.config else {}
-    if "theta_rule" in doc:
-        doc["theta_rule"] = attack_mod.theta_rule_from_dict(doc["theta_rule"])
-    cfg = attack_mod.AttackConfig(**doc)
+    cfg = harness._attack_config_from_dict(_load_json(args.config) if args.config else {})
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     target = models.load_model(args.target)
@@ -66,7 +57,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     candidates = _normalized_corpus(args.candidates)
     nonmembers = _normalized_corpus(args.known_nonmembers) if args.known_nonmembers else None
     report = attack_mod.run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
-    harness._write_json(attack_mod.report_to_dict(report), args.out)
+    _write_json(attack_mod.report_to_dict(report), args.out)
     flagged = sum(v.is_member for v in report.verdicts)
     print(f"scored {len(candidates)} candidates; theta={report.theta:.6g}; {flagged} flagged as members")
     return 0
@@ -84,7 +75,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     naive = headline_summary(LabeledScores([s.l_t for s in report.scores], labels))
     summary = {"lbrm": lbrm, "naive": naive}
     if args.out:
-        harness._write_json(summary, args.out)
+        _write_json(summary, args.out)
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -7,6 +7,9 @@ concurrent readers.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -249,3 +252,23 @@ def derive_seed(master: int, label: object) -> int:
     """Stable child seed for a named stage of a pipeline."""
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+@contextmanager
+def _atomic_open(path: str, newline: str | None = None):
+    """Write through a temp file beside ``path`` that replaces it whole on success and is removed on any exception."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    fh = open(tmp, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_json(doc: dict, path: str) -> None:
+    with _atomic_open(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import csv
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _atomic_open
 
 __all__ = [
     "FAMILY_FREQ_BANDS",
@@ -167,15 +167,13 @@ def save_csv(data: list[TimeSeries], path: str) -> None:
 
     Values are written with repr, so a save/load round trip is exact.
     """
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "t", "dim", "value"])
         for s in data:
             for t in range(s.length):
                 for d in range(s.dims):
                     writer.writerow([s.id, t, d, repr(float(s.values[t, d]))])
-    os.replace(tmp, path)
 
 
 def load_csv(path: str) -> list[TimeSeries]:
@@ -200,7 +198,7 @@ def load_csv(path: str) -> list[TimeSeries]:
                 raise CsvParseError(f"line {lineno}: {exc}") from exc
             if t < 0 or d < 0:
                 raise CsvParseError(f"line {lineno}: t and dim must be nonnegative")
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise CsvParseError(f"line {lineno}: value must be finite")
             cells = per_id.setdefault(sid, {})
             if (t, d) in cells:

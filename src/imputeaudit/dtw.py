@@ -1,7 +1,8 @@
 """Dynamic time warping, the loss the audit scores oracle outputs with.
 
 ``dtw_distance`` is the production dynamic program, pruned to the cells
-that can lie on an optimal alignment and bit-identical to the full sweep;
+that can lie on an optimal alignment, stopped early once the alignment is
+back on a diagonal of exact zeros, and bit-identical to the full sweep;
 ``dtw_brute_force`` enumerates every alignment path and exists so the
 dynamic program can be checked against something dumber than itself.
 """
@@ -54,6 +55,15 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: i
     and only a narrow strip around the diagonal is computed. Unequal lengths
     have no diagonal: U is infinite and every cell is computed.
 
+    The sweep also stops early. From ``synced``, the last row with a
+    nonzero diagonal point cost (the masked block's end in an audit pair),
+    on, a row i whose only cell at or below U is (i, i) ends the sweep with
+    D(i, i). Skipped cells have no predecessor at or below U, so every path
+    of cost at most U, every optimal one included, goes through (i, i).
+    Costs never decrease along a path, so D(n, n) >= D(i, i), and the
+    diagonal from (i, i) adds only +0.0, so D(n, n) <= D(i, i). A NaN or
+    infinite cost is never 0.0, and unequal lengths never stop early.
+
     With one or two dimensions, point costs are computed for the visited
     cells only: summing at most two squares takes one addition, so the order
     numpy sums in cannot change the bits. With more dimensions, or unequal
@@ -72,25 +82,27 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: i
     inf = float("inf")
     sqrt = math.sqrt
     costs = _point_costs(va, vb).tolist() if n != m or dims > 2 else None
-    bound = inf
+    bound, synced = inf, n + 1
     if n == m:
         if costs is None:
             diff = va - vb
             diagonal = np.sqrt(np.sum(diff * diff, axis=1)).tolist()
         else:
             diagonal = [row[i] for i, row in enumerate(costs)]
-        bound = 0.0
-        for c in diagonal:
+        bound, synced = 0.0, 0
+        for i, c in enumerate(diagonal, 1):
             bound = c + bound
+            if c != 0.0:
+                synced = i
 
     # Points of a, and of b shifted to the sweep's 1-based columns; bare floats when D == 1.
     xs = va[:, 0].tolist() if dims == 1 else va.tolist()
     ys = [None, *(vb[:, 0].tolist() if dims == 1 else vb.tolist())]
     prev = [inf] * (m + 1)
     prev[0] = 0.0
-    first = last = 0  # the previous row's first and last column at or below the bound
+    first, last = 1, 0  # the previous row's first and last column at or below the bound
     for i in range(1, n + 1):
-        lo, hi = max(first, 1), m
+        lo, hi = first, m
         if band is not None:
             lo, hi = max(lo, i - band), min(m, i + band)
         cur = [inf] * (m + 1)
@@ -124,6 +136,8 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: i
                     break  # later cells of this row have no predecessor at or below the bound
             else:
                 next_last = j
+        if next_first == next_last == i and i >= synced:
+            return float(cur[i])  # the rest of the diagonal adds only zeros
         prev, first, last = cur, next_first, next_last
     return float(prev[m])
 

@@ -23,7 +23,7 @@ from .attack import (
     theta_rule_from_dict,
     theta_rule_to_dict,
 )
-from .core import TimeSeries, derive_seed, zscore_normalize
+from .core import TimeSeries, _write_json, derive_seed, zscore_normalize
 from .data import (
     ScenarioSplit,
     SyntheticConfig,
@@ -107,8 +107,9 @@ class ExperimentReport:
     wall_clock_seconds: float
 
 
-def _model_config_from_dict(doc: dict) -> ImputerConfig:
-    return ImputerConfig(**doc)
+def _synthetic_config_from_dict(doc: dict) -> SyntheticConfig:
+    doc = {k: tuple(v) if k in ("components", "amplitude_range") else v for k, v in doc.items() if k != "source"}
+    return SyntheticConfig(**doc)
 
 
 def _attack_config_from_dict(doc: dict) -> AttackConfig:
@@ -123,11 +124,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     data = dict(doc["data"])
     source_kind = data.pop("source")
     if source_kind == "synthetic":
-        components = data.pop("components", (1, 3))
-        amplitude = data.pop("amplitude_range", (0.5, 2.0))
-        source: SyntheticConfig | CsvSource = SyntheticConfig(
-            components=tuple(components), amplitude_range=tuple(amplitude), **data
-        )
+        source: SyntheticConfig | CsvSource = _synthetic_config_from_dict(data)
     elif source_kind == "csv":
         source = CsvSource(path=data["path"])
     else:
@@ -135,14 +132,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     fine_tune_cfg = None
     if "fine_tune" in doc and doc["fine_tune"] is not None:
-        fine_tune_cfg = _model_config_from_dict(doc["fine_tune"])
+        fine_tune_cfg = ImputerConfig(**doc["fine_tune"])
 
     return ExperimentConfig(
         scenario=int(doc["scenario"]),
         master_seed=int(doc.get("master_seed", 0)),
         data_source=source,
-        target_model=_model_config_from_dict(doc["target_model"]),
-        reference_model=_model_config_from_dict(doc["reference_model"]),
+        target_model=ImputerConfig(**doc["target_model"]),
+        reference_model=ImputerConfig(**doc["reference_model"]),
         attack=_attack_config_from_dict(doc.get("attack", {})),
         fine_tune=fine_tune_cfg,
         parity_tolerance=float(doc.get("parity_tolerance", 0.1)),
@@ -306,14 +303,6 @@ def report_json_dict(report: ExperimentReport) -> dict:
         "methods": {"lbrm": report.lbrm_metrics, "naive": report.naive_metrics},
         "roc_files": {"lbrm": "roc_lbrm.csv", "naive": "roc_naive.csv"},
     }
-
-
-def _write_json(doc: dict, path: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def write_experiment_outputs(report: ExperimentReport, out_dir: str | None = None) -> str:

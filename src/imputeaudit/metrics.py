@@ -6,10 +6,11 @@ the loss-ratio convention (memorized samples have small ratios).
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _atomic_open
 
 __all__ = [
     "LabeledScores",
@@ -145,10 +146,8 @@ def headline_summary(data: LabeledScores, fpr_cap: float = 0.1, top_percent: flo
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:
     """Plot-ready `fpr,tpr,threshold` export, written atomically."""
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "tpr", "threshold"])
         for f, t, thr in zip(curve.fpr, curve.tpr, curve.thresholds):
             writer.writerow([repr(float(f)), repr(float(t)), repr(float(thr))])
-    os.replace(tmp, path)

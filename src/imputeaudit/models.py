@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import MaskedSeries, TimeSeries, apply_mask, derive_seed, random_missing_mask
+from .core import MaskedSeries, TimeSeries, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -471,11 +470,7 @@ def save_model(model: TrainedImputer, path: str) -> None:
         "history": list(model.history),
         "params_b64": base64.b64encode(np.ascontiguousarray(model.params, dtype="<f8").tobytes()).decode("ascii"),
     }
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_json(doc, path)
 
 
 def load_model(path: str) -> TrainedImputer:

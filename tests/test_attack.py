@@ -17,7 +17,6 @@ from imputeaudit.attack import (
     lbrm_score,
     loss_ratio,
     mask_schedule,
-    naive_loss_score,
     report_from_dict,
     report_to_dict,
     run_attack,
@@ -97,13 +96,6 @@ def test_score_matches_hand_composed_pipeline():
     assert score.l_t == pytest.approx(expected_lt, abs=1e-9)
     assert score.l_r == pytest.approx(expected_lr, abs=1e-9)
     assert score.r == pytest.approx(expected_lt / expected_lr, abs=1e-9)
-
-
-def test_naive_equals_lbrm_target_half_exactly():
-    x = series(4)
-    target, reference = OffsetOracle(0.3), OffsetOracle(0.8)
-    cfg = AttackConfig(repeats=5)
-    assert naive_loss_score(target, x, cfg) == lbrm_score(target, reference, x, cfg).l_t
 
 
 def test_oracle_failure_names_candidate():

@@ -125,6 +125,7 @@ def test_output_files_are_replaced_whole(tmp_path, monkeypatch, capsys):
     with pytest.raises(KeyboardInterrupt):
         main(argv)
     assert out.read_bytes() == written
+    assert not [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
 
 
 def test_metrics_command_missing_label_errors(tmp_path, capsys):

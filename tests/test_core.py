@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from imputeaudit.core import (
     zscore_denormalize,
     zscore_normalize,
 )
+from imputeaudit.data import save_csv
+from imputeaudit.metrics import LabeledScores, roc_curve, write_roc_csv
+from imputeaudit.models import save_model
 
 
 def test_time_series_promotes_1d_and_freezes():
@@ -178,3 +184,34 @@ def test_counting_oracle_counts():
     oracle.impute(masked)
     oracle.impute(masked)
     assert oracle.calls == 2
+
+
+class _InterruptedWriter:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def writerow(self, row):
+        self.fh.write("partial,")
+        raise KeyboardInterrupt
+
+
+def _interrupted_dump(doc, fh, **kwargs):
+    fh.write("{")
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("writer", ["save_model", "save_csv", "write_roc_csv"])
+def test_interrupted_writes_keep_the_old_file_and_leave_no_temp_file(writer, tmp_path, monkeypatch, fresh_model):
+    write = {
+        "save_model": lambda path: save_model(fresh_model, path),
+        "save_csv": lambda path: save_csv([TimeSeries("a", [0.0, 1.0])], path),
+        "write_roc_csv": lambda path: write_roc_csv(roc_curve(LabeledScores([0.1, 0.2], [True, False])), path),
+    }[writer]
+    out = tmp_path / "out"
+    out.write_text("old")
+    monkeypatch.setattr(json, "dump", _interrupted_dump)
+    monkeypatch.setattr(csv, "writer", _InterruptedWriter)
+    with pytest.raises(KeyboardInterrupt):
+        write(str(out))
+    assert out.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -130,14 +130,23 @@ def free_pairs(draw, lengths=st.integers(1, 24)):
 
 @st.composite
 def block_pairs(draw, lengths=st.integers(2, 24)):
-    """An original and a completion that differs from it only inside one masked block."""
+    """An original and a completion that differs from it only inside one or two disjoint masked blocks.
+
+    Between two blocks the diagonal costs run at exactly zero, which must not
+    stop the sweep before the last nonzero one.
+    """
     dims, n = draw(DIMS), draw(lengths)
     start = draw(st.integers(0, n - 1))
     stop = draw(st.integers(start + 1, min(n, start + n - 1)))
+    blocks = [(start, stop)]
+    if stop + 1 < n and draw(st.booleans()):
+        second = draw(st.integers(stop + 1, n - 1))
+        blocks.append((second, draw(st.integers(second + 1, n))))
     original = _matrix(draw, n, dims)
     completion = original.copy()
-    dim = draw(st.integers(0, dims - 1))
-    completion[start:stop, dim] = draw(arrays(np.float64, stop - start, elements=VALUES))
+    for start, stop in blocks:
+        dim = draw(st.integers(0, dims - 1))
+        completion[start:stop, dim] = draw(arrays(np.float64, stop - start, elements=VALUES))
     return completion, original, _band(draw, n, n)
 
 
@@ -154,6 +163,18 @@ def test_block_completions_match_full_sweep(case):
     a, b, band = case
     assert dtw_distance(a, b, band) == dtw_reference(a, b, band)
     assert dtw_distance(b, a, band) == dtw_reference(b, a, band)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("start, stop", [(0, 5), (11, 16)], ids=["first-row", "last-row"])
+def test_block_at_either_end_matches_full_sweep(start, stop, dims):
+    # A block at row 0 leaves the longest zero suffix; one ending at the last row leaves none.
+    rng = np.random.default_rng(stop)
+    original = rng.normal(size=(16, dims))
+    completion = original.copy()
+    completion[start:stop] += rng.normal(size=(stop - start, dims))
+    assert dtw_distance(completion, original) == dtw_reference(completion, original)
+    assert dtw_distance(original, completion) == dtw_reference(original, completion)
 
 
 @settings(max_examples=10, deadline=None)
