@@ -21,13 +21,13 @@ from .attack import (
     run_attack,
 )
 from .core import (
-    CountingOracle,
     DegenerateMaskError,
     ImputationOracle,
     MaskMatrix,
     MaskSpec,
     MaskedSeries,
     NormParams,
+    OracleError,
     TimeSeries,
     apply_mask,
     random_missing_mask,

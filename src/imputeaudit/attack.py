@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Union
 
-from .core import ImputationOracle, MaskSpec, TimeSeries, single_unit_mask
+from .core import ImputationOracle, MaskSpec, TimeSeries, _query, single_unit_mask
 from .dtw import dtw_distance
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "MembershipScore",
     "Verdict",
     "AttackReport",
-    "OracleError",
     "mask_schedule",
     "loss_ratio",
     "lbrm_score",
@@ -41,10 +40,6 @@ __all__ = [
     "theta_rule_to_dict",
     "theta_rule_from_dict",
 ]
-
-
-class OracleError(RuntimeError):
-    """An imputation oracle failed or broke its contract mid-attack; the message names the candidate."""
 
 
 @dataclass(frozen=True)
@@ -148,24 +143,6 @@ def loss_ratio(l_t: float, l_r: float, epsilon: float = 1e-12) -> tuple[float, b
     if l_t < epsilon and l_r < epsilon:
         return 1.0, True
     return l_t / max(l_r, epsilon), False
-
-
-def _query(oracle: ImputationOracle, masked, role: str) -> TimeSeries:
-    """One black-box query; a failure or a completion that breaks the contract names the candidate."""
-    try:
-        completed = oracle.impute(masked)
-    except Exception as exc:
-        raise OracleError(f"{role} oracle failed on candidate {masked.id!r}") from exc
-    if not isinstance(completed, TimeSeries) or completed.shape != masked.series.shape:
-        got = f"shape {completed.shape}" if isinstance(completed, TimeSeries) else type(completed).__name__
-        raise OracleError(
-            f"{role} oracle returned {got} for candidate {masked.id!r}, "
-            f"expected a series of shape {masked.series.shape}"
-        )
-    observed = masked.mask.observed()
-    if not np.array_equal(completed.values[observed], masked.series.values[observed]):
-        raise OracleError(f"{role} oracle changed observed entries of candidate {masked.id!r}")
-    return completed
 
 
 def lbrm_score(
@@ -280,12 +257,16 @@ def theta_rule_from_dict(doc: dict) -> ThetaRule:
 
 
 def report_to_dict(report: AttackReport) -> dict:
-    """Fixed wire schema: {theta, theta_rule, per_candidate:[{id,l_t,l_r,r,is_member}]}."""
+    """Fixed wire schema: {theta, theta_rule, per_candidate:[{id,l_t,l_r,r,is_member[,degenerate]}]}.
+
+    ``degenerate`` is written, as true, on degenerate rows only.
+    """
     return {
         "theta": report.theta,
         "theta_rule": theta_rule_to_dict(report.theta_rule),
         "per_candidate": [
             {"id": s.candidate_id, "l_t": s.l_t, "l_r": s.l_r, "r": s.r, "is_member": v.is_member}
+            | ({"degenerate": True} if s.degenerate else {})
             for s, v in zip(report.scores, report.verdicts)
         ],
     }
@@ -302,6 +283,7 @@ def report_from_dict(doc: dict) -> AttackReport:
             l_t=float(row["l_t"]),
             l_r=float(row["l_r"]),
             r=float(row["r"]),
+            degenerate=bool(row.get("degenerate", False)),
         )
         scores.append(score)
         verdicts.append(Verdict(candidate_id=score.candidate_id, is_member=bool(row["is_member"]), score=score))

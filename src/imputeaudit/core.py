@@ -2,7 +2,9 @@
 
 Everything downstream (training, scoring, metrics) works on the types defined
 here. All types are immutable after construction and safe to share across
-concurrent readers.
+concurrent readers. The boundary is ``_query``: an oracle is shown a
+``MaskedSeries`` and nothing else, and every completion it returns is checked
+there, whoever asked.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ __all__ = [
     "MaskSpec",
     "NormParams",
     "ImputationOracle",
-    "CountingOracle",
+    "OracleError",
     "DegenerateMaskError",
     "single_unit_mask",
     "random_missing_mask",
@@ -35,6 +37,10 @@ __all__ = [
 
 class DegenerateMaskError(ValueError):
     """A mask would leave nothing observed to condition the imputation on."""
+
+
+class OracleError(RuntimeError):
+    """An imputation oracle failed or broke its contract; the message names the series and the caller."""
 
 
 def _as_matrix(values: object) -> np.ndarray:
@@ -113,30 +119,22 @@ class MaskMatrix:
 
 @dataclass(frozen=True, eq=False)
 class MaskedSeries:
-    """What an imputation oracle is shown, plus the withheld original.
+    """Exactly what an imputation oracle is shown.
 
     ``series`` carries the sentinel fill (0, in normalized space) at missing
-    positions; ``original`` is held by the auditor for loss computation and is
-    never passed to the oracle.
+    positions. The auditor keeps the unmasked series to itself.
     """
 
     series: TimeSeries
     mask: MaskMatrix
-    original: TimeSeries
 
     def __post_init__(self) -> None:
-        if self.series.shape != self.mask.shape or self.original.shape != self.mask.shape:
-            raise ValueError(
-                f"shape mismatch: series {self.series.shape}, mask {self.mask.shape}, "
-                f"original {self.original.shape}"
-            )
-        obs = self.mask.observed()
-        if not np.array_equal(self.series.values[obs], self.original.values[obs]):
-            raise ValueError("observed entries of the masked series must equal the original")
+        if self.series.shape != self.mask.shape:
+            raise ValueError(f"shape mismatch: series {self.series.shape}, mask {self.mask.shape}")
 
     @property
     def id(self) -> str:
-        return self.original.id
+        return self.series.id
 
 
 @dataclass(frozen=True)
@@ -169,16 +167,22 @@ class ImputationOracle(Protocol):
     def impute(self, x: MaskedSeries) -> TimeSeries: ...
 
 
-class CountingOracle:
-    """Wraps an oracle and counts queries; the audit's only access channel."""
-
-    def __init__(self, inner: ImputationOracle) -> None:
-        self.inner = inner
-        self.calls = 0
-
-    def impute(self, x: MaskedSeries) -> TimeSeries:
-        self.calls += 1
-        return self.inner.impute(x)
+def _query(oracle: ImputationOracle, masked: MaskedSeries, caller: str) -> TimeSeries:
+    """One black-box query; a failure or a completion that breaks the contract names the series and the caller."""
+    try:
+        completed = oracle.impute(masked)
+    except Exception as exc:
+        raise OracleError(f"{caller} oracle failed on series {masked.id!r}: {exc}") from exc
+    if not isinstance(completed, TimeSeries) or completed.shape != masked.series.shape:
+        got = f"shape {completed.shape}" if isinstance(completed, TimeSeries) else type(completed).__name__
+        raise OracleError(
+            f"{caller} oracle returned {got} for series {masked.id!r}, "
+            f"expected a series of shape {masked.series.shape}"
+        )
+    observed = masked.mask.observed()
+    if not np.array_equal(completed.values[observed], masked.series.values[observed]):
+        raise OracleError(f"{caller} oracle changed observed entries of series {masked.id!r}")
+    return completed
 
 
 def single_unit_mask(x: TimeSeries, spec: MaskSpec) -> MaskedSeries:
@@ -221,11 +225,11 @@ def random_missing_mask(shape: tuple[int, int], fraction: float, seed: int) -> M
 
 
 def apply_mask(x: TimeSeries, mask: MaskMatrix) -> MaskedSeries:
-    """Zero out masked positions of ``x``; the original is retained for the auditor."""
+    """Zero out masked positions of ``x``."""
     if x.shape != mask.shape:
         raise ValueError(f"shape mismatch: series {x.shape} vs mask {mask.shape}")
     filled = np.where(mask.observed(), x.values, 0.0)
-    return MaskedSeries(series=TimeSeries(x.id, filled), mask=mask, original=x)
+    return MaskedSeries(series=TimeSeries(x.id, filled), mask=mask)
 
 
 def zscore_normalize(x: TimeSeries) -> tuple[TimeSeries, NormParams]:

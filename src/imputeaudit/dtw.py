@@ -34,15 +34,12 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: int | None = None) -> float:
+def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray) -> float:
     """Minimal accumulated pointwise distance over monotone alignments.
 
     Dynamic program with the step set {down, right, diagonal},
     boundary-anchored at both ends. Dimensions share one alignment and the
     pointwise cost is the Euclidean distance between the aligned points.
-
-    ``band`` optionally restricts the alignment to |i - j| <= band around the
-    diagonal (off by default; only useful as a speed knob on long series).
 
     The program is pruned but exact: it returns the same bits as the full
     O(n*m) sweep. For equal lengths the diagonal path's cost U, summed in the
@@ -73,11 +70,7 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: i
     va, vb = _values(a), _values(b)
     if va.shape[1] != vb.shape[1]:
         raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
-    if band is not None and band < 0:
-        raise ValueError(f"band must be nonnegative, got {band}")
     n, m, dims = va.shape[0], vb.shape[0], va.shape[1]
-    if band is not None and band < abs(n - m):
-        raise ValueError(f"band {band} cannot reach the corner for lengths {n}, {m}")
 
     inf = float("inf")
     sqrt = math.sqrt
@@ -102,15 +95,12 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, band: i
     prev[0] = 0.0
     first, last = 1, 0  # the previous row's first and last column at or below the bound
     for i in range(1, n + 1):
-        lo, hi = first, m
-        if band is not None:
-            lo, hi = max(lo, i - band), min(m, i + band)
         cur = [inf] * (m + 1)
         row = costs[i - 1] if costs is not None else None
         x = xs[i - 1]
-        next_first, next_last = lo, 0
-        diag, left = prev[lo - 1], inf
-        for j in range(lo, hi + 1):
+        next_first, next_last = first, 0
+        diag, left = prev[first - 1], inf
+        for j in range(first, m + 1):
             up = prev[j]
             best = diag
             if up < best:

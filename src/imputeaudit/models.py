@@ -24,11 +24,10 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import MaskedSeries, TimeSeries, _write_json, apply_mask, derive_seed, random_missing_mask
+from .core import MaskedSeries, TimeSeries, _query, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -129,9 +128,6 @@ class _Autoencoder:
         self.layout = _layout(shapes)
         self.n_params = self.layout[-1][2]
 
-    def init(self, rng: np.random.Generator) -> np.ndarray:
-        return _fan_in_init(rng, self.layout)
-
     def forward(self, p: dict[str, np.ndarray], x: np.ndarray):
         b, t, d = x.shape
         a0 = x.reshape(b, t * d)
@@ -196,9 +192,6 @@ class _SelfAttentionImputer:
         shapes.append(("bout", (n_dims,)))
         self.layout = _layout(shapes)
         self.n_params = self.layout[-1][2]
-
-    def init(self, rng: np.random.Generator) -> np.ndarray:
-        return _fan_in_init(rng, self.layout)
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, t, _ = x.shape
@@ -292,21 +285,15 @@ class TrainedImputer:
             raise ValueError("parameters must be a flat vector")
         if not np.all(np.isfinite(params)):
             raise ValueError("parameters must be finite")
-        expected = _build_net(self.n_steps, self.n_dims, self.config).n_params
-        if params.shape[0] != expected:
-            raise ValueError(f"expected {expected} parameters for this config, got {params.shape[0]}")
+        net = _build_net(self.n_steps, self.n_dims, self.config)
+        if params.shape[0] != net.n_params:
+            raise ValueError(f"expected {net.n_params} parameters for this config, got {params.shape[0]}")
         params = params.copy()
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "history", tuple(float(v) for v in self.history))
-
-    @cached_property
-    def _net(self):
-        return _build_net(self.n_steps, self.n_dims, self.config)
-
-    @cached_property
-    def _views(self) -> dict[str, np.ndarray]:
-        return _unpack(self.params, self._net.layout)
+        object.__setattr__(self, "_net", net)
+        object.__setattr__(self, "_views", _unpack(params, net.layout))
 
     def impute(self, x: MaskedSeries) -> TimeSeries:
         """Fill the masked entries; observed entries are copied through exactly."""
@@ -398,8 +385,7 @@ def train(dataset: list[TimeSeries], cfg: ImputerConfig) -> TrainedImputer:
     _, steps, dims = data.shape
     net = _build_net(steps, dims, cfg)
     rng = np.random.default_rng(cfg.seed)
-    params = net.init(rng)
-    params, history = _descend(net, params, data, cfg, rng)
+    params, history = _descend(net, _fan_in_init(rng, net.layout), data, cfg, rng)
     return TrainedImputer(config=cfg, n_steps=steps, n_dims=dims, params=params, history=history)
 
 
@@ -418,14 +404,14 @@ def fine_tune(base: TrainedImputer, private: list[TimeSeries], cfg: ImputerConfi
 
 
 def evaluate_mae(model, data: list[TimeSeries], fraction: float, seed: int) -> float:
-    """Hide ``fraction`` of each series, impute, and average |error| over hidden entries."""
+    """Hide ``fraction`` of each series, query ``model`` as the parity caller, and average |error| over hidden entries."""
     if not data:
         raise ValueError("no series to evaluate")
     abs_err = 0.0
     count = 0
     for i, s in enumerate(data):
         mask = random_missing_mask(s.shape, fraction, derive_seed(seed, i))
-        completed = model.impute(apply_mask(s, mask))
+        completed = _query(model, apply_mask(s, mask), "parity")
         hidden = mask.missing()
         abs_err += float(np.abs(completed.values[hidden] - s.values[hidden]).sum())
         count += int(hidden.sum())

@@ -12,21 +12,31 @@ from imputeaudit.core import MaskedSeries, TimeSeries
 from imputeaudit.models import _batch_observed, _unpack
 
 
+def _recall(memory: list[TimeSeries], x: MaskedSeries) -> TimeSeries:
+    """The remembered series whose values match every observed entry of the view."""
+    observed = x.mask.observed()
+    return next(s for s in memory if np.array_equal(s.values[observed], x.series.values[observed]))
+
+
 class PerfectOracle:
-    """Returns the withheld original: a model with perfect memory."""
+    """A model with perfect memory: returns the remembered series the view was cut from."""
+
+    def __init__(self, memory: list[TimeSeries]) -> None:
+        self.memory = list(memory)
 
     def impute(self, x: MaskedSeries) -> TimeSeries:
-        return x.original
+        return _recall(self.memory, x)
 
 
 class OffsetOracle:
-    """Keep-observed oracle that misses every hidden entry by a fixed offset."""
+    """Keep-observed oracle that remembers its series and misses every hidden entry by a fixed offset."""
 
-    def __init__(self, offset: float) -> None:
+    def __init__(self, offset: float, memory: list[TimeSeries]) -> None:
         self.offset = offset
+        self.memory = list(memory)
 
     def impute(self, x: MaskedSeries) -> TimeSeries:
-        filled = np.where(x.mask.observed(), x.original.values, x.original.values + self.offset)
+        filled = np.where(x.mask.observed(), x.series.values, _recall(self.memory, x).values + self.offset)
         return TimeSeries(x.id, filled)
 
 
@@ -56,6 +66,18 @@ class ShiftingOracle:
         return TimeSeries(x.id, x.series.values + 0.5)
 
 
+class CountingOracle:
+    """Wraps an oracle and counts the queries it answers."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def impute(self, x: MaskedSeries) -> TimeSeries:
+        self.calls += 1
+        return self.inner.impute(x)
+
+
 class RecordingOracle:
     """ZeroFill behavior, but remembers every masked view it was shown."""
 
@@ -76,7 +98,7 @@ def mann_whitney(scores: np.ndarray, is_member: np.ndarray) -> float:
     return float((less + 0.5 * ties) / (members.size * nonmembers.size))
 
 
-def dtw_reference(a: np.ndarray, b: np.ndarray, band: int | None = None) -> float:
+def dtw_reference(a: np.ndarray, b: np.ndarray) -> float:
     """The full, unpruned O(n*m) DTW sweep over the whole cost matrix.
 
     ``dtw_distance`` prunes cells and computes point costs lazily; it must
@@ -91,9 +113,7 @@ def dtw_reference(a: np.ndarray, b: np.ndarray, band: int | None = None) -> floa
     for i in range(1, n + 1):
         cur = [inf] * (m + 1)
         row = costs[i - 1]
-        lo = 1 if band is None else max(1, i - band)
-        hi = m if band is None else min(m, i + band)
-        for j in range(lo, hi + 1):
+        for j in range(1, m + 1):
             best = prev[j - 1]
             if prev[j] < best:
                 best = prev[j]

@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import FailingOracle, OffsetOracle, PerfectOracle, ShiftingOracle, TruncatingOracle, ZeroFillOracle
+from helpers import (
+    CountingOracle,
+    FailingOracle,
+    OffsetOracle,
+    PerfectOracle,
+    ShiftingOracle,
+    TruncatingOracle,
+    ZeroFillOracle,
+)
 
 from imputeaudit.attack import (
     AttackConfig,
     FixedTheta,
     MembershipScore,
-    OracleError,
     StdRule,
     TopPercentRule,
     calibrate_theta_std,
@@ -23,7 +30,7 @@ from imputeaudit.attack import (
     theta_rule_from_dict,
     theta_rule_to_dict,
 )
-from imputeaudit.core import CountingOracle, MaskSpec, TimeSeries, single_unit_mask
+from imputeaudit.core import MaskSpec, OracleError, TimeSeries, single_unit_mask
 from imputeaudit.dtw import dtw_distance
 
 
@@ -56,7 +63,7 @@ def test_mask_schedule_rejects_full_cover():
 
 def test_perfect_target_gives_zero_ratio():
     x = series(1)
-    score = lbrm_score(PerfectOracle(), OffsetOracle(0.5), x, AttackConfig(repeats=3))
+    score = lbrm_score(PerfectOracle([x]), OffsetOracle(0.5, [x]), x, AttackConfig(repeats=3))
     assert score.l_t == 0.0
     assert score.l_r > 0.0
     assert score.r == 0.0
@@ -65,7 +72,7 @@ def test_perfect_target_gives_zero_ratio():
 
 def test_same_oracle_both_sides_gives_unit_ratio():
     x = series(2)
-    oracle = OffsetOracle(0.7)
+    oracle = OffsetOracle(0.7, [x])
     score = lbrm_score(oracle, oracle, x, AttackConfig(repeats=4))
     assert score.l_t == score.l_r
     assert score.r == 1.0
@@ -73,7 +80,7 @@ def test_same_oracle_both_sides_gives_unit_ratio():
 
 def test_both_perfect_is_degenerate_unit_ratio():
     x = series(3)
-    score = lbrm_score(PerfectOracle(), PerfectOracle(), x, AttackConfig(repeats=2))
+    score = lbrm_score(PerfectOracle([x]), PerfectOracle([x]), x, AttackConfig(repeats=2))
     assert score.degenerate
     assert score.r == 1.0
 
@@ -81,7 +88,7 @@ def test_both_perfect_is_degenerate_unit_ratio():
 def test_score_matches_hand_composed_pipeline():
     # compose mask -> impute -> dtw -> divide independently of lbrm_score
     x = TimeSeries("pinned", np.array([0.4, -1.2, 0.3, 2.0, -0.7, 0.1, 1.5, -0.4]))
-    target, reference = OffsetOracle(0.2), OffsetOracle(0.9)
+    target, reference = OffsetOracle(0.2, [x]), OffsetOracle(0.9, [x])
     cfg = AttackConfig(repeats=3, block_length=2)
 
     starts = mask_schedule(8, 2, 3)
@@ -100,7 +107,7 @@ def test_score_matches_hand_composed_pipeline():
 
 def test_oracle_failure_names_candidate():
     x = series(5)
-    with pytest.raises(OracleError, match="cand-5"):
+    with pytest.raises(OracleError, match="'cand-5': deliberately broken oracle"):
         lbrm_score(FailingOracle(), ZeroFillOracle(), x, AttackConfig())
 
 
@@ -119,10 +126,11 @@ def test_std_rule_reuses_scores_of_candidate_nonmembers():
     renamed = TimeSeries("cand-0", candidates[1].values)  # same id as a candidate, other values
     nonmembers = candidates[3:] + [fresh, renamed]
     cfg = AttackConfig(repeats=3, theta_rule=StdRule(1.0))
-    target, reference = CountingOracle(OffsetOracle(0.2)), CountingOracle(OffsetOracle(0.6))
+    memory = candidates + [fresh]
+    target, reference = CountingOracle(OffsetOracle(0.2, memory)), CountingOracle(OffsetOracle(0.6, memory))
     report = run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
     assert target.calls == reference.calls == (len(candidates) + 2) * cfg.repeats
-    expected = [lbrm_score(OffsetOracle(0.2), OffsetOracle(0.6), x, cfg).r for x in nonmembers]
+    expected = [lbrm_score(OffsetOracle(0.2, memory), OffsetOracle(0.6, memory), x, cfg).r for x in nonmembers]
     assert report.theta == calibrate_theta_std(expected, 1.0)
 
 
@@ -185,7 +193,7 @@ def test_classify_monotone_in_theta():
 
 def test_run_attack_contracts():
     candidates = [series(i) for i in range(6)]
-    target, reference = OffsetOracle(0.2), OffsetOracle(0.5)
+    target, reference = OffsetOracle(0.2, candidates), OffsetOracle(0.5, candidates)
 
     report = run_attack(target, reference, candidates, AttackConfig(theta_rule=FixedTheta(1e9)))
     assert len(report.verdicts) == len(candidates)
@@ -198,7 +206,8 @@ def test_run_attack_contracts():
 
 def test_run_attack_top_percent_flags_expected_count():
     candidates = [series(i) for i in range(8)]
-    report = run_attack(OffsetOracle(0.2), OffsetOracle(0.5), candidates, AttackConfig(theta_rule=TopPercentRule(25.0)))
+    target, reference = OffsetOracle(0.2, candidates), OffsetOracle(0.5, candidates)
+    report = run_attack(target, reference, candidates, AttackConfig(theta_rule=TopPercentRule(25.0)))
     flagged = sum(v.is_member for v in report.verdicts)
     assert flagged >= 2  # floor(25% of 8) = 2, ties may add more
 
@@ -228,26 +237,27 @@ def test_topk_verdicts_equal_lowest_rank_selection_and_survive_monotone_transfor
 def test_run_attack_std_rule_requires_nonmembers():
     candidates = [series(i) for i in range(4)]
     cfg = AttackConfig(theta_rule=StdRule(1.0))
-    with pytest.raises(ValueError):
-        run_attack(OffsetOracle(0.1), OffsetOracle(0.4), candidates, cfg)
     nonmembers = [series(100 + i) for i in range(5)]
-    report = run_attack(OffsetOracle(0.1), OffsetOracle(0.4), candidates, cfg, known_nonmembers=nonmembers)
+    target, reference = OffsetOracle(0.1, candidates + nonmembers), OffsetOracle(0.4, candidates + nonmembers)
+    with pytest.raises(ValueError):
+        run_attack(target, reference, candidates, cfg)
+    report = run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
     assert np.isfinite(report.theta)
 
 
 def test_run_attack_deterministic():
     candidates = [series(i) for i in range(5)]
     cfg = AttackConfig(repeats=3, theta_rule=TopPercentRule(50.0))
-    a = run_attack(OffsetOracle(0.2), OffsetOracle(0.6), candidates, cfg)
-    b = run_attack(OffsetOracle(0.2), OffsetOracle(0.6), candidates, cfg)
+    a = run_attack(OffsetOracle(0.2, candidates), OffsetOracle(0.6, candidates), candidates, cfg)
+    b = run_attack(OffsetOracle(0.2, candidates), OffsetOracle(0.6, candidates), candidates, cfg)
     assert a.theta == b.theta
     assert [s.r for s in a.scores] == [s.r for s in b.scores]
 
 
 def test_query_counting_matches_schedule():
     candidates = [series(i) for i in range(7)]
-    target = CountingOracle(OffsetOracle(0.2))
-    reference = CountingOracle(OffsetOracle(0.6))
+    target = CountingOracle(OffsetOracle(0.2, candidates))
+    reference = CountingOracle(OffsetOracle(0.6, candidates))
     cfg = AttackConfig(repeats=4, theta_rule=FixedTheta(1.0))
     run_attack(target, reference, candidates, cfg)
     assert target.calls == len(candidates) * cfg.repeats
@@ -256,16 +266,21 @@ def test_query_counting_matches_schedule():
 
 def test_report_serialization_round_trip():
     candidates = [series(i) for i in range(4)]
-    report = run_attack(OffsetOracle(0.3), OffsetOracle(0.9), candidates, AttackConfig(theta_rule=TopPercentRule(50.0)))
-    doc = report_to_dict(report)
-    assert set(doc) == {"theta", "theta_rule", "per_candidate"}
-    assert set(doc["per_candidate"][0]) == {"id", "l_t", "l_r", "r", "is_member"}
-    back = report_from_dict(doc)
-    assert back.theta == report.theta
-    assert back.theta_rule == report.theta_rule
-    for original, restored in zip(report.scores, back.scores):
-        assert restored == MembershipScore(original.candidate_id, original.l_t, original.l_r, original.r)
-    assert [v.is_member for v in back.verdicts] == [v.is_member for v in report.verdicts]
+    cfg = AttackConfig(theta_rule=TopPercentRule(50.0))
+    offsets = run_attack(OffsetOracle(0.3, candidates), OffsetOracle(0.9, candidates), candidates, cfg)
+    both_perfect = run_attack(PerfectOracle(candidates), PerfectOracle(candidates), candidates[:1], cfg)
+    assert not any(s.degenerate for s in offsets.scores)
+    assert both_perfect.scores[0].degenerate
+    row_keys = {"id", "l_t", "l_r", "r", "is_member"}
+    for report, keys in ((offsets, row_keys), (both_perfect, row_keys | {"degenerate"})):
+        doc = report_to_dict(report)
+        assert set(doc) == {"theta", "theta_rule", "per_candidate"}
+        assert all(set(row) == keys for row in doc["per_candidate"])
+        back = report_from_dict(doc)
+        assert back.theta == report.theta
+        assert back.theta_rule == report.theta_rule
+        assert back.scores == report.scores
+        assert [v.is_member for v in back.verdicts] == [v.is_member for v in report.verdicts]
 
 
 def test_theta_rule_codec():

@@ -71,24 +71,6 @@ def test_multivariate_pointwise_euclidean():
     assert dtw_distance(a, b) == pytest.approx(5.0)
 
 
-def test_band_matches_unconstrained_when_wide():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(12, 1))
-    b = rng.normal(size=(9, 1))
-    full = dtw_distance(a, b)
-    assert dtw_distance(a, b, band=12) == pytest.approx(full, abs=1e-12)
-    assert dtw_distance(a, b, band=4) >= full - 1e-12
-
-
-def test_band_validation():
-    a = np.zeros((10, 1))
-    b = np.zeros((3, 1))
-    with pytest.raises(ValueError):
-        dtw_distance(a, b, band=2)  # cannot bridge the length difference
-    with pytest.raises(ValueError):
-        dtw_distance(a, b, band=-1)
-
-
 def test_dimension_mismatch_and_empty_errors():
     with pytest.raises(ValueError):
         dtw_distance(np.ones((3, 1)), np.ones((3, 2)))
@@ -116,16 +98,12 @@ def _matrix(draw, steps, dims):
     return draw(arrays(np.float64, (steps, dims), elements=VALUES))
 
 
-def _band(draw, n, m):
-    return draw(st.none() | st.integers(abs(n - m), max(n, m)))
-
-
 @st.composite
 def free_pairs(draw, lengths=st.integers(1, 24)):
     """Unrelated series, of equal length (pruned) or not (nothing to prune) about equally often."""
     dims, n = draw(DIMS), draw(lengths)
     m = draw(st.just(n) | lengths)
-    return _matrix(draw, n, dims), _matrix(draw, m, dims), _band(draw, n, m)
+    return _matrix(draw, n, dims), _matrix(draw, m, dims)
 
 
 @st.composite
@@ -147,22 +125,22 @@ def block_pairs(draw, lengths=st.integers(2, 24)):
     for start, stop in blocks:
         dim = draw(st.integers(0, dims - 1))
         completion[start:stop, dim] = draw(arrays(np.float64, stop - start, elements=VALUES))
-    return completion, original, _band(draw, n, n)
+    return completion, original
 
 
 @EXACT
 @given(free_pairs())
 def test_pruned_matches_full_sweep(case):
-    a, b, band = case
-    assert dtw_distance(a, b, band) == dtw_reference(a, b, band)
+    a, b = case
+    assert dtw_distance(a, b) == dtw_reference(a, b)
 
 
 @EXACT
 @given(block_pairs())
 def test_block_completions_match_full_sweep(case):
-    a, b, band = case
-    assert dtw_distance(a, b, band) == dtw_reference(a, b, band)
-    assert dtw_distance(b, a, band) == dtw_reference(b, a, band)
+    a, b = case
+    assert dtw_distance(a, b) == dtw_reference(a, b)
+    assert dtw_distance(b, a) == dtw_reference(b, a)
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
@@ -201,5 +179,5 @@ def test_constant_series_match_full_sweep(dims, n, m, u, v):
 @EXACT
 @given(free_pairs(lengths=st.integers(1, 2)))
 def test_length_one_and_two_match_full_sweep(case):
-    a, b, band = case
-    assert dtw_distance(a, b, band) == dtw_reference(a, b, band)
+    a, b = case
+    assert dtw_distance(a, b) == dtw_reference(a, b)

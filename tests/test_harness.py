@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from helpers import CountingOracle
 
 from imputeaudit.attack import AttackConfig, FixedTheta, StdRule, TopPercentRule, report_from_dict, run_attack
 from imputeaudit import harness
-from imputeaudit.core import CountingOracle
 from imputeaudit.data import SyntheticConfig
 from imputeaudit.harness import (
     CsvSource,

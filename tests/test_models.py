@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import ZeroFillOracle, descend_reference
+from helpers import ShiftingOracle, TruncatingOracle, ZeroFillOracle, descend_reference
 
-from imputeaudit.core import MaskMatrix, MaskSpec, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
+from imputeaudit.core import MaskMatrix, MaskSpec, OracleError, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.models import (
     DivergenceError,
     ImputerConfig,
     TrainedImputer,
     _build_net,
+    _fan_in_init,
     _unpack,
     evaluate_mae,
     fine_tune,
@@ -46,7 +47,7 @@ def finite_difference_gradient(net, params, x_in, x_true, hidden, step=1e-6):
 def gradient_relative_error(cfg, steps, dims, seed):
     net = _build_net(steps, dims, cfg)
     rng = np.random.default_rng(seed)
-    params = net.init(rng) + rng.normal(0, 0.05, net.n_params)
+    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
     x_true = rng.normal(size=(3, steps, dims))
     observed = rng.random((3, steps, dims)) > 0.3
     if observed.all():
@@ -78,7 +79,7 @@ def test_attention_gradient_matches_finite_differences(seed):
 def test_backward_overwrites_every_gradient_entry(cfg):
     net = _build_net(5, 2, cfg)
     rng = np.random.default_rng(0)
-    params = net.init(rng) + rng.normal(0, 0.05, net.n_params)
+    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
     p = _unpack(params, net.layout)
     predicted, cache = net.forward(p, rng.normal(size=(3, 5, 2)))
     dy = rng.normal(size=predicted.shape)
@@ -104,7 +105,7 @@ def test_training_matches_per_batch_reference(arch_cfg, momentum, n, batch_size,
     model = train(corpus, cfg)
     net = _build_net(6, dims, cfg)
     rng = np.random.default_rng(cfg.seed)
-    params, history = descend_reference(net, net.init(rng), np.stack([s.values for s in corpus]), cfg, rng)
+    params, history = descend_reference(net, _fan_in_init(rng, net.layout), np.stack([s.values for s in corpus]), cfg, rng)
     assert np.array_equal(model.params, params)
     assert model.history == history
 
@@ -241,9 +242,9 @@ def test_evaluate_mae_of_zero_filler_is_mean_abs():
     mae = evaluate_mae(oracle, corpus, fraction=0.25, seed=44)
     # independent recomputation from the masks the oracle actually saw
     total, count = 0.0, 0
-    for seen in oracle.seen:
+    for x, seen in zip(corpus, oracle.seen, strict=True):
         hidden = seen.mask.missing()
-        total += np.abs(seen.original.values[hidden]).sum()
+        total += np.abs(x.values[hidden]).sum()
         count += hidden.sum()
     assert mae == pytest.approx(total / count, abs=1e-12)
 
@@ -287,12 +288,22 @@ def test_parity_tolerance_validation(tiny_corpus, overfit_model):
         parity_check(overfit_model, overfit_model, tiny_corpus, tolerance=0.0)
 
 
+@pytest.mark.parametrize("broken", [TruncatingOracle(), ShiftingOracle()], ids=["short", "moves-observed"])
+def test_parity_queries_are_checked_at_the_boundary(broken):
+    corpus = small_corpus()
+    with pytest.raises(OracleError, match="parity oracle .*'s0'"):
+        parity_check(broken, ZeroFillOracle(), corpus, tolerance=0.1)
+    with pytest.raises(OracleError, match="parity oracle .*'s0'"):
+        parity_check(ZeroFillOracle(), broken, corpus, tolerance=0.1)
+
+
 def test_parity_accepts_published_scale_gap(tiny_corpus):
     # a 0.24-vs-0.21 held-out MAE pair is the canonical "comparable" example;
     # OffsetOracle(c) has MAE exactly |c|, so the gap is exactly 0.03
     from helpers import OffsetOracle
 
-    report = parity_check(OffsetOracle(0.24), OffsetOracle(0.21), tiny_corpus, tolerance=0.1, seed=3)
+    target, reference = OffsetOracle(0.24, tiny_corpus), OffsetOracle(0.21, tiny_corpus)
+    report = parity_check(target, reference, tiny_corpus, tolerance=0.1, seed=3)
     assert report.mae_target == pytest.approx(0.24, abs=1e-12)
     assert report.mae_reference == pytest.approx(0.21, abs=1e-12)
     assert report.passed
