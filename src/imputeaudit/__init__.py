@@ -13,18 +13,17 @@ from .attack import (
     MembershipScore,
     StdRule,
     TopPercentRule,
-    Verdict,
     calibrate_theta_std,
     calibrate_theta_topk,
     classify,
     lbrm_score,
+    resolve_theta,
     run_attack,
 )
 from .core import (
     DegenerateMaskError,
     ImputationOracle,
     MaskMatrix,
-    MaskSpec,
     MaskedSeries,
     NormParams,
     OracleError,
@@ -44,7 +43,7 @@ from .data import (
     split_scenario1,
     split_scenario2,
 )
-from .dtw import dtw_brute_force, dtw_distance
+from .dtw import dtw_distance
 from .harness import (
     ExperimentConfig,
     ExperimentReport,

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
-from .core import ImputationOracle, MaskSpec, TimeSeries, _query, single_unit_mask
+from .core import ImputationOracle, TimeSeries, _query, single_unit_mask
 from .dtw import dtw_distance
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ThetaRule",
     "AttackConfig",
     "MembershipScore",
-    "Verdict",
     "AttackReport",
     "mask_schedule",
     "loss_ratio",
@@ -34,6 +33,7 @@ __all__ = [
     "calibrate_theta_std",
     "calibrate_theta_topk",
     "classify",
+    "resolve_theta",
     "run_attack",
     "report_to_dict",
     "report_from_dict",
@@ -66,6 +66,10 @@ class FixedTheta:
 
 
 ThetaRule = Union[StdRule, TopPercentRule, FixedTheta]
+
+# The one table of rule kinds; the wire form of a rule is its kind plus its fields.
+_RULE_CLASSES = {"std_rule": StdRule, "top_percent": TopPercentRule, "fixed": FixedTheta}
+_RULE_KINDS = {cls: kind for kind, cls in _RULE_CLASSES.items()}
 
 
 @dataclass(frozen=True)
@@ -102,19 +106,14 @@ class MembershipScore:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class Verdict:
-    candidate_id: str
-    is_member: bool
-    score: MembershipScore
-
-
 @dataclass(frozen=True, eq=False)
 class AttackReport:
+    """Scores in candidate order; ``is_member[i]`` is the verdict on ``scores[i]``."""
+
     theta: float
     theta_rule: ThetaRule
     scores: tuple[MembershipScore, ...]
-    verdicts: tuple[Verdict, ...]
+    is_member: tuple[bool, ...]
 
 
 def mask_schedule(n_steps: int, block_length: int, repeats: int, placement: str = "even", seed: int = 0) -> list[int]:
@@ -154,7 +153,7 @@ def lbrm_score(
     """Score one candidate: mask, query both oracles, ratio the mean warping losses."""
     l_t_vals, l_r_vals = [], []
     for start in mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
-        masked = single_unit_mask(x, MaskSpec(start=start, length=cfg.block_length, dim=cfg.dim))
+        masked = single_unit_mask(x, start, cfg.block_length, cfg.dim)
         l_t_vals.append(dtw_distance(_query(target, masked, "target"), x))
         l_r_vals.append(dtw_distance(_query(reference, masked, "reference"), x))
     l_t = float(np.mean(l_t_vals))
@@ -186,11 +185,25 @@ def calibrate_theta_topk(scores: list[float], percent: float) -> float:
     return float(np.partition(arr, k - 1)[k - 1])
 
 
-def classify(score: MembershipScore, theta: float) -> Verdict:
+def classify(score: MembershipScore, theta: float) -> bool:
     """Member iff the loss ratio is at or below theta."""
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    return Verdict(candidate_id=score.candidate_id, is_member=score.r <= theta, score=score)
+    return bool(score.r <= theta)
+
+
+def resolve_theta(rule: ThetaRule, ratios: list[float], nonmember_ratios: list[float] | None = None) -> float:
+    """Theta under ``rule``: fixed, or calibrated on the candidates' ``ratios``
+    (TopPercentRule) or on known nonmembers' ``nonmember_ratios`` (StdRule)."""
+    if isinstance(rule, FixedTheta):
+        return float(rule.theta)
+    if isinstance(rule, TopPercentRule):
+        return calibrate_theta_topk(ratios, rule.percent)
+    if isinstance(rule, StdRule):
+        if not nonmember_ratios:
+            raise ValueError("StdRule calibration requires a known-nonmember list")
+        return calibrate_theta_std(nonmember_ratios, rule.n)
+    raise TypeError(f"unknown theta rule {rule!r}")
 
 
 def run_attack(
@@ -204,56 +217,35 @@ def run_attack(
 
     StdRule calibrates on ``known_nonmembers`` (series the auditor knows were
     never trained on), reusing the score of any that is also a candidate (same
-    id and values); the other rules need no side data. Output order matches
-    input order and the whole run is deterministic for a fixed config.
+    id and values); the other rules ignore them. Output order matches input
+    order and the whole run is deterministic for a fixed config.
     """
     if not candidates:
         raise ValueError("no candidates to score")
     scores = tuple(lbrm_score(target, reference, x, cfg) for x in candidates)
 
-    rule = cfg.theta_rule
-    if isinstance(rule, FixedTheta):
-        theta = rule.theta
-    elif isinstance(rule, TopPercentRule):
-        theta = calibrate_theta_topk([s.r for s in scores], rule.percent)
-    elif isinstance(rule, StdRule):
-        if not known_nonmembers:
-            raise ValueError("StdRule calibration requires a known-nonmember list")
+    nonmember_ratios = []
+    if isinstance(cfg.theta_rule, StdRule):
         # A known nonmember that is also a candidate was scored already.
         scored = {x.id: (x, score.r) for x, score in zip(candidates, scores)}
-        calibration = []
-        for x in known_nonmembers:
+        for x in known_nonmembers or ():
             seen, r = scored.get(x.id, (None, 0.0))
             if seen is None or not np.array_equal(seen.values, x.values):
                 r = lbrm_score(target, reference, x, cfg).r
-            calibration.append(r)
-        theta = calibrate_theta_std(calibration, rule.n)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown theta rule {rule!r}")
-
-    verdicts = tuple(classify(s, theta) for s in scores)
-    return AttackReport(theta=float(theta), theta_rule=rule, scores=scores, verdicts=verdicts)
+            nonmember_ratios.append(r)
+    theta = resolve_theta(cfg.theta_rule, [s.r for s in scores], nonmember_ratios)
+    return AttackReport(theta, cfg.theta_rule, scores, tuple(classify(s, theta) for s in scores))
 
 
 def theta_rule_to_dict(rule: ThetaRule) -> dict:
-    if isinstance(rule, StdRule):
-        return {"kind": "std_rule", "n": rule.n}
-    if isinstance(rule, TopPercentRule):
-        return {"kind": "top_percent", "percent": rule.percent}
-    if isinstance(rule, FixedTheta):
-        return {"kind": "fixed", "theta": rule.theta}
-    raise TypeError(f"unknown theta rule {rule!r}")
+    return {"kind": _RULE_KINDS[type(rule)], **asdict(rule)}
 
 
 def theta_rule_from_dict(doc: dict) -> ThetaRule:
-    kind = doc.get("kind")
-    if kind == "std_rule":
-        return StdRule(n=float(doc["n"]))
-    if kind == "top_percent":
-        return TopPercentRule(percent=float(doc["percent"]))
-    if kind == "fixed":
-        return FixedTheta(theta=float(doc["theta"]))
-    raise ValueError(f"unknown theta rule kind {kind!r}")
+    cls = _RULE_CLASSES.get(doc.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown theta rule kind {doc.get('kind')!r}")
+    return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
 
 
 def report_to_dict(report: AttackReport) -> dict:
@@ -265,26 +257,18 @@ def report_to_dict(report: AttackReport) -> dict:
         "theta": report.theta,
         "theta_rule": theta_rule_to_dict(report.theta_rule),
         "per_candidate": [
-            {"id": s.candidate_id, "l_t": s.l_t, "l_r": s.l_r, "r": s.r, "is_member": v.is_member}
+            {"id": s.candidate_id, "l_t": s.l_t, "l_r": s.l_r, "r": s.r, "is_member": member}
             | ({"degenerate": True} if s.degenerate else {})
-            for s, v in zip(report.scores, report.verdicts)
+            for s, member in zip(report.scores, report.is_member)
         ],
     }
 
 
 def report_from_dict(doc: dict) -> AttackReport:
-    theta = float(doc["theta"])
-    rule = theta_rule_from_dict(doc["theta_rule"])
-    scores = []
-    verdicts = []
-    for row in doc["per_candidate"]:
-        score = MembershipScore(
-            candidate_id=str(row["id"]),
-            l_t=float(row["l_t"]),
-            l_r=float(row["l_r"]),
-            r=float(row["r"]),
-            degenerate=bool(row.get("degenerate", False)),
-        )
-        scores.append(score)
-        verdicts.append(Verdict(candidate_id=score.candidate_id, is_member=bool(row["is_member"]), score=score))
-    return AttackReport(theta=theta, theta_rule=rule, scores=tuple(scores), verdicts=tuple(verdicts))
+    rows = doc["per_candidate"]
+    scores = tuple(
+        MembershipScore(str(row["id"]), float(row["l_t"]), float(row["l_r"]), float(row["r"]), bool(row.get("degenerate")))
+        for row in rows
+    )
+    is_member = tuple(bool(row["is_member"]) for row in rows)
+    return AttackReport(float(doc["theta"]), theta_rule_from_dict(doc["theta_rule"]), scores, is_member)

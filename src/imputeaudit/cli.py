@@ -58,7 +58,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     nonmembers = _normalized_corpus(args.known_nonmembers) if args.known_nonmembers else None
     report = attack_mod.run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
     _write_json(attack_mod.report_to_dict(report), args.out)
-    flagged = sum(v.is_member for v in report.verdicts)
+    flagged = sum(report.is_member)
     print(f"scored {len(candidates)} candidates; theta={report.theta:.6g}; {flagged} flagged as members")
     return 0
 

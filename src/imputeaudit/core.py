@@ -21,7 +21,6 @@ __all__ = [
     "TimeSeries",
     "MaskMatrix",
     "MaskedSeries",
-    "MaskSpec",
     "NormParams",
     "ImputationOracle",
     "OracleError",
@@ -137,15 +136,6 @@ class MaskedSeries:
         return self.series.id
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """A contiguous block of hidden steps in one dimension."""
-
-    start: int
-    length: int = 1
-    dim: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class NormParams:
     """Per-dimension mean/scale allowing exact inversion of a z-score transform."""
@@ -185,28 +175,26 @@ def _query(oracle: ImputationOracle, masked: MaskedSeries, caller: str) -> TimeS
     return completed
 
 
-def single_unit_mask(x: TimeSeries, spec: MaskSpec) -> MaskedSeries:
-    """Hide one contiguous block of ``spec.length`` steps in ``spec.dim``.
+def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -> MaskedSeries:
+    """Hide one contiguous block of ``length`` steps from ``start`` in ``dim``.
 
     Raises DegenerateMaskError when the block covers every step of the chosen
     dimension (nothing left to condition on), and ValueError for blocks that
     fall outside the series.
     """
     steps, dims = x.shape
-    if spec.length < 1:
-        raise ValueError(f"block length must be >= 1, got {spec.length}")
-    if not 0 <= spec.dim < dims:
-        raise ValueError(f"dim {spec.dim} out of range for {dims}-dim series")
-    if spec.length >= steps:
+    if length < 1:
+        raise ValueError(f"block length must be >= 1, got {length}")
+    if not 0 <= dim < dims:
+        raise ValueError(f"dim {dim} out of range for {dims}-dim series")
+    if length >= steps:
         raise DegenerateMaskError(
-            f"block length {spec.length} >= series length {steps}: nothing observed to condition on"
+            f"block length {length} >= series length {steps}: nothing observed to condition on"
         )
-    if spec.start < 0 or spec.start + spec.length > steps:
-        raise ValueError(
-            f"block [{spec.start}, {spec.start + spec.length}) out of range for length {steps}"
-        )
+    if start < 0 or start + length > steps:
+        raise ValueError(f"block [{start}, {start + length}) out of range for length {steps}")
     entries = np.ones((steps, dims), dtype=np.uint8)
-    entries[spec.start : spec.start + spec.length, spec.dim] = 0
+    entries[start : start + length, dim] = 0
     return apply_mask(x, MaskMatrix(entries))
 
 

@@ -125,11 +125,9 @@ class ScenarioSplit:
     public: tuple[TimeSeries, ...]
     private: tuple[TimeSeries, ...]
     test: tuple[TimeSeries, ...]
-    scenario: int
-    seed: int
 
 
-def _split(data: list[TimeSeries], seed: int, n_public: int, n_private: int, scenario: int) -> ScenarioSplit:
+def _split(data: list[TimeSeries], seed: int, n_public: int, n_private: int) -> ScenarioSplit:
     ids = [s.id for s in data]
     if len(set(ids)) != len(ids):
         raise ValueError("series ids must be unique to split")
@@ -140,8 +138,6 @@ def _split(data: list[TimeSeries], seed: int, n_public: int, n_private: int, sce
         public=tuple(shuffled[:n_public]),
         private=tuple(shuffled[n_public : n_public + n_private]),
         test=tuple(shuffled[n_public + n_private :]),
-        scenario=scenario,
-        seed=seed,
     )
 
 
@@ -151,7 +147,7 @@ def split_scenario1(data: list[TimeSeries], seed: int) -> ScenarioSplit:
     if n < 5:
         raise ValueError(f"need at least 5 series to split, got {n}")
     part = (2 * n) // 5
-    return _split(data, seed, part, part, scenario=1)
+    return _split(data, seed, part, part)
 
 
 def split_scenario2(data: list[TimeSeries], seed: int) -> ScenarioSplit:
@@ -159,7 +155,7 @@ def split_scenario2(data: list[TimeSeries], seed: int) -> ScenarioSplit:
     n = len(data)
     if n < 5:
         raise ValueError(f"need at least 5 series to split, got {n}")
-    return _split(data, seed, (3 * n) // 5, n // 5, scenario=2)
+    return _split(data, seed, (3 * n) // 5, n // 5)
 
 
 def save_csv(data: list[TimeSeries], path: str) -> None:

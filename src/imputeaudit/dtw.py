@@ -1,10 +1,10 @@
 """Dynamic time warping, the loss the audit scores oracle outputs with.
 
-``dtw_distance`` is the production dynamic program, pruned to the cells
-that can lie on an optimal alignment, stopped early once the alignment is
-back on a diagonal of exact zeros, and bit-identical to the full sweep;
-``dtw_brute_force`` enumerates every alignment path and exists so the
-dynamic program can be checked against something dumber than itself.
+``dtw_distance`` is the dynamic program, pruned to the cells that can lie
+on an optimal alignment, stopped early once the alignment is back on a
+diagonal of exact zeros, and bit-identical to the full sweep. The oracles
+it is tested against, the full sweep and an enumeration of every alignment
+path, live in the test suite.
 """
 from __future__ import annotations
 
@@ -14,11 +14,7 @@ import numpy as np
 
 from .core import TimeSeries, _as_matrix
 
-__all__ = ["dtw_distance", "dtw_brute_force", "BRUTE_FORCE_CELL_LIMIT"]
-
-# n*m above this and exhaustive path enumeration stops being a test oracle
-# and starts being a space heater.
-BRUTE_FORCE_CELL_LIMIT = 36
+__all__ = ["dtw_distance"]
 
 
 def _values(x: TimeSeries | np.ndarray | list) -> np.ndarray:
@@ -130,38 +126,3 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray) -> floa
             return float(cur[i])  # the rest of the diagonal adds only zeros
         prev, first, last = cur, next_first, next_last
     return float(prev[m])
-
-
-def dtw_brute_force(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray) -> float:
-    """Exhaustively enumerate every monotone alignment path and take the minimum.
-
-    Refuses inputs with n*m > BRUTE_FORCE_CELL_LIMIT; enumeration is
-    exponential and only meant to cross-check :func:`dtw_distance` on tiny
-    series.
-    """
-    va, vb = _values(a), _values(b)
-    if va.shape[1] != vb.shape[1]:
-        raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
-    n, m = va.shape[0], vb.shape[0]
-    if n * m > BRUTE_FORCE_CELL_LIMIT:
-        raise ValueError(f"refusing exhaustive enumeration for {n}x{m} > {BRUTE_FORCE_CELL_LIMIT} cells")
-
-    costs = _point_costs(va, vb)
-    best = float("inf")
-
-    def walk(i: int, j: int, acc: float) -> None:
-        nonlocal best
-        acc += costs[i, j]
-        if i == n - 1 and j == m - 1:
-            if acc < best:
-                best = acc
-            return
-        if i + 1 < n:
-            walk(i + 1, j, acc)
-        if j + 1 < m:
-            walk(i, j + 1, acc)
-        if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, acc)
-
-    walk(0, 0, 0.0)
-    return best

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, replace
 from .attack import (
     AttackConfig,
     AttackReport,
-    StdRule,
     report_to_dict,
     run_attack,
     theta_rule_from_dict,
@@ -84,6 +83,11 @@ class ExperimentConfig:
             raise ValueError(f"scenario must be 1 or 2, got {self.scenario}")
         if self.scenario == 2 and self.fine_tune is None:
             raise ValueError("scenario 2 requires a fine_tune config")
+        if self.scenario == 2 and replace(self.target_model, seed=self.reference_model.seed) != self.reference_model:
+            raise ValueError(
+                "scenario 2 fine-tunes the reference base into the target, so target_model must equal "
+                "reference_model in every field but seed"
+            )
         if self.parity_tolerance <= 0:
             raise ValueError("parity_tolerance must be positive")
         if not 0.0 < self.parity_fraction < 1.0:
@@ -156,27 +160,12 @@ def config_from_file(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical echo of the config for reports (JSON-safe, deterministic)."""
-    if isinstance(cfg.data_source, SyntheticConfig):
-        data = {"source": "synthetic", **asdict(cfg.data_source)}
-        data["components"] = list(data["components"])
-        data["amplitude_range"] = list(data["amplitude_range"])
-    else:
-        data = {"source": "csv", "path": cfg.data_source.path}
-    out = {
-        "scenario": cfg.scenario,
-        "master_seed": cfg.master_seed,
-        "data": data,
-        "target_model": asdict(cfg.target_model),
-        "reference_model": asdict(cfg.reference_model),
-        "fine_tune": asdict(cfg.fine_tune) if cfg.fine_tune is not None else None,
-        "attack": {**asdict(cfg.attack), "theta_rule": theta_rule_to_dict(cfg.attack.theta_rule)},
-        "parity_tolerance": cfg.parity_tolerance,
-        "parity_fraction": cfg.parity_fraction,
-        "output_dir": cfg.output_dir,
-        "override_parity": cfg.override_parity,
-        "independent_reference": cfg.independent_reference,
-    }
+    """Canonical echo of the config for reports (JSON-safe, deterministic): the
+    schema ``config_from_dict`` reads, with every field filled in."""
+    out = asdict(cfg)
+    data = {k: list(v) if isinstance(v, tuple) else v for k, v in out.pop("data_source").items()}
+    out["data"] = {"source": "csv" if isinstance(cfg.data_source, CsvSource) else "synthetic", **data}
+    out["attack"]["theta_rule"] = theta_rule_to_dict(cfg.attack.theta_rule)
     return out
 
 
@@ -226,8 +215,7 @@ def _finish(
     candidates = list(split.private) + list(split.test)
     labels = [True] * len(split.private) + [False] * len(split.test)
     attack_cfg = replace(cfg.attack, seed=derive_seed(cfg.master_seed, "attack"))
-    known_nonmembers = list(split.test) if isinstance(attack_cfg.theta_rule, StdRule) else None
-    report = run_attack(target, reference, candidates, attack_cfg, known_nonmembers=known_nonmembers)
+    report = run_attack(target, reference, candidates, attack_cfg, known_nonmembers=list(split.test))
 
     lbrm_metrics, naive_metrics, lbrm_curve, naive_curve = metrics_from_report(report, labels)
     return ExperimentReport(
@@ -290,13 +278,7 @@ def report_json_dict(report: ExperimentReport) -> dict:
         "scenario": report.scenario,
         "master_seed": report.master_seed,
         "config": report.config_echo,
-        "parity": {
-            "mae_target": report.parity.mae_target,
-            "mae_reference": report.parity.mae_reference,
-            "gap": report.parity.gap,
-            "tolerance": report.parity.tolerance,
-            "passed": report.parity.passed,
-        },
+        "parity": {**asdict(report.parity), "gap": report.parity.gap},
         "theta": report.attack_report.theta,
         "theta_rule": theta_rule_to_dict(report.attack_report.theta_rule),
         "candidates": {"members": report.n_members, "nonmembers": report.n_nonmembers},

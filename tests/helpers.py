@@ -1,4 +1,4 @@
-"""Stub oracles, brute-force statistics and the reference DTW and training loops shared across the test suite.
+"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training) shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -9,7 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from imputeaudit.core import MaskedSeries, TimeSeries
+from imputeaudit.dtw import _point_costs, _values
 from imputeaudit.models import _batch_observed, _unpack
+
+# n*m above this and exhaustive path enumeration stops being a test oracle
+# and starts being a space heater.
+BRUTE_FORCE_CELL_LIMIT = 36
 
 
 def _recall(memory: list[TimeSeries], x: MaskedSeries) -> TimeSeries:
@@ -122,6 +127,41 @@ def dtw_reference(a: np.ndarray, b: np.ndarray) -> float:
             cur[j] = row[j - 1] + best
         prev = cur
     return prev[m]
+
+
+def dtw_brute_force(a, b) -> float:
+    """Exhaustively enumerate every monotone alignment path and take the minimum.
+
+    Refuses inputs with n*m > BRUTE_FORCE_CELL_LIMIT; enumeration is
+    exponential and only meant to cross-check ``dtw_distance`` on tiny
+    series.
+    """
+    va, vb = _values(a), _values(b)
+    if va.shape[1] != vb.shape[1]:
+        raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
+    n, m = va.shape[0], vb.shape[0]
+    if n * m > BRUTE_FORCE_CELL_LIMIT:
+        raise ValueError(f"refusing exhaustive enumeration for {n}x{m} > {BRUTE_FORCE_CELL_LIMIT} cells")
+
+    costs = _point_costs(va, vb)
+    best = float("inf")
+
+    def walk(i: int, j: int, acc: float) -> None:
+        nonlocal best
+        acc += costs[i, j]
+        if i == n - 1 and j == m - 1:
+            if acc < best:
+                best = acc
+            return
+        if i + 1 < n:
+            walk(i + 1, j, acc)
+        if j + 1 < m:
+            walk(i, j + 1, acc)
+        if i + 1 < n and j + 1 < m:
+            walk(i + 1, j + 1, acc)
+
+    walk(0, 0, 0.0)
+    return best
 
 
 def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.random.Generator):

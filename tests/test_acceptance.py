@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import mann_whitney, OffsetOracle
+from helpers import dtw_brute_force, mann_whitney, OffsetOracle
 
 from imputeaudit.attack import (
     AttackConfig,
@@ -23,10 +23,11 @@ from imputeaudit.attack import (
     classify,
     loss_ratio,
     report_from_dict,
+    resolve_theta,
 )
-from imputeaudit.core import MaskSpec, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
+from imputeaudit.core import TimeSeries, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.data import load_csv, save_csv, split_scenario1, split_scenario2
-from imputeaudit.dtw import dtw_brute_force, dtw_distance
+from imputeaudit.dtw import dtw_distance
 from imputeaudit.harness import config_from_file, metrics_from_report, run_experiment, write_experiment_outputs
 from imputeaudit.metrics import LabeledScores, auroc, roc_curve
 from imputeaudit.models import ImputerConfig, _build_net, _fan_in_init, _unpack, train
@@ -135,7 +136,7 @@ def test_criterion_4_memorization_sanity(tiny_corpus, overfit_model, fresh_model
         member_errors, fresh_errors = [], []
         for series in tiny_corpus:
             for position in (10, 25, 40, 55):
-                masked = single_unit_mask(series, MaskSpec(start=position))
+                masked = single_unit_mask(series, position)
                 truth = series.values[position, 0]
                 member_errors.append(abs(overfit_model.impute(masked).values[position, 0] - truth))
                 fresh_errors.append(abs(fresh_model.impute(masked).values[position, 0] - truth))
@@ -179,17 +180,8 @@ def test_criterion_6_theta_independence(scenario2_outcome, tmp_path):
         blocks = []
         for rule in (StdRule(1.0), StdRule(2.0), TopPercentRule(25.0), FixedTheta(1.0)):
             # re-resolve verdicts under the rule, then rebuild the metric block
-            if isinstance(rule, FixedTheta):
-                theta = rule.theta
-            elif isinstance(rule, TopPercentRule):
-                from imputeaudit.attack import calibrate_theta_topk
-
-                theta = calibrate_theta_topk([s.r for s in saved.scores], rule.percent)
-            else:
-                from imputeaudit.attack import calibrate_theta_std
-
-                nonmember_scores = [s.r for s, member in zip(saved.scores, labels) if not member]
-                theta = calibrate_theta_std(nonmember_scores, rule.n)
+            nonmember_scores = [s.r for s, member in zip(saved.scores, labels) if not member]
+            theta = resolve_theta(rule, [s.r for s in saved.scores], nonmember_scores)
             verdicts = [classify(s, theta) for s in saved.scores]
             assert len(verdicts) == len(labels)
             lbrm, naive, _, _ = metrics_from_report(saved, labels)
@@ -257,7 +249,7 @@ def test_criterion_9_property_sweep(tmp_path):
         ratios = [MembershipScore(f"m{i}", 1.0, 1.0, float(v)) for i, v in enumerate(rng.uniform(0, 2, 40))]
         flagged_sets = []
         for theta in sorted(rng.uniform(0, 2, 6)):
-            flagged_sets.append({v.candidate_id for v in (classify(s, theta) for s in ratios) if v.is_member})
+            flagged_sets.append({s.candidate_id for s in ratios if classify(s, theta)})
         for smaller, larger in zip(flagged_sets, flagged_sets[1:]):
             assert smaller <= larger
 

@@ -26,11 +26,12 @@ from imputeaudit.attack import (
     mask_schedule,
     report_from_dict,
     report_to_dict,
+    resolve_theta,
     run_attack,
     theta_rule_from_dict,
     theta_rule_to_dict,
 )
-from imputeaudit.core import MaskSpec, OracleError, TimeSeries, single_unit_mask
+from imputeaudit.core import OracleError, TimeSeries, single_unit_mask
 from imputeaudit.dtw import dtw_distance
 
 
@@ -94,7 +95,7 @@ def test_score_matches_hand_composed_pipeline():
     starts = mask_schedule(8, 2, 3)
     lt_vals, lr_vals = [], []
     for s0 in starts:
-        masked = single_unit_mask(x, MaskSpec(start=s0, length=2))
+        masked = single_unit_mask(x, s0, 2)
         lt_vals.append(dtw_distance(target.impute(masked), x))
         lr_vals.append(dtw_distance(reference.impute(masked), x))
     expected_lt, expected_lr = np.mean(lt_vals), np.mean(lr_vals)
@@ -173,9 +174,9 @@ def test_calibrate_theta_topk_examples():
 
 def test_classify_rule_direction_and_ties():
     score = MembershipScore("x", 0.5, 1.0, 0.5)
-    assert classify(score, 0.7).is_member
-    assert classify(MembershipScore("x", 1.0, 1.0, 1.0), 1.0).is_member  # inclusive
-    assert not classify(MembershipScore("x", 1.1, 1.0, 1.1), 1.0).is_member
+    assert classify(score, 0.7) is True
+    assert classify(MembershipScore("x", 1.0, 1.0, 1.0), 1.0) is True  # inclusive
+    assert classify(MembershipScore("x", 1.1, 1.0, 1.1), 1.0) is False
     with pytest.raises(ValueError):
         classify(score, float("inf"))
 
@@ -186,7 +187,7 @@ def test_classify_monotone_in_theta():
     thetas = sorted(rng.uniform(0, 2, 5))
     previous: set[str] = set()
     for theta in thetas:
-        members = {v.candidate_id for v in (classify(s, theta) for s in scores) if v.is_member}
+        members = {s.candidate_id for s in scores if classify(s, theta)}
         assert previous <= members
         previous = members
 
@@ -196,9 +197,9 @@ def test_run_attack_contracts():
     target, reference = OffsetOracle(0.2, candidates), OffsetOracle(0.5, candidates)
 
     report = run_attack(target, reference, candidates, AttackConfig(theta_rule=FixedTheta(1e9)))
-    assert len(report.verdicts) == len(candidates)
-    assert [v.candidate_id for v in report.verdicts] == [x.id for x in candidates]
-    assert all(v.is_member for v in report.verdicts)
+    assert len(report.is_member) == len(report.scores) == len(candidates)
+    assert [s.candidate_id for s in report.scores] == [x.id for x in candidates]
+    assert all(report.is_member)
 
     with pytest.raises(ValueError):
         run_attack(target, reference, [], AttackConfig())
@@ -208,7 +209,7 @@ def test_run_attack_top_percent_flags_expected_count():
     candidates = [series(i) for i in range(8)]
     target, reference = OffsetOracle(0.2, candidates), OffsetOracle(0.5, candidates)
     report = run_attack(target, reference, candidates, AttackConfig(theta_rule=TopPercentRule(25.0)))
-    flagged = sum(v.is_member for v in report.verdicts)
+    flagged = sum(report.is_member)
     assert flagged >= 2  # floor(25% of 8) = 2, ties may add more
 
 
@@ -224,13 +225,13 @@ def test_topk_verdicts_equal_lowest_rank_selection_and_survive_monotone_transfor
     expected = {s.candidate_id for s in scores if s.r <= cutoff}
 
     theta = calibrate_theta_topk([s.r for s in scores], percent)
-    flagged = {v.candidate_id for v in (classify(s, theta) for s in scores) if v.is_member}
+    flagged = {s.candidate_id for s in scores if classify(s, theta)}
     assert flagged == expected
 
     for transform in (lambda v: 3.0 * v + 1.0, np.exp):
         mapped = [MembershipScore(s.candidate_id, s.l_t, s.l_r, float(transform(s.r))) for s in scores]
         theta_m = calibrate_theta_topk([s.r for s in mapped], percent)
-        flagged_m = {v.candidate_id for v in (classify(s, theta_m) for s in mapped) if v.is_member}
+        flagged_m = {s.candidate_id for s in mapped if classify(s, theta_m)}
         assert flagged_m == expected
 
 
@@ -280,7 +281,7 @@ def test_report_serialization_round_trip():
         assert back.theta == report.theta
         assert back.theta_rule == report.theta_rule
         assert back.scores == report.scores
-        assert [v.is_member for v in back.verdicts] == [v.is_member for v in report.verdicts]
+        assert back.is_member == report.is_member
 
 
 def test_theta_rule_codec():
@@ -288,6 +289,19 @@ def test_theta_rule_codec():
         assert theta_rule_from_dict(theta_rule_to_dict(rule)) == rule
     with pytest.raises(ValueError):
         theta_rule_from_dict({"kind": "nope"})
+    # integer fields parse as floats, so the echo of {"percent": 25} says 25.0
+    rule = theta_rule_from_dict({"kind": "top_percent", "percent": 25})
+    assert theta_rule_to_dict(rule) == {"kind": "top_percent", "percent": 25.0}
+    assert isinstance(rule.percent, float)
+
+
+def test_resolve_theta_per_rule():
+    ratios, nonmember_ratios = [0.2, 0.5, 0.9, 1.4], [1.0, 3.0]
+    assert resolve_theta(FixedTheta(0.8), ratios) == 0.8
+    assert resolve_theta(TopPercentRule(50.0), ratios) == calibrate_theta_topk(ratios, 50.0)
+    assert resolve_theta(StdRule(1.0), ratios, nonmember_ratios) == calibrate_theta_std(nonmember_ratios, 1.0)
+    with pytest.raises(ValueError, match="known-nonmember"):
+        resolve_theta(StdRule(1.0), ratios)
 
 
 def test_attack_config_validation():

@@ -10,7 +10,6 @@ import pytest
 from imputeaudit.core import (
     DegenerateMaskError,
     MaskMatrix,
-    MaskSpec,
     MaskedSeries,
     TimeSeries,
     apply_mask,
@@ -49,14 +48,14 @@ def test_mask_matrix_rejects_non_binary():
 
 def test_single_unit_mask_one_point():
     x = TimeSeries("a", np.arange(10.0))
-    masked = single_unit_mask(x, MaskSpec(start=4, length=1))
+    masked = single_unit_mask(x, 4, 1)
     assert masked.mask.n_missing() == 1
     assert masked.mask.entries[4, 0] == 0
 
 
 def test_single_unit_mask_block_in_one_dim():
     x = TimeSeries("a", np.arange(16.0).reshape(8, 2))
-    masked = single_unit_mask(x, MaskSpec(start=2, length=2, dim=1))
+    masked = single_unit_mask(x, 2, 2, dim=1)
     assert masked.mask.n_missing() == 2
     assert np.all(masked.mask.entries[:, 0] == 1)
     assert np.array_equal(masked.mask.missing().nonzero()[0], [2, 3])
@@ -65,17 +64,17 @@ def test_single_unit_mask_block_in_one_dim():
 def test_single_unit_mask_degenerate():
     x = TimeSeries("a", [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateMaskError):
-        single_unit_mask(x, MaskSpec(start=0, length=3))
+        single_unit_mask(x, 0, 3)
 
 
 def test_single_unit_mask_out_of_range():
     x = TimeSeries("a", np.arange(10.0))
     with pytest.raises(ValueError):
-        single_unit_mask(x, MaskSpec(start=8, length=2 + 1))
+        single_unit_mask(x, 8, 2 + 1)
     with pytest.raises(ValueError):
-        single_unit_mask(x, MaskSpec(start=-1, length=1))
+        single_unit_mask(x, -1, 1)
     with pytest.raises(ValueError):
-        single_unit_mask(x, MaskSpec(start=0, length=1, dim=5))
+        single_unit_mask(x, 0, 1, dim=5)
 
 
 def test_random_missing_mask_exact_count_and_determinism():
@@ -175,7 +174,7 @@ def test_derive_seed_stable_and_distinct():
 
 def test_masked_series_holds_only_what_the_oracle_sees():
     assert {f.name for f in dataclasses.fields(MaskedSeries)} == {"series", "mask"}
-    masked = single_unit_mask(TimeSeries("a", np.arange(10.0)), MaskSpec(start=3))
+    masked = single_unit_mask(TimeSeries("a", np.arange(10.0)), 3)
     assert masked.id == "a"
     with pytest.raises(ValueError):
         MaskedSeries(TimeSeries("a", np.ones((3, 1))), MaskMatrix(np.ones((4, 1))))
@@ -186,7 +185,7 @@ def test_counting_oracle_counts():
 
     oracle = CountingOracle(ZeroFillOracle())
     x = TimeSeries("a", np.arange(10.0))
-    masked = single_unit_mask(x, MaskSpec(start=3))
+    masked = single_unit_mask(x, 3)
     oracle.impute(masked)
     oracle.impute(masked)
     assert oracle.calls == 2

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import dtw_reference
+from helpers import BRUTE_FORCE_CELL_LIMIT, dtw_brute_force, dtw_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from imputeaudit.core import TimeSeries
-from imputeaudit.dtw import BRUTE_FORCE_CELL_LIMIT, dtw_brute_force, dtw_distance
+from imputeaudit.dtw import dtw_distance
 
 
 def test_identity_is_exactly_zero():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def scenario2_report():
 def test_scenario2_report_shape(scenario2_report):
     report = scenario2_report
     assert report.n_members == 8 and report.n_nonmembers == 8
-    assert len(report.attack_report.verdicts) == 16
+    assert len(report.attack_report.is_member) == 16
     assert set(report.lbrm_metrics) == {"auroc", "tpr_at_0_1", "tpr_at_top25"}
     assert set(report.naive_metrics) == {"auroc", "tpr_at_0_1", "tpr_at_top25"}
     assert report.wall_clock_seconds > 0
@@ -80,6 +81,23 @@ def test_scenario1_runs_and_pools_match():
 def test_scenario_requires_fine_tune_config():
     with pytest.raises(ValueError):
         mini_config(2, fine_tune=None)
+
+
+def test_scenario2_rejects_a_target_model_it_would_ignore():
+    with pytest.raises(ValueError, match="target_model"):
+        mini_config(2, target_model=MINI_TUNE)
+    # the seed is re-derived per stage, so a different one is no contradiction
+    assert mini_config(2, target_model=replace(MINI_MODEL, seed=99)).target_model.seed == 99
+    # scenario 1 trains the target from target_model, so it may differ freely
+    assert mini_config(1, target_model=MINI_TUNE).target_model == MINI_TUNE
+
+
+def test_independent_reference_is_trained_apart_from_the_base(scenario2_report):
+    report = run_scenario2(mini_config(2, independent_reference=True))
+    assert report_json_dict(report)["config"]["independent_reference"] is True
+    assert report.parity.mae_reference != scenario2_report.parity.mae_reference
+    with pytest.raises(ParityError):
+        run_scenario2(mini_config(2, independent_reference=True, parity_tolerance=1e-9))
 
 
 def test_run_experiment_dispatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import ShiftingOracle, TruncatingOracle, ZeroFillOracle, descend_reference
 
-from imputeaudit.core import MaskMatrix, MaskSpec, OracleError, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
+from imputeaudit.core import MaskMatrix, OracleError, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.models import (
     DivergenceError,
     ImputerConfig,
@@ -256,7 +256,7 @@ def test_overfit_autoencoder_memorizes(tiny_corpus, overfit_model, fresh_model):
     fresh_errors = []
     for series in tiny_corpus:
         for position in (10, 25, 40, 55):
-            masked = single_unit_mask(series, MaskSpec(start=position))
+            masked = single_unit_mask(series, position)
             truth = series.values[position, 0]
             member_errors.append(abs(overfit_model.impute(masked).values[position, 0] - truth))
             fresh_errors.append(abs(fresh_model.impute(masked).values[position, 0] - truth))
