@@ -9,6 +9,7 @@ target/reference loss ratio is suspiciously low as memorized training data.
 from .attack import (
     AttackConfig,
     AttackReport,
+    Calibration,
     FixedTheta,
     MembershipScore,
     StdRule,

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
 from .core import ImputationOracle, TimeSeries, _query, single_unit_mask
-from .dtw import dtw_distance
+from .dtw import SelfAlignment, dtw_distance
 
 __all__ = [
     "StdRule",
@@ -25,6 +25,7 @@ __all__ = [
     "FixedTheta",
     "ThetaRule",
     "AttackConfig",
+    "Calibration",
     "MembershipScore",
     "AttackReport",
     "mask_schedule",
@@ -35,6 +36,7 @@ __all__ = [
     "classify",
     "resolve_theta",
     "run_attack",
+    "calibration_to_dict",
     "report_to_dict",
     "report_from_dict",
     "theta_rule_to_dict",
@@ -106,14 +108,28 @@ class MembershipScore:
     degenerate: bool = False
 
 
+@dataclass(frozen=True)
+class Calibration:
+    """The known nonmembers a StdRule theta was calibrated on, and how many of
+    them were also candidates. Any such one makes the calibration in-sample:
+    theta was set on ratios that it then judges."""
+
+    nonmembers: int
+    also_candidates: int
+
+
 @dataclass(frozen=True, eq=False)
 class AttackReport:
-    """Scores in candidate order; ``is_member[i]`` is the verdict on ``scores[i]``."""
+    """Scores in candidate order; ``is_member[i]`` is the verdict on ``scores[i]``.
+
+    ``calibration`` is set when a StdRule calibrated theta, and None otherwise.
+    """
 
     theta: float
     theta_rule: ThetaRule
     scores: tuple[MembershipScore, ...]
     is_member: tuple[bool, ...]
+    calibration: Calibration | None = None
 
 
 def mask_schedule(n_steps: int, block_length: int, repeats: int, placement: str = "even", seed: int = 0) -> list[int]:
@@ -150,14 +166,20 @@ def lbrm_score(
     x: TimeSeries,
     cfg: AttackConfig,
 ) -> MembershipScore:
-    """Score one candidate: mask, query both oracles, ratio the mean warping losses."""
-    l_t_vals, l_r_vals = [], []
+    """Score one candidate: mask, query both oracles, ratio the mean warping losses.
+
+    Every view is queried first, target then reference, and then each
+    completion is aligned with ``x`` in one ``dtw_distance`` call that shares
+    ``x``'s self-alignment rows with the other completions.
+    """
+    completions = []
     for start in mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
         masked = single_unit_mask(x, start, cfg.block_length, cfg.dim)
-        l_t_vals.append(dtw_distance(_query(target, masked, "target"), x))
-        l_r_vals.append(dtw_distance(_query(reference, masked, "reference"), x))
-    l_t = float(np.mean(l_t_vals))
-    l_r = float(np.mean(l_r_vals))
+        completions += (_query(target, masked, "target"), _query(reference, masked, "reference"))
+    shared = SelfAlignment(x, completions)
+    losses = [dtw_distance(completion, x, shared) for completion in completions]
+    l_t = float(np.mean(losses[0::2]))
+    l_r = float(np.mean(losses[1::2]))
     r, degenerate = loss_ratio(l_t, l_r, cfg.epsilon)
     return MembershipScore(candidate_id=x.id, l_t=l_t, l_r=l_r, r=r, degenerate=degenerate)
 
@@ -217,24 +239,29 @@ def run_attack(
 
     StdRule calibrates on ``known_nonmembers`` (series the auditor knows were
     never trained on), reusing the score of any that is also a candidate (same
-    id and values); the other rules ignore them. Output order matches input
-    order and the whole run is deterministic for a fixed config.
+    id and values), and the report's ``calibration`` counts both; the other
+    rules ignore them. Output order matches input order and the whole run is
+    deterministic for a fixed config.
     """
     if not candidates:
         raise ValueError("no candidates to score")
     scores = tuple(lbrm_score(target, reference, x, cfg) for x in candidates)
 
-    nonmember_ratios = []
+    nonmember_ratios, calibration = [], None
     if isinstance(cfg.theta_rule, StdRule):
-        # A known nonmember that is also a candidate was scored already.
+        # A known nonmember that is also a candidate (same id and values) was scored already.
         scored = {x.id: (x, score.r) for x, score in zip(candidates, scores)}
+        also_candidates = 0
         for x in known_nonmembers or ():
             seen, r = scored.get(x.id, (None, 0.0))
-            if seen is None or not np.array_equal(seen.values, x.values):
+            if seen is not None and np.array_equal(seen.values, x.values):
+                also_candidates += 1
+            else:
                 r = lbrm_score(target, reference, x, cfg).r
             nonmember_ratios.append(r)
+        calibration = Calibration(len(nonmember_ratios), also_candidates)
     theta = resolve_theta(cfg.theta_rule, [s.r for s in scores], nonmember_ratios)
-    return AttackReport(theta, cfg.theta_rule, scores, tuple(classify(s, theta) for s in scores))
+    return AttackReport(theta, cfg.theta_rule, scores, tuple(classify(s, theta) for s in scores), calibration)
 
 
 def theta_rule_to_dict(rule: ThetaRule) -> dict:
@@ -248,14 +275,21 @@ def theta_rule_from_dict(doc: dict) -> ThetaRule:
     return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
 
 
-def report_to_dict(report: AttackReport) -> dict:
-    """Fixed wire schema: {theta, theta_rule, per_candidate:[{id,l_t,l_r,r,is_member[,degenerate]}]}.
+def calibration_to_dict(report: AttackReport) -> dict:
+    """``{"calibration": {nonmembers, also_candidates}}`` when StdRule calibrated theta, else ``{}``."""
+    return {} if report.calibration is None else {"calibration": asdict(report.calibration)}
 
-    ``degenerate`` is written, as true, on degenerate rows only.
+
+def report_to_dict(report: AttackReport) -> dict:
+    """Fixed wire schema: {theta, theta_rule[, calibration], per_candidate:[{id,l_t,l_r,r,is_member[,degenerate]}]}.
+
+    ``degenerate`` is written, as true, on degenerate rows only, and
+    ``calibration`` on StdRule reports only.
     """
     return {
         "theta": report.theta,
         "theta_rule": theta_rule_to_dict(report.theta_rule),
+        **calibration_to_dict(report),
         "per_candidate": [
             {"id": s.candidate_id, "l_t": s.l_t, "l_r": s.l_r, "r": s.r, "is_member": member}
             | ({"degenerate": True} if s.degenerate else {})
@@ -271,4 +305,6 @@ def report_from_dict(doc: dict) -> AttackReport:
         for row in rows
     )
     is_member = tuple(bool(row["is_member"]) for row in rows)
-    return AttackReport(float(doc["theta"]), theta_rule_from_dict(doc["theta_rule"]), scores, is_member)
+    calibration = Calibration(**doc["calibration"]) if "calibration" in doc else None
+    rule = theta_rule_from_dict(doc["theta_rule"])
+    return AttackReport(float(doc["theta"]), rule, scores, is_member, calibration)

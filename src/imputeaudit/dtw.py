@@ -5,6 +5,22 @@ on an optimal alignment, stopped early once the alignment is back on a
 diagonal of exact zeros, and bit-identical to the full sweep. The oracles
 it is tested against, the full sweep and an enumeration of every alignment
 path, live in the test suite.
+
+The audit aligns many completions with one original, and a completion
+equals the original up to its masked block. The rows of the program above
+that block see only the original, so they are the rows of the original's
+self-alignment. A ``SelfAlignment`` sweeps those rows once per original, at
+a bound B no smaller than any of its pairs' bounds U, and every pair
+resumes from them at its own first differing row.
+
+Why the bits do not change: a sweep pruned at B computes every cell whose
+full-sweep value is at or below B exactly, and leaves every other cell
+above B, or unswept (infinite). For a pair with U <= B, every cell at or
+below U is therefore exact in the shared rows, and every cell above U
+stays above U. The pair's sweep only ever compares cells with U and takes
+minima, where a cell above U never beats one at or below it. So every
+comparison with U, hence every cell swept, every cell at or below U and
+D(n, n), which is at most U, is the same as in the pair's own sweep.
 """
 from __future__ import annotations
 
@@ -14,7 +30,7 @@ import numpy as np
 
 from .core import TimeSeries, _as_matrix
 
-__all__ = ["dtw_distance"]
+__all__ = ["SelfAlignment", "dtw_distance"]
 
 
 def _values(x: TimeSeries | np.ndarray | list) -> np.ndarray:
@@ -30,7 +46,153 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray) -> float:
+def _coordinates(v: np.ndarray) -> list[list]:
+    # One list per dimension, 1-based like the sweep's rows and columns.
+    return [[None, *v[:, k].tolist()] for k in range(v.shape[1])]
+
+
+def _origin(m: int) -> list:
+    # Row 0 of the program: only D(0, 0) = 0 is reachable.
+    return [0.0] + [float("inf")] * m
+
+
+def _diagonal_bound(diagonal: np.ndarray) -> tuple[float, int]:
+    """The diagonal path's cost U and the last row with a nonzero diagonal
+    cost (0 if none; a NaN cost is nonzero).
+
+    ``np.add.accumulate`` adds left to right, one element at a time, which is
+    the order the sweep adds the diagonal in, so U has the bits of that path.
+    """
+    nonzero = diagonal.nonzero()[0]
+    return float(np.add.accumulate(diagonal)[-1]), int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _near_diagonal(va: np.ndarray, vb: np.ndarray) -> tuple[float, int, int]:
+    """U and the last nonzero-diagonal row of an equal-length pair of 1 or 2
+    dims, and the number of leading rows where ``va`` equals ``vb``.
+
+    Two finite floats differ exactly when their difference is nonzero, and a
+    NaN difference counts as nonzero, so the leading equal rows are those
+    with an all-zero ``diff`` row, even where a difference squares to zero.
+    """
+    diff = va - vb
+    square = diff * diff
+    bound, synced = _diagonal_bound(np.sqrt(square[:, 0] + square[:, 1] if va.shape[1] == 2 else square[:, 0]))
+    changed = np.flatnonzero(diff)
+    return bound, synced, int(changed[0]) // va.shape[1] if changed.size else va.shape[0]
+
+
+def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, synced: int,
+           prev: list, first: int, last: int, rows: range, keep: list | None = None) -> float:
+    """Sweep the DP rows ``rows`` (1-based) on top of ``prev``, the row before them.
+
+    ``first`` and ``last`` are ``prev``'s first and last column at or below
+    ``bound``. Point costs come from ``costs`` when given, and from the
+    coordinates ``xs`` of the rows and ``ys`` of the columns otherwise (one
+    or two dimensions). Each swept row goes to ``keep``, when it is given,
+    with its own first and last column at or below the bound. Returns the
+    last swept row's last cell, or D(i, i) from the early stop (see
+    ``dtw_distance``). ``prev`` is only read, never written.
+    """
+    inf = float("inf")
+    sqrt = math.sqrt
+    m = len(prev) - 1
+    two = len(ys) == 2
+    xs0, xs1, ys0, ys1 = xs[0], xs[-1], ys[0], ys[-1]
+    for i in rows:
+        cur = [inf] * (m + 1)
+        row = costs[i - 1] if costs is not None else None
+        x0, x1 = xs0[i], xs1[i]
+        next_first, next_last = first, 0
+        diag, left = prev[first - 1], inf
+        for j in range(first, m + 1):
+            up = prev[j]
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            diag = up
+            if row is not None:
+                c = row[j - 1]
+            elif two:
+                d, e = x0 - ys0[j], x1 - ys1[j]
+                c = sqrt(d * d + e * e)
+            else:
+                d = x0 - ys0[j]
+                c = sqrt(d * d)
+            left = c + best
+            cur[j] = left
+            if left > bound:
+                if j == next_first:
+                    next_first = j + 1
+                if j > last:
+                    break  # later cells of this row have no predecessor at or below the bound
+            else:
+                next_last = j
+        if keep is not None:
+            keep.append((cur, next_first, next_last))
+        if next_first == next_last == i and i >= synced:
+            return float(cur[i])  # the rest of the diagonal adds only zeros
+        prev, first, last = cur, next_first, next_last
+    return float(prev[m])
+
+
+class SelfAlignment:
+    """The rows of ``original``'s self-alignment that its ``completions`` share.
+
+    Give it to ``dtw_distance(completion, original, shared)`` for each
+    completion. The first such call sweeps the rows, once, at B, the largest
+    diagonal-path cost U over the completions of the original's shape, and
+    down to the last row before any completion first differs from the
+    original. Each later pair reads the rows and never changes them. A pair
+    the rows do not serve gets the plain sweep: unequal lengths, more than
+    two dimensions, another original, or U above B.
+    """
+
+    def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
+        self.original = _values(original)
+        self.ys = _coordinates(self.original)
+        self.completions = completions
+        self.bound = 0.0
+        self.rows: list | None = None  # row i is rows[i - 1], with its first and last column at or below B
+
+    def _build(self) -> None:
+        vb = self.original
+        n = vb.shape[0]
+        shared, bounds = 0, [0.0]
+        for completion in self.completions:
+            va = _values(completion)
+            if va.shape == vb.shape:
+                bound, _, equal = _near_diagonal(va, vb)
+                bounds.append(bound)
+                shared = max(shared, equal)
+        self.bound = max(bounds)
+        self.rows = []
+        _sweep(self.ys, self.ys, None, self.bound, n + 1, _origin(n), 1, 0, range(1, shared + 1), self.rows)
+
+    def _resume(self, vb: np.ndarray, bound: float, equal: int) -> tuple[list, int, int, int] | None:
+        """The last shared row a pair can start from, its first and last column
+        at or below the pair's ``bound``, and its row number; None if none serves."""
+        if vb is not self.original and not np.array_equal(vb, self.original):
+            return None
+        if self.rows is None:
+            self._build()
+        start = min(equal, len(self.rows))
+        if start == 0 or not bound <= self.bound:
+            return None
+        row, first, last = self.rows[start - 1]
+        # D(start, start) is 0.0 <= bound, so both scans stop inside [first, last].
+        while row[first] > bound:
+            first += 1
+        while row[last] > bound:
+            last -= 1
+        return row, first, last, start
+
+
+def dtw_distance(
+    a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray, shared: SelfAlignment | None = None
+) -> float:
     """Minimal accumulated pointwise distance over monotone alignments.
 
     Dynamic program with the step set {down, right, diagonal},
@@ -57,6 +219,13 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray) -> floa
     diagonal from (i, i) adds only +0.0, so D(n, n) <= D(i, i). A NaN or
     infinite cost is never 0.0, and unequal lengths never stop early.
 
+    With ``shared``, the self-alignment of ``b``, the sweep starts below the
+    rows where ``a`` equals ``b``. Those rows were swept once at B >= U:
+    every cell at or below U in them is exact and every other cell is above
+    U, so the first and last columns at or below U, every later comparison
+    with U and D(n, n) are those of the pair's own sweep. ``shared`` changes
+    the time, never the bits; a pair it does not serve is swept in full.
+
     With one or two dimensions, point costs are computed for the visited
     cells only: summing at most two squares takes one addition, so the order
     numpy sums in cannot change the bits. With more dimensions, or unequal
@@ -68,61 +237,20 @@ def dtw_distance(a: TimeSeries | np.ndarray, b: TimeSeries | np.ndarray) -> floa
         raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
     n, m, dims = va.shape[0], vb.shape[0], va.shape[1]
 
-    inf = float("inf")
-    sqrt = math.sqrt
-    costs = _point_costs(va, vb).tolist() if n != m or dims > 2 else None
-    bound, synced = inf, n + 1
-    if n == m:
-        if costs is None:
-            diff = va - vb
-            diagonal = np.sqrt(np.sum(diff * diff, axis=1)).tolist()
-        else:
-            diagonal = [row[i] for i, row in enumerate(costs)]
-        bound, synced = 0.0, 0
-        for i, c in enumerate(diagonal, 1):
-            bound = c + bound
-            if c != 0.0:
-                synced = i
+    costs, bound, synced, equal = None, float("inf"), n + 1, 0
+    if n != m or dims > 2:
+        matrix = _point_costs(va, vb)
+        costs = matrix.tolist()
+        if n == m:
+            bound, synced = _diagonal_bound(np.diagonal(matrix))
+    else:
+        bound, synced, equal = _near_diagonal(va, vb)
 
-    # Points of a, and of b shifted to the sweep's 1-based columns; bare floats when D == 1.
-    xs = va[:, 0].tolist() if dims == 1 else va.tolist()
-    ys = [None, *(vb[:, 0].tolist() if dims == 1 else vb.tolist())]
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
-    first, last = 1, 0  # the previous row's first and last column at or below the bound
-    for i in range(1, n + 1):
-        cur = [inf] * (m + 1)
-        row = costs[i - 1] if costs is not None else None
-        x = xs[i - 1]
-        next_first, next_last = first, 0
-        diag, left = prev[first - 1], inf
-        for j in range(first, m + 1):
-            up = prev[j]
-            best = diag
-            if up < best:
-                best = up
-            if left < best:
-                best = left
-            diag = up
-            if row is not None:
-                c = row[j - 1]
-            elif dims == 1:
-                d = x - ys[j]
-                c = sqrt(d * d)
-            else:
-                y = ys[j]
-                d, e = x[0] - y[0], x[1] - y[1]
-                c = sqrt(d * d + e * e)
-            left = c + best
-            cur[j] = left
-            if left > bound:
-                if j == next_first:
-                    next_first = j + 1
-                if j > last:
-                    break  # later cells of this row have no predecessor at or below the bound
-            else:
-                next_last = j
-        if next_first == next_last == i and i >= synced:
-            return float(cur[i])  # the rest of the diagonal adds only zeros
-        prev, first, last = cur, next_first, next_last
-    return float(prev[m])
+    # The row the sweep starts below, its first and last column at or below the bound, and its number.
+    prev, first, last, start = _origin(m), 1, 0, 0
+    if shared is not None and costs is None:
+        resumed = shared._resume(vb, bound, equal)
+        if resumed is not None:
+            prev, first, last, start = resumed
+    ys = _coordinates(vb) if start == 0 else shared.ys
+    return _sweep(_coordinates(va), ys, costs, bound, synced, prev, first, last, range(start + 1, n + 1))

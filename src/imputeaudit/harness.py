@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .attack import (
     AttackConfig,
     AttackReport,
+    calibration_to_dict,
     report_to_dict,
     run_attack,
     theta_rule_from_dict,
@@ -66,11 +67,11 @@ class CsvSource:
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: int
-    master_seed: int
     data_source: SyntheticConfig | CsvSource
     target_model: ImputerConfig
     reference_model: ImputerConfig
-    attack: AttackConfig
+    master_seed: int = 0
+    attack: AttackConfig = field(default_factory=AttackConfig)
     fine_tune: ImputerConfig | None = None
     parity_tolerance: float = 0.1
     parity_fraction: float = 0.2
@@ -123,35 +124,49 @@ def _attack_config_from_dict(doc: dict) -> AttackConfig:
     return AttackConfig(**doc)
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse the documented JSON schema (see README) into an ExperimentConfig."""
-    data = dict(doc["data"])
+def _check_keys(doc: dict, known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def _data_source_from_dict(doc: dict) -> SyntheticConfig | CsvSource:
+    data = dict(doc)
     source_kind = data.pop("source")
     if source_kind == "synthetic":
-        source: SyntheticConfig | CsvSource = _synthetic_config_from_dict(data)
-    elif source_kind == "csv":
-        source = CsvSource(path=data["path"])
-    else:
-        raise ValueError(f"unknown data source {source_kind!r}")
+        return _synthetic_config_from_dict(data)
+    if source_kind == "csv":
+        _check_keys(data, {f.name for f in fields(CsvSource)}, "the csv data block")
+        return CsvSource(**data)
+    raise ValueError(f"unknown data source {source_kind!r}")
 
-    fine_tune_cfg = None
-    if "fine_tune" in doc and doc["fine_tune"] is not None:
-        fine_tune_cfg = ImputerConfig(**doc["fine_tune"])
 
-    return ExperimentConfig(
-        scenario=int(doc["scenario"]),
-        master_seed=int(doc.get("master_seed", 0)),
-        data_source=source,
-        target_model=ImputerConfig(**doc["target_model"]),
-        reference_model=ImputerConfig(**doc["reference_model"]),
-        attack=_attack_config_from_dict(doc.get("attack", {})),
-        fine_tune=fine_tune_cfg,
-        parity_tolerance=float(doc.get("parity_tolerance", 0.1)),
-        parity_fraction=float(doc.get("parity_fraction", 0.2)),
-        output_dir=str(doc.get("output_dir", "out")),
-        override_parity=bool(doc.get("override_parity", False)),
-        independent_reference=bool(doc.get("independent_reference", False)),
-    )
+# How each top-level key of the schema is read; a key left out takes the ExperimentConfig default.
+_CONFIG_READERS = {
+    "scenario": int,
+    "master_seed": int,
+    "data": _data_source_from_dict,
+    "target_model": lambda doc: ImputerConfig(**doc),
+    "reference_model": lambda doc: ImputerConfig(**doc),
+    "attack": _attack_config_from_dict,
+    "fine_tune": lambda doc: None if doc is None else ImputerConfig(**doc),
+    "parity_tolerance": float,
+    "parity_fraction": float,
+    "output_dir": str,
+    "override_parity": bool,
+    "independent_reference": bool,
+}
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Parse the documented JSON schema (see README) into an ExperimentConfig.
+
+    An unknown key, at the top level or in a csv data block, raises
+    ValueError naming it, so a misspelt key cannot run a different audit.
+    """
+    _check_keys(doc, _CONFIG_READERS, "the experiment config")
+    parsed = {key: read(doc[key]) for key, read in _CONFIG_READERS.items() if key in doc}
+    return ExperimentConfig(data_source=parsed.pop("data"), **parsed)
 
 
 def config_from_file(path: str) -> ExperimentConfig:
@@ -273,7 +288,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def report_json_dict(report: ExperimentReport) -> dict:
     """The report.json payload. Wall-clock is deliberately excluded so two runs
-    with the same config and seed serialize byte-identically."""
+    with the same config and seed serialize byte-identically. A std_rule
+    report also says how many of the nonmembers theta was calibrated on were
+    candidates too (``calibration``); the scenario pipelines calibrate on the
+    test split they score, so there it is all of them."""
     return {
         "scenario": report.scenario,
         "master_seed": report.master_seed,
@@ -281,6 +299,7 @@ def report_json_dict(report: ExperimentReport) -> dict:
         "parity": {**asdict(report.parity), "gap": report.parity.gap},
         "theta": report.attack_report.theta,
         "theta_rule": theta_rule_to_dict(report.attack_report.theta_rule),
+        **calibration_to_dict(report.attack_report),
         "candidates": {"members": report.n_members, "nonmembers": report.n_nonmembers},
         "methods": {"lbrm": report.lbrm_metrics, "naive": report.naive_metrics},
         "roc_files": {"lbrm": "roc_lbrm.csv", "naive": "roc_naive.csv"},

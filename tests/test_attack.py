@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -10,10 +12,12 @@ from helpers import (
     ShiftingOracle,
     TruncatingOracle,
     ZeroFillOracle,
+    dtw_reference,
 )
 
 from imputeaudit.attack import (
     AttackConfig,
+    Calibration,
     FixedTheta,
     MembershipScore,
     StdRule,
@@ -313,3 +317,61 @@ def test_attack_config_validation():
         AttackConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         TopPercentRule(0.0)
+
+
+def _full_sweep_score(target, reference, x, cfg):
+    """lbrm_score recomposed view by view, with the unpruned DTW sweep and no shared rows."""
+    l_t, l_r = [], []
+    for start in mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
+        masked = single_unit_mask(x, start, cfg.block_length, cfg.dim)
+        l_t.append(dtw_reference(target.impute(masked).values, x.values))
+        l_r.append(dtw_reference(reference.impute(masked).values, x.values))
+    return float(np.mean(l_t)), float(np.mean(l_r))
+
+
+EDGE_CASES = {
+    "constant": ([TimeSeries(f"flat-{i}", np.full((12, 2), v)) for i, v in enumerate((0.7, -1.3, 0.0))],
+                 AttackConfig(repeats=4, dim=1)),
+    "length-2": ([TimeSeries(f"pair-{i}", np.random.default_rng(i).normal(size=2)) for i in range(4)],
+                 AttackConfig(repeats=3)),
+    "block-T-1": ([series(i, steps=7) for i in range(4)], AttackConfig(repeats=2, block_length=6)),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_edge_case_runs_match_the_full_sweep(name):
+    candidates, cfg = EDGE_CASES[name]
+    target, reference = OffsetOracle(0.25, candidates), ZeroFillOracle()
+    report = run_attack(target, reference, candidates, cfg)
+    for x, score in zip(candidates, report.scores):
+        assert (score.l_t, score.l_r) == _full_sweep_score(target, reference, x, cfg)
+        assert np.isfinite(score.r)
+
+
+def test_every_candidate_degenerate_run():
+    candidates = [series(i, steps=10) for i in range(5)]
+    report = run_attack(PerfectOracle(candidates), PerfectOracle(candidates), candidates,
+                        AttackConfig(repeats=3, block_length=2))
+    assert all(s.degenerate and s.l_t == s.l_r == 0.0 and s.r == 1.0 for s in report.scores)
+    assert report.theta == 1.0
+    assert all(report.is_member)
+
+
+def test_std_rule_report_says_how_many_nonmembers_were_candidates():
+    candidates = [series(i) for i in range(6)]
+    outside = [series(100 + i) for i in range(3)]
+    memory = candidates + outside
+    target, reference = OffsetOracle(0.2, memory), OffsetOracle(0.6, memory)
+    cfg = AttackConfig(repeats=2, theta_rule=StdRule(1.0))
+    in_sample = run_attack(target, reference, candidates, cfg, known_nonmembers=candidates[2:] + outside)
+    assert in_sample.calibration == Calibration(nonmembers=7, also_candidates=4)
+    held_out = run_attack(target, reference, candidates, cfg, known_nonmembers=outside)
+    assert held_out.calibration == Calibration(nonmembers=3, also_candidates=0)
+    doc = report_to_dict(in_sample)
+    assert doc["calibration"] == {"nonmembers": 7, "also_candidates": 4}
+    assert report_from_dict(doc).calibration == in_sample.calibration
+    # The other rules calibrate on no nonmembers and say nothing about it.
+    top = run_attack(target, reference, candidates, replace(cfg, theta_rule=TopPercentRule(25.0)),
+                     known_nonmembers=candidates)
+    assert top.calibration is None
+    assert "calibration" not in report_to_dict(top)

@@ -25,3 +25,24 @@ def test_every_traced_site_resolves_to_a_callable(monkeypatch):
             unresolved.append(f"{where}.{attr}")
     assert tracing.SITES
     assert unresolved == []
+
+
+def test_attack_makes_one_dtw_call_and_one_impute_call_per_query(monkeypatch, tiny_corpus, fresh_model):
+    # The traced benchmark counts wrapped calls: DTW pairs = queries = 2 x candidates x repeats.
+    # A batched DTW or query path has to fail here before it fails a traced sample.
+    from imputeaudit import attack, models
+
+    counts = {"dtw": 0, "impute": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(attack, "dtw_distance", counted(attack.dtw_distance, "dtw"))
+    monkeypatch.setattr(models.TrainedImputer, "impute", counted(models.TrainedImputer.impute, "impute"))
+    cfg = attack.AttackConfig(repeats=3, block_length=2)
+    attack.run_attack(fresh_model, fresh_model, list(tiny_corpus), cfg)
+    assert counts["dtw"] == counts["impute"] == 2 * len(tiny_corpus) * cfg.repeats

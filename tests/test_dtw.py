@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from imputeaudit.core import TimeSeries
-from imputeaudit.dtw import dtw_distance
+from imputeaudit.dtw import SelfAlignment, _diagonal_bound, dtw_distance
 
 
 def test_identity_is_exactly_zero():
@@ -181,3 +181,98 @@ def test_constant_series_match_full_sweep(dims, n, m, u, v):
 def test_length_one_and_two_match_full_sweep(case):
     a, b = case
     assert dtw_distance(a, b) == dtw_reference(a, b)
+
+
+# The shared self-alignment (SelfAlignment): pairs resume from rows swept once
+# for the original, and must still return the full sweep's bits.
+BLOCK_KINDS = st.sampled_from(["anywhere", "first-row", "last-row", "all-but-one"])
+
+
+@st.composite
+def completion_sets(draw):
+    """An original of 1 or 2 dims and completions that each differ from it in one masked block."""
+    dims, n = draw(st.sampled_from([1, 2])), draw(st.integers(2, 24))
+    original = _matrix(draw, n, dims)
+    completions = []
+    for kind in draw(st.lists(BLOCK_KINDS, min_size=1, max_size=6)):
+        length = n - 1 if kind == "all-but-one" else draw(st.integers(1, n - 1))
+        if kind == "first-row":
+            start = 0
+        elif kind == "last-row":
+            start = n - length
+        else:
+            start = draw(st.integers(0, n - length))
+        completion = original.copy()
+        dim = draw(st.integers(0, dims - 1))
+        completion[start : start + length, dim] = draw(arrays(np.float64, length, elements=VALUES))
+        completions.append(completion)
+    return original, completions
+
+
+def _equal_rows(a, b):
+    changed = np.flatnonzero((a != b).any(axis=1))
+    return int(changed[0]) if changed.size else a.shape[0]
+
+
+@EXACT
+@given(completion_sets())
+def test_shared_self_alignment_matches_full_sweep(case):
+    original, completions = case
+    shared = SelfAlignment(original, completions)
+    for completion in completions:
+        assert dtw_distance(completion, original, shared) == dtw_reference(completion, original)
+    # The rows reach down to the last row any completion still shares with the original.
+    assert len(shared.rows) == max(_equal_rows(c, original) for c in completions)
+
+
+@EXACT
+@given(completion_sets(), st.data())
+def test_self_alignment_that_does_not_serve_falls_back(case, data):
+    original, completions = case
+    other = original + 1.0
+    narrow = SelfAlignment(original, [original])  # B = 0, below every pair with a nonzero diagonal
+    elsewhere = SelfAlignment(other, completions)
+    subset = SelfAlignment(original, data.draw(st.lists(st.sampled_from(completions), max_size=2)))
+    for completion in completions:
+        expected = dtw_reference(completion, original)
+        for shared in (narrow, elsewhere, subset):
+            assert dtw_distance(completion, original, shared) == expected
+    assert elsewhere.rows is None  # another original never builds its rows
+
+
+def test_self_alignment_rows_are_only_read():
+    rng = np.random.default_rng(3)
+    original = rng.normal(size=(32, 2))
+    completions = []
+    for start in (4, 12, 20):
+        completion = original.copy()
+        completion[start : start + 3, 1] += rng.normal(size=3)
+        completions.append(completion)
+    shared = SelfAlignment(original, completions)
+    first = [dtw_distance(c, original, shared) for c in completions]
+    rows = [(list(row), lo, hi) for row, lo, hi in shared.rows]
+    assert [dtw_distance(c, original, shared) for c in reversed(completions)] == first[::-1]
+    assert [(list(row), lo, hi) for row, lo, hi in shared.rows] == rows
+    assert first == [dtw_reference(c, original) for c in completions]
+
+
+@pytest.mark.parametrize("steps, dims", [(8, 3), (6, 1)], ids=["three-dims", "unequal-length"])
+def test_self_alignment_skips_pairs_it_cannot_serve(steps, dims):
+    rng = np.random.default_rng(4)
+    original = rng.normal(size=(8, dims))
+    completion = original[:steps].copy()
+    completion[-1] += 1.0
+    shared = SelfAlignment(original, [completion])
+    assert dtw_distance(completion, original, shared) == dtw_reference(completion, original)
+    assert shared.rows is None
+
+
+@EXACT
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 1e6, allow_nan=False) | st.just(0.0)))
+def test_diagonal_bound_adds_in_the_sweeps_order(diagonal):
+    # U bounds D(n, n) only if it has the bits of the sweep's left-to-right sum.
+    bound, synced = 0.0, 0
+    for i, c in enumerate(diagonal.tolist(), 1):
+        bound = c + bound
+        synced = i if c != 0.0 else synced
+    assert _diagonal_bound(diagonal) == (bound, synced)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +204,33 @@ def test_config_csv_source(tmp_path):
     assert cfg.data_source == CsvSource(path="corpus.csv")
 
 
+def test_config_rejects_unknown_keys_by_name():
+    doc = {"scenario": 1, "data": {"source": "csv", "path": "corpus.csv"},
+           "target_model": {"epochs": 1}, "reference_model": {"epochs": 1}}
+    assert config_from_dict(doc).parity_tolerance == ExperimentConfig.parity_tolerance
+    with pytest.raises(ValueError, match="'parity_tolerence'"):
+        config_from_dict({**doc, "parity_tolerence": 5})
+    with pytest.raises(ValueError, match="'delimiter'"):
+        config_from_dict({**doc, "data": {"source": "csv", "path": "corpus.csv", "delimiter": ";"}})
+
+
+def _echoes(given, echo) -> bool:
+    """Every key of a config file is in the echo with the value the file gave."""
+    if isinstance(given, dict):
+        return isinstance(echo, dict) and all(k in echo and _echoes(v, echo[k]) for k, v in given.items())
+    return given == echo
+
+
+@pytest.mark.parametrize("path", ["configs/scenario1_fixture.json", "configs/scenario2_fixture.json",
+                                  "benchmarks/s2_attention.json"])
+def test_shipped_configs_parse_to_what_they_say(path):
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / path).read_text())
+    cfg = config_from_dict(doc)
+    assert _echoes(doc, config_to_dict(cfg))
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
 def test_config_rejects_unknown_source():
     with pytest.raises(ValueError):
         config_from_dict({"scenario": 1, "data": {"source": "parquet"},
@@ -213,6 +241,13 @@ def test_std_rule_scenario_resolves_theta_from_test_split():
     cfg = mini_config(2, attack=AttackConfig(repeats=2, theta_rule=StdRule(1.0)))
     report = run_scenario2(cfg)
     assert np.isfinite(report.attack_report.theta)
+    # Theta is calibrated on the test split, which is also scored: report.json says so.
+    assert report_json_dict(report)["calibration"] == {"nonmembers": report.n_nonmembers,
+                                                       "also_candidates": report.n_nonmembers}
+
+
+def test_top_percent_report_has_no_calibration_block(scenario2_report):
+    assert "calibration" not in report_json_dict(scenario2_report)
 
 
 def test_std_rule_scenario_queries_each_candidate_once(monkeypatch):
