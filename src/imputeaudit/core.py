@@ -8,6 +8,7 @@ there, whoever asked.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -66,7 +67,7 @@ class TimeSeries:
         arr = _as_matrix(self.values).copy()
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"series {self.id!r}: need at least 1 step and 1 dim, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"series {self.id!r}: values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -86,7 +87,11 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class MaskMatrix:
-    """Binary observedness indicator with 1 = observed, 0 = missing."""
+    """Binary observedness indicator with 1 = observed, 0 = missing.
+
+    ``observed()`` and ``missing()`` return read-only boolean arrays computed
+    once, at construction, and shared by every caller.
+    """
 
     entries: np.ndarray
 
@@ -99,18 +104,23 @@ class MaskMatrix:
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("mask entries must be 0 or 1")
         arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
+        observed = arr == 1
+        missing = ~observed
+        for frozen in (arr, observed, missing):
+            frozen.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "_observed", observed)
+        object.__setattr__(self, "_missing", missing)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
     def observed(self) -> np.ndarray:
-        return self.entries == 1
+        return self._observed
 
     def missing(self) -> np.ndarray:
-        return self.entries == 0
+        return self._missing
 
     def n_missing(self) -> int:
         return int(self.missing().sum())
@@ -169,8 +179,7 @@ def _query(oracle: ImputationOracle, masked: MaskedSeries, caller: str) -> TimeS
             f"{caller} oracle returned {got} for series {masked.id!r}, "
             f"expected a series of shape {masked.series.shape}"
         )
-    observed = masked.mask.observed()
-    if not np.array_equal(completed.values[observed], masked.series.values[observed]):
+    if not ((completed.values == masked.series.values) | masked.mask.missing()).all():
         raise OracleError(f"{caller} oracle changed observed entries of series {masked.id!r}")
     return completed
 
@@ -180,7 +189,8 @@ def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -
 
     Raises DegenerateMaskError when the block covers every step of the chosen
     dimension (nothing left to condition on), and ValueError for blocks that
-    fall outside the series.
+    fall outside the series. The mask of a valid block is built once per
+    shape and block, and shared by every view cut with it.
     """
     steps, dims = x.shape
     if length < 1:
@@ -193,9 +203,14 @@ def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -
         )
     if start < 0 or start + length > steps:
         raise ValueError(f"block [{start}, {start + length}) out of range for length {steps}")
+    return apply_mask(x, _block_mask(steps, dims, start, length, dim))
+
+
+@functools.lru_cache(maxsize=256)
+def _block_mask(steps: int, dims: int, start: int, length: int, dim: int) -> MaskMatrix:
     entries = np.ones((steps, dims), dtype=np.uint8)
     entries[start : start + length, dim] = 0
-    return apply_mask(x, MaskMatrix(entries))
+    return MaskMatrix(entries)
 
 
 def random_missing_mask(shape: tuple[int, int], fraction: float, seed: int) -> MaskMatrix:

@@ -93,29 +93,26 @@ def _render_components(comps: list[list[tuple[float, float, float]]], length: in
     return out
 
 
-def _ar1_noise(rng: np.random.Generator, cfg: SyntheticConfig) -> np.ndarray:
-    if cfg.noise_scale == 0.0:
-        return np.zeros((cfg.length, cfg.dims))
-    shocks = rng.normal(0.0, cfg.noise_scale, size=(cfg.length, cfg.dims))
-    noise = np.empty_like(shocks)
-    noise[0] = shocks[0]
-    for i in range(1, cfg.length):
-        noise[i] = cfg.ar_coeff * noise[i - 1] + shocks[i]
-    return noise
-
-
 def generate_synthetic(cfg: SyntheticConfig) -> list[TimeSeries]:
     """Sums of 1-3 family-band sinusoids with random phases plus AR(1) noise.
 
     Deterministic per seed: the same config always yields the same corpus.
+    Each series draws its components, then its shocks; the AR(1) recurrence
+    then runs once across all series, which gives every element the same
+    multiply and add as a per-series loop, hence the same bits.
     """
     rng = np.random.default_rng(cfg.seed)
-    out = []
+    comps, noise = [], np.zeros((cfg.count, cfg.length, cfg.dims))  # the shocks, turned into noise in place
     for i in range(cfg.count):
-        comps = _draw_components(rng, cfg)
-        values = _render_components(comps, cfg.length) + _ar1_noise(rng, cfg)
-        out.append(TimeSeries(f"syn{cfg.family}-{i:04d}", values))
-    return out
+        comps.append(_draw_components(rng, cfg))
+        if cfg.noise_scale != 0.0:
+            noise[i] = rng.normal(0.0, cfg.noise_scale, size=(cfg.length, cfg.dims))
+    for t in range(1, cfg.length):
+        noise[:, t] += cfg.ar_coeff * noise[:, t - 1]
+    return [
+        TimeSeries(f"syn{cfg.family}-{i:04d}", _render_components(c, cfg.length) + noise[i])
+        for i, c in enumerate(comps)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,21 +9,29 @@ path, live in the test suite.
 The audit aligns many completions with one original, and a completion
 equals the original up to its masked block. The rows of the program above
 that block see only the original, so they are the rows of the original's
-self-alignment. A ``SelfAlignment`` sweeps those rows once per original, at
-a bound B no smaller than any of its pairs' bounds U, and every pair
-resumes from them at its own first differing row.
+self-alignment. A ``SelfAlignment`` computes every completion's
+diagonal-path cost U, last nonzero-diagonal row and first differing row in
+one stacked pass, then sweeps the shared rows once per original, and every
+pair resumes from them at its own first differing row. Row r is swept at
+B_r, the largest U among the pairs that resume at or below row r, so B_r
+never increases with r and the rows only the pairs with late blocks need
+are swept narrower.
 
-Why the bits do not change: a sweep pruned at B computes every cell whose
-full-sweep value is at or below B exactly, and leaves every other cell
-above B, or unswept (infinite). For a pair with U <= B, every cell at or
-below U is therefore exact in the shared rows, and every cell above U
-stays above U. The pair's sweep only ever compares cells with U and takes
-minima, where a cell above U never beats one at or below it. So every
+Why the bits do not change: by induction on r, the sweep computes every
+cell of row r whose full-sweep value is at or below B_r exactly, and
+leaves every other cell above B_r, or unswept (infinite). Costs are
+nonnegative, so such a cell's optimal predecessor is at or below B_r, which
+is at most B_{r-1}; that predecessor was therefore computed exactly, and
+the sweep reaches the cell. A pair that resumes at row s has U <= B_s <= B_r
+for every r <= s, so every cell it reads at or below U is exact and every
+other cell is above U. The pair's sweep only ever compares cells with U and
+takes minima, where a cell above U never beats one at or below it. So every
 comparison with U, hence every cell swept, every cell at or below U and
 D(n, n), which is at most U, is the same as in the pair's own sweep.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -56,38 +64,51 @@ def _origin(m: int) -> list:
     return [0.0] + [float("inf")] * m
 
 
-def _diagonal_bound(diagonal: np.ndarray) -> tuple[float, int]:
-    """The diagonal path's cost U and the last row with a nonzero diagonal
-    cost (0 if none; a NaN cost is nonzero).
+def _diagonal_bounds(diagonals: np.ndarray) -> tuple[list[float], list[int]]:
+    """Per row of ``diagonals`` (one diagonal of point costs each): the
+    diagonal path's cost U and the last row with a nonzero diagonal cost (0
+    if none; a NaN cost is nonzero).
 
-    ``np.add.accumulate`` adds left to right, one element at a time, which is
-    the order the sweep adds the diagonal in, so U has the bits of that path.
+    ``np.add.accumulate`` adds along each row left to right, one element at a
+    time, which is the order the sweep adds the diagonal in, so U has the
+    bits of that path.
     """
-    nonzero = diagonal.nonzero()[0]
-    return float(np.add.accumulate(diagonal)[-1]), int(nonzero[-1]) + 1 if nonzero.size else 0
+    n = diagonals.shape[1]
+    nonzero = diagonals != 0.0
+    synced = np.where(nonzero.any(axis=1), n - nonzero[:, ::-1].argmax(axis=1), 0)
+    return np.add.accumulate(diagonals, axis=1)[:, -1].tolist(), synced.tolist()
 
 
-def _near_diagonal(va: np.ndarray, vb: np.ndarray) -> tuple[float, int, int]:
-    """U and the last nonzero-diagonal row of an equal-length pair of 1 or 2
-    dims, and the number of leading rows where ``va`` equals ``vb``.
+def _diagonal_bound(diagonal: np.ndarray) -> tuple[float, int]:
+    """U and the last nonzero-diagonal row of one diagonal (see ``_diagonal_bounds``)."""
+    bounds, synced = _diagonal_bounds(diagonal[None])
+    return bounds[0], synced[0]
+
+
+def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float, int, int]]:
+    """U, the last nonzero-diagonal row and the number of leading rows equal
+    to ``vb``, for each of ``series`` against ``vb``, all of one shape
+    (n, dims) with 1 or 2 dims.
 
     Two finite floats differ exactly when their difference is nonzero, and a
     NaN difference counts as nonzero, so the leading equal rows are those
     with an all-zero ``diff`` row, even where a difference squares to zero.
     """
-    diff = va - vb
+    diff = np.stack(series) - vb
     square = diff * diff
-    bound, synced = _diagonal_bound(np.sqrt(square[:, 0] + square[:, 1] if va.shape[1] == 2 else square[:, 0]))
-    changed = np.flatnonzero(diff)
-    return bound, synced, int(changed[0]) // va.shape[1] if changed.size else va.shape[0]
+    bounds, synced = _diagonal_bounds(np.sqrt(square[..., 0] + square[..., 1] if vb.shape[1] == 2 else square[..., 0]))
+    changed = (diff != 0.0).any(axis=2)
+    equal = np.where(changed.any(axis=1), changed.argmax(axis=1), vb.shape[0])
+    return list(zip(bounds, synced, equal.tolist()))
 
 
-def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, synced: int,
+def _sweep(xs: list[list], ys: list[list], costs: list | None, bounds: list, synced: int,
            prev: list, first: int, last: int, rows: range, keep: list | None = None) -> float:
     """Sweep the DP rows ``rows`` (1-based) on top of ``prev``, the row before them.
 
+    Row i is pruned at ``bounds[i - 1]``, and the bounds never increase.
     ``first`` and ``last`` are ``prev``'s first and last column at or below
-    ``bound``. Point costs come from ``costs`` when given, and from the
+    its own bound. Point costs come from ``costs`` when given, and from the
     coordinates ``xs`` of the rows and ``ys`` of the columns otherwise (one
     or two dimensions). Each swept row goes to ``keep``, when it is given,
     with its own first and last column at or below the bound. Returns the
@@ -100,6 +121,7 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, syn
     two = len(ys) == 2
     xs0, xs1, ys0, ys1 = xs[0], xs[-1], ys[0], ys[-1]
     for i in rows:
+        bound = bounds[i - 1]
         cur = [inf] * (m + 1)
         row = costs[i - 1] if costs is not None else None
         x0, x1 = xs0[i], xs1[i]
@@ -127,7 +149,7 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, syn
                 if j == next_first:
                     next_first = j + 1
                 if j > last:
-                    break  # later cells of this row have no predecessor at or below the bound
+                    break  # later cells of this row have no predecessor at or below this row's bound
             else:
                 next_last = j
         if keep is not None:
@@ -142,44 +164,56 @@ class SelfAlignment:
     """The rows of ``original``'s self-alignment that its ``completions`` share.
 
     Give it to ``dtw_distance(completion, original, shared)`` for each
-    completion. The first such call sweeps the rows, once, at B, the largest
-    diagonal-path cost U over the completions of the original's shape, and
-    down to the last row before any completion first differs from the
-    original. Each later pair reads the rows and never changes them. A pair
-    the rows do not serve gets the plain sweep: unequal lengths, more than
-    two dimensions, another original, or U above B.
+    completion. The first such call computes, in one stacked pass, U, the
+    last nonzero-diagonal row and the first differing row of every
+    completion of the original's shape. It then sweeps the rows, once, down
+    to the last row before any completion first differs from the original,
+    row r at B_r (``bounds[r - 1]``), the largest U among the completions
+    that first differ at or below row r. Each later pair reads the rows and
+    never changes them, and a ``TimeSeries`` completion reads its three
+    numbers from the pass instead of computing them again. A pair the rows
+    do not serve gets the plain sweep: unequal lengths, more than two
+    dimensions, another original, or U above the bound of the row it would
+    resume from.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
         self.original = _values(original)
         self.ys = _coordinates(self.original)
         self.completions = completions
-        self.bound = 0.0
-        self.rows: list | None = None  # row i is rows[i - 1], with its first and last column at or below B
+        self.rows: list | None = None  # row i is rows[i - 1], with its first and last column at or below B_i
+        self.bounds: list[float] = []  # B_i is bounds[i - 1]
+        self._pairs: dict = {}  # id of a TimeSeries completion -> (the completion, (U, synced, equal))
 
     def _build(self) -> None:
         vb = self.original
         n = vb.shape[0]
-        shared, bounds = 0, [0.0]
-        for completion in self.completions:
-            va = _values(completion)
-            if va.shape == vb.shape:
-                bound, _, equal = _near_diagonal(va, vb)
-                bounds.append(bound)
-                shared = max(shared, equal)
-        self.bound = max(bounds)
+        same = [c for c in self.completions if _values(c).shape == vb.shape]
+        numbers = _near_diagonal([_values(c) for c in same], vb) if same else []
+        for completion, pair in zip(same, numbers):
+            if isinstance(completion, TimeSeries):  # frozen values, so the numbers stay right
+                self._pairs[id(completion)] = (completion, pair)
+        # top[s]: the largest U among the pairs that first differ at row s (a NaN U never serves).
+        top = [0.0] * (max((equal for _, _, equal in numbers), default=0) + 1)
+        for bound, _, equal in numbers:
+            if bound > top[equal]:
+                top[equal] = bound
+        self.bounds = list(itertools.accumulate(reversed(top[1:]), max))[::-1]
         self.rows = []
-        _sweep(self.ys, self.ys, None, self.bound, n + 1, _origin(n), 1, 0, range(1, shared + 1), self.rows)
+        _sweep(self.ys, self.ys, None, self.bounds, n + 1, _origin(n), 1, 0, range(1, len(self.bounds) + 1), self.rows)
 
-    def _resume(self, vb: np.ndarray, bound: float, equal: int) -> tuple[list, int, int, int] | None:
-        """The last shared row a pair can start from, its first and last column
-        at or below the pair's ``bound``, and its row number; None if none serves."""
-        if vb is not self.original and not np.array_equal(vb, self.original):
-            return None
+    def _pair(self, a: object, va: np.ndarray) -> tuple[float, int, int]:
+        """U, the last nonzero-diagonal row and the leading equal rows of ``va`` against the original."""
         if self.rows is None:
             self._build()
+        known = self._pairs.get(id(a))
+        return known[1] if known is not None and known[0] is a else _near_diagonal([va], self.original)[0]
+
+    def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int] | None:
+        """The last shared row a pair can start from, its first and last column
+        at or below the pair's ``bound``, and its row number; None if none serves."""
         start = min(equal, len(self.rows))
-        if start == 0 or not bound <= self.bound:
+        if start == 0 or not bound <= self.bounds[start - 1]:
             return None
         row, first, last = self.rows[start - 1]
         # D(start, start) is 0.0 <= bound, so both scans stop inside [first, last].
@@ -220,11 +254,12 @@ def dtw_distance(
     infinite cost is never 0.0, and unequal lengths never stop early.
 
     With ``shared``, the self-alignment of ``b``, the sweep starts below the
-    rows where ``a`` equals ``b``. Those rows were swept once at B >= U:
-    every cell at or below U in them is exact and every other cell is above
-    U, so the first and last columns at or below U, every later comparison
-    with U and D(n, n) are those of the pair's own sweep. ``shared`` changes
-    the time, never the bits; a pair it does not serve is swept in full.
+    rows where ``a`` equals ``b``. Those rows were swept once, each at a
+    bound at least U (see the module docstring): every cell at or below U in
+    them is exact and every other cell is above U, so the first and last
+    columns at or below U, every later comparison with U and D(n, n) are
+    those of the pair's own sweep. ``shared`` changes the time, never the
+    bits; a pair it does not serve is swept in full.
 
     With one or two dimensions, point costs are computed for the visited
     cells only: summing at most two squares takes one addition, so the order
@@ -237,20 +272,20 @@ def dtw_distance(
         raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
     n, m, dims = va.shape[0], vb.shape[0], va.shape[1]
 
-    costs, bound, synced, equal = None, float("inf"), n + 1, 0
+    # The row the sweep starts below, its first and last column at or below the bound, and its number.
+    prev, first, last, start = _origin(m), 1, 0, 0
+    costs, bound, synced = None, float("inf"), n + 1
     if n != m or dims > 2:
         matrix = _point_costs(va, vb)
         costs = matrix.tolist()
         if n == m:
             bound, synced = _diagonal_bound(np.diagonal(matrix))
-    else:
-        bound, synced, equal = _near_diagonal(va, vb)
-
-    # The row the sweep starts below, its first and last column at or below the bound, and its number.
-    prev, first, last, start = _origin(m), 1, 0, 0
-    if shared is not None and costs is None:
-        resumed = shared._resume(vb, bound, equal)
+    elif shared is not None and (vb is shared.original or np.array_equal(vb, shared.original)):
+        bound, synced, equal = shared._pair(a, va)
+        resumed = shared._resume(bound, equal)
         if resumed is not None:
             prev, first, last, start = resumed
+    else:
+        bound, synced, _ = _near_diagonal([va], vb)[0]
     ys = _coordinates(vb) if start == 0 else shared.ys
-    return _sweep(_coordinates(va), ys, costs, bound, synced, prev, first, last, range(start + 1, n + 1))
+    return _sweep(_coordinates(va), ys, costs, [bound] * n, synced, prev, first, last, range(start + 1, n + 1))

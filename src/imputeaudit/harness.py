@@ -112,22 +112,28 @@ class ExperimentReport:
     wall_clock_seconds: float
 
 
+def _check_keys(doc: dict, known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def _from_dict(cls, doc: dict, where: str):
+    """``cls(**doc)`` for a config dataclass; an unknown key raises ValueError naming ``where`` and the key."""
+    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    return cls(**doc)
+
+
 def _synthetic_config_from_dict(doc: dict) -> SyntheticConfig:
     doc = {k: tuple(v) if k in ("components", "amplitude_range") else v for k, v in doc.items() if k != "source"}
-    return SyntheticConfig(**doc)
+    return _from_dict(SyntheticConfig, doc, "the synthetic data block")
 
 
 def _attack_config_from_dict(doc: dict) -> AttackConfig:
     doc = dict(doc)
     if "theta_rule" in doc:
         doc["theta_rule"] = theta_rule_from_dict(doc["theta_rule"])
-    return AttackConfig(**doc)
-
-
-def _check_keys(doc: dict, known, where: str) -> None:
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in {where}")
+    return _from_dict(AttackConfig, doc, "the attack block")
 
 
 def _data_source_from_dict(doc: dict) -> SyntheticConfig | CsvSource:
@@ -136,8 +142,7 @@ def _data_source_from_dict(doc: dict) -> SyntheticConfig | CsvSource:
     if source_kind == "synthetic":
         return _synthetic_config_from_dict(data)
     if source_kind == "csv":
-        _check_keys(data, {f.name for f in fields(CsvSource)}, "the csv data block")
-        return CsvSource(**data)
+        return _from_dict(CsvSource, data, "the csv data block")
     raise ValueError(f"unknown data source {source_kind!r}")
 
 
@@ -146,10 +151,10 @@ _CONFIG_READERS = {
     "scenario": int,
     "master_seed": int,
     "data": _data_source_from_dict,
-    "target_model": lambda doc: ImputerConfig(**doc),
-    "reference_model": lambda doc: ImputerConfig(**doc),
+    "target_model": lambda doc: _from_dict(ImputerConfig, doc, "the target_model block"),
+    "reference_model": lambda doc: _from_dict(ImputerConfig, doc, "the reference_model block"),
     "attack": _attack_config_from_dict,
-    "fine_tune": lambda doc: None if doc is None else ImputerConfig(**doc),
+    "fine_tune": lambda doc: None if doc is None else _from_dict(ImputerConfig, doc, "the fine_tune block"),
     "parity_tolerance": float,
     "parity_fraction": float,
     "output_dir": str,
@@ -161,8 +166,9 @@ _CONFIG_READERS = {
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse the documented JSON schema (see README) into an ExperimentConfig.
 
-    An unknown key, at the top level or in a csv data block, raises
-    ValueError naming it, so a misspelt key cannot run a different audit.
+    An unknown key, at the top level or in any nested block, raises
+    ValueError naming the key and where it is, so a misspelt key cannot run
+    a different audit.
     """
     _check_keys(doc, _CONFIG_READERS, "the experiment config")
     parsed = {key: read(doc[key]) for key, read in _CONFIG_READERS.items() if key in doc}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from imputeaudit.core import MaskedSeries, TimeSeries
+from imputeaudit.data import _draw_components, _render_components
 from imputeaudit.dtw import _point_costs, _values
 from imputeaudit.models import _batch_observed, _unpack
 
@@ -103,18 +104,16 @@ def mann_whitney(scores: np.ndarray, is_member: np.ndarray) -> float:
     return float((less + 0.5 * ties) / (members.size * nonmembers.size))
 
 
-def dtw_reference(a: np.ndarray, b: np.ndarray) -> float:
-    """The full, unpruned O(n*m) DTW sweep over the whole cost matrix.
-
-    ``dtw_distance`` prunes cells and computes point costs lazily; it must
-    return exactly these bits.
-    """
+def dtw_reference_rows(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+    """Every row of the full, unpruned O(n*m) DTW sweep over the whole cost
+    matrix: row i holds D(i, 0..m), and row 0 is the origin row."""
     diff = a[:, None, :] - b[None, :, :]
     costs = np.sqrt(np.sum(diff * diff, axis=2)).tolist()
     n, m = a.shape[0], b.shape[0]
     inf = float("inf")
     prev = [inf] * (m + 1)
     prev[0] = 0.0
+    rows = [prev]
     for i in range(1, n + 1):
         cur = [inf] * (m + 1)
         row = costs[i - 1]
@@ -125,8 +124,18 @@ def dtw_reference(a: np.ndarray, b: np.ndarray) -> float:
             if cur[j - 1] < best:
                 best = cur[j - 1]
             cur[j] = row[j - 1] + best
+        rows.append(cur)
         prev = cur
-    return prev[m]
+    return rows
+
+
+def dtw_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """D(n, m) of the full, unpruned sweep (``dtw_reference_rows``).
+
+    ``dtw_distance`` prunes cells and computes point costs lazily; it must
+    return exactly these bits.
+    """
+    return dtw_reference_rows(a, b)[-1][-1]
 
 
 def dtw_brute_force(a, b) -> float:
@@ -196,3 +205,24 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
             n_terms += count
         history.append(abs_err / n_terms)
     return params, tuple(history)
+
+
+def generate_synthetic_reference(cfg) -> list[TimeSeries]:
+    """The per-series generator: each series draws its components and shocks,
+    then runs its own AR(1) recurrence.
+
+    ``data.generate_synthetic`` runs the recurrence across all series at once;
+    it must return exactly these bits.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    out = []
+    for i in range(cfg.count):
+        comps = _draw_components(rng, cfg)
+        noise = np.zeros((cfg.length, cfg.dims))
+        if cfg.noise_scale != 0.0:
+            shocks = rng.normal(0.0, cfg.noise_scale, size=(cfg.length, cfg.dims))
+            noise[0] = shocks[0]
+            for t in range(1, cfg.length):
+                noise[t] = cfg.ar_coeff * noise[t - 1] + shocks[t]
+        out.append(TimeSeries(f"syn{cfg.family}-{i:04d}", _render_components(comps, cfg.length) + noise))
+    return out

@@ -29,10 +29,12 @@ def test_every_traced_site_resolves_to_a_callable(monkeypatch):
 
 def test_attack_makes_one_dtw_call_and_one_impute_call_per_query(monkeypatch, tiny_corpus, fresh_model):
     # The traced benchmark counts wrapped calls: DTW pairs = queries = 2 x candidates x repeats.
-    # A batched DTW or query path has to fail here before it fails a traced sample.
+    # A batched DTW or query path has to fail here before it fails a traced sample, and so
+    # does a run that stops calling attack's own single_unit_mask (a traced run needs its
+    # core.mask span).
     from imputeaudit import attack, models
 
-    counts = {"dtw": 0, "impute": 0}
+    counts = {"dtw": 0, "impute": 0, "mask": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -43,6 +45,8 @@ def test_attack_makes_one_dtw_call_and_one_impute_call_per_query(monkeypatch, ti
 
     monkeypatch.setattr(attack, "dtw_distance", counted(attack.dtw_distance, "dtw"))
     monkeypatch.setattr(models.TrainedImputer, "impute", counted(models.TrainedImputer.impute, "impute"))
+    monkeypatch.setattr(attack, "single_unit_mask", counted(attack.single_unit_mask, "mask"))
     cfg = attack.AttackConfig(repeats=3, block_length=2)
     attack.run_attack(fresh_model, fresh_model, list(tiny_corpus), cfg)
     assert counts["dtw"] == counts["impute"] == 2 * len(tiny_corpus) * cfg.repeats
+    assert counts["mask"] == len(tiny_corpus) * cfg.repeats

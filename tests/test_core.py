@@ -11,7 +11,9 @@ from imputeaudit.core import (
     DegenerateMaskError,
     MaskMatrix,
     MaskedSeries,
+    OracleError,
     TimeSeries,
+    _query,
     apply_mask,
     derive_seed,
     random_missing_mask,
@@ -75,6 +77,53 @@ def test_single_unit_mask_out_of_range():
         single_unit_mask(x, -1, 1)
     with pytest.raises(ValueError):
         single_unit_mask(x, 0, 1, dim=5)
+
+
+def test_single_unit_mask_shares_one_mask_per_block_and_still_checks_every_call():
+    x = TimeSeries("a", np.arange(16.0).reshape(8, 2))
+    y = TimeSeries("b", -np.arange(16.0).reshape(8, 2))
+    first, again, other = single_unit_mask(x, 2, 3, dim=1), single_unit_mask(x, 2, 3, dim=1), single_unit_mask(y, 2, 3, 1)
+    assert first.mask is again.mask is other.mask
+    assert single_unit_mask(x, 2, 3, dim=0).mask is not first.mask
+    assert np.array_equal(other.series.values[:, 1], [-1.0, -3.0, 0.0, 0.0, 0.0, -11.0, -13.0, -15.0])
+    for bad in [(6, 3, 1), (-1, 3, 1), (2, 3, 2), (2, 0, 1)]:
+        with pytest.raises(ValueError):
+            single_unit_mask(x, *bad)
+    with pytest.raises(DegenerateMaskError):
+        single_unit_mask(x, 0, 8, 1)
+    assert single_unit_mask(x, 2, 3, dim=1).mask is first.mask
+
+
+def test_mask_views_are_read_only():
+    mask = single_unit_mask(TimeSeries("a", np.arange(10.0)), 3).mask
+    for view in (mask.observed(), mask.missing(), mask.entries):
+        with pytest.raises(ValueError):
+            view[0, 0] = not view[0, 0]
+    assert mask.observed().tolist() == [[i != 3] for i in range(10)]
+    assert mask.missing().tolist() == [[i == 3] for i in range(10)]
+
+
+class _EditingOracle:
+    """Fills the hidden entry and also writes ``value`` over one observed entry."""
+
+    def __init__(self, row: int, value: float) -> None:
+        self.row, self.value = row, value
+
+    def impute(self, x):
+        values = x.series.values.copy()
+        values[self.row, 0] = self.value
+        return TimeSeries(x.id, values)
+
+
+@pytest.mark.parametrize("row, value", [(5, 6.5), (0, 1.0), (5, 0.0), (9, -9.0)],
+                         ids=["nudged", "zero-entry-changed", "changed-to-zero", "last-entry"])
+def test_query_rejects_a_change_to_any_single_observed_entry(row, value):
+    # Entry 0 is observed and is 0.0, the value the masked view fills hidden entries with.
+    masked = single_unit_mask(TimeSeries("a", np.arange(10.0)), 3)
+    with pytest.raises(OracleError, match="target oracle changed observed entries of series 'a'"):
+        _query(_EditingOracle(row, value), masked, "target")
+    assert _query(_EditingOracle(3, 7.5), masked, "target").values[3, 0] == 7.5
+    assert _query(_EditingOracle(0, -0.0), masked, "target").values[0, 0] == 0.0  # -0.0 == 0.0
 
 
 def test_random_missing_mask_exact_count_and_determinism():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import generate_synthetic_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeaudit.core import TimeSeries
 from imputeaudit.data import (
@@ -30,6 +33,19 @@ def test_generator_deterministic():
     assert [s.id for s in first] == [s.id for s in second]
     for x, y in zip(first, second):
         assert np.array_equal(x.values, y.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 40), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.2, 0.7]), st.sampled_from([0.0, 0.5, 0.95]), st.sampled_from(["A", "B"]))
+def test_generator_matches_the_per_series_loop(count, length, dims, seed, noise_scale, ar_coeff, family):
+    cfg = SyntheticConfig(family=family, count=count, length=length, dims=dims, seed=seed,
+                          noise_scale=noise_scale, ar_coeff=ar_coeff)
+    expected = generate_synthetic_reference(cfg)
+    got = generate_synthetic(cfg)
+    assert [s.id for s in got] == [s.id for s in expected]
+    for x, y in zip(got, expected):
+        assert x.values.tobytes() == y.values.tobytes()
 
 
 def test_noiseless_single_sinusoid_matches_closed_form():

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import BRUTE_FORCE_CELL_LIMIT, dtw_brute_force, dtw_reference
+from helpers import BRUTE_FORCE_CELL_LIMIT, dtw_brute_force, dtw_reference, dtw_reference_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from imputeaudit.core import TimeSeries
-from imputeaudit.dtw import SelfAlignment, _diagonal_bound, dtw_distance
+from imputeaudit.dtw import SelfAlignment, _diagonal_bound, _diagonal_bounds, _near_diagonal, dtw_distance
 
 
 def test_identity_is_exactly_zero():
@@ -276,3 +276,94 @@ def test_diagonal_bound_adds_in_the_sweeps_order(diagonal):
         bound = c + bound
         synced = i if c != 0.0 else synced
     assert _diagonal_bound(diagonal) == (bound, synced)
+
+
+# Falling bounds: row r of the shared rows is swept at B_r, the largest U among
+# the completions that first differ at or below row r.
+SHARED = settings(max_examples=100, deadline=None)
+
+@st.composite
+def sloped_completion_sets(draw):
+    """An original and TimeSeries completions whose blocks move down the series
+    while their error, hence U, falls or rises strictly with the block's start."""
+    dims, n = draw(st.sampled_from([1, 2])), draw(st.integers(4, 32))
+    # Point costs between original steps on the scale of the errors, so the rows
+    # have off-diagonal cells between one completion's U and another's.
+    original = draw(arrays(np.float64, (n, dims), elements=st.floats(-2.0, 2.0)))
+    length = draw(st.integers(1, n // 2))
+    starts = sorted(draw(st.lists(st.integers(0, n - length), min_size=2, max_size=8)))
+    slope = draw(st.sampled_from([-1.0, 1.0]))
+    completions = []
+    for k, start in enumerate(starts):
+        completion = original.copy()
+        dim = draw(st.integers(0, dims - 1))
+        scale = 4.0 ** (slope * k)
+        completion[start : start + length, dim] += scale * draw(arrays(np.float64, length, elements=st.floats(1.0, 2.0)))
+        completions.append(TimeSeries(f"c{k}", completion))
+    return original, completions
+
+
+@SHARED
+@given(sloped_completion_sets())
+def test_falling_bounds_match_full_sweep(case):
+    original, completions = case
+    shared = SelfAlignment(original, completions)
+    for completion in completions:
+        assert dtw_distance(completion, original, shared) == dtw_reference(completion.values, original)
+    assert len(shared.bounds) == len(shared.rows)
+    assert all(later <= earlier for earlier, later in zip(shared.bounds, shared.bounds[1:]))
+    # B_r is the largest U among the completions that first differ at or below row r.
+    diagonal = [_diagonal_bound(np.sqrt(((c.values - original) ** 2).sum(axis=1)))[0] for c in completions]
+    for r, bound in enumerate(shared.bounds, 1):
+        resuming = [u for u, c in zip(diagonal, completions) if _equal_rows(c.values, original) >= r]
+        assert bound == max(resuming)
+
+
+@EXACT
+@given(completion_sets())
+def test_shared_rows_are_exact_at_or_below_their_bound(case):
+    # The claim the falling bounds rest on: each shared cell at or below its row's
+    # bound is the full sweep's, and every other one is above that bound.
+    original, completions = case
+    shared = SelfAlignment(original, completions)
+    dtw_distance(completions[0], original, shared)
+    full = dtw_reference_rows(original, original)
+    for r, ((row, first, last), bound) in enumerate(zip(shared.rows, shared.bounds), 1):
+        for j, (got, want) in enumerate(zip(row, full[r])):
+            assert got == want if want <= bound else got > bound
+        inside = [j for j, want in enumerate(full[r]) if want <= bound]
+        assert (first, last) == (inside[0], inside[-1])
+
+
+@SHARED
+@given(sloped_completion_sets(), st.data())
+def test_a_completion_the_rows_were_not_built_from_matches_full_sweep(case, data):
+    original, completions = case
+    built = data.draw(st.lists(st.sampled_from(completions), min_size=1, max_size=3))
+    shared = SelfAlignment(original, built)
+    for completion in completions:  # as the same objects, as copies, and as bare arrays
+        expected = dtw_reference(completion.values, original)
+        for a in (completion, TimeSeries(completion.id, completion.values), completion.values.copy()):
+            assert dtw_distance(a, original, shared) == expected
+    # A pair only resumes from a row that is the full sweep's at or below its U.
+    self_rows = dtw_reference_rows(original, original)
+    for completion in completions:
+        bound, _, equal = _near_diagonal([completion.values], original)[0]
+        resumed = shared._resume(bound, equal)
+        if resumed is not None:
+            row, first, last, start = resumed
+            inside = [j for j, cell in enumerate(self_rows[start]) if cell <= bound]
+            assert (first, last) == (inside[0], inside[-1])
+            assert [row[j] for j in inside] == [self_rows[start][j] for j in inside]
+
+
+@EXACT
+@given(st.integers(1, 6).flatmap(
+    lambda k: arrays(np.float64, st.tuples(st.just(k), st.integers(1, 48)),
+                     elements=st.floats(0.0, 1e6, allow_nan=False) | st.just(0.0) | st.just(float("nan"))))
+)
+def test_stacked_diagonal_bounds_match_each_diagonal_alone(diagonals):
+    bounds, synced = _diagonal_bounds(diagonals)
+    alone = [_diagonal_bound(row) for row in diagonals]
+    assert np.array_equal(bounds, [u for u, _ in alone], equal_nan=True)
+    assert synced == [s for _, s in alone]

@@ -214,6 +214,22 @@ def test_config_rejects_unknown_keys_by_name():
         config_from_dict({**doc, "data": {"source": "csv", "path": "corpus.csv", "delimiter": ";"}})
 
 
+@pytest.mark.parametrize("block, where, key", [
+    ("data", "the synthetic data block", "nosie_scale"),
+    ("attack", "the attack block", "repeat"),
+    ("target_model", "the target_model block", "epoch"),
+    ("reference_model", "the reference_model block", "hiden"),
+    ("fine_tune", "the fine_tune block", "learning_rte"),
+])
+def test_config_rejects_unknown_keys_in_nested_blocks_by_name(block, where, key):
+    # A dataclass would raise TypeError; a caller catching ValueError for a bad config must see this one too.
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "configs/scenario2_fixture.json").read_text())
+    doc[block] = {**doc[block], key: 1}
+    with pytest.raises(ValueError, match=f"unknown key '{key}' in {where}"):
+        config_from_dict(doc)
+
+
 def _echoes(given, echo) -> bool:
     """Every key of a config file is in the echo with the value the file gave."""
     if isinstance(given, dict):
