@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Union
 
-from .core import ImputationOracle, TimeSeries, _query, single_unit_mask
+from .core import ImputationOracle, TimeSeries, _query, _read, _to_dict, single_unit_mask
 from .dtw import SelfAlignment, dtw_distance
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "calibration_to_dict",
     "report_to_dict",
     "report_from_dict",
-    "theta_rule_to_dict",
-    "theta_rule_from_dict",
 ]
 
 
@@ -48,12 +46,16 @@ __all__ = [
 class StdRule:
     """theta = mean + n * population std of known-nonmember ratios."""
 
+    TAG: ClassVar[tuple[str, str]] = ("kind", "std_rule")
+
     n: float = 1.0
 
 
 @dataclass(frozen=True)
 class TopPercentRule:
     """theta set so the ``percent``% lowest ratios are flagged (ties included)."""
+
+    TAG: ClassVar[tuple[str, str]] = ("kind", "top_percent")
 
     percent: float = 25.0
 
@@ -64,14 +66,13 @@ class TopPercentRule:
 
 @dataclass(frozen=True)
 class FixedTheta:
+    TAG: ClassVar[tuple[str, str]] = ("kind", "fixed")
+
     theta: float = 1.0
 
 
+# The wire form of a rule is its TAG plus its fields.
 ThetaRule = Union[StdRule, TopPercentRule, FixedTheta]
-
-# The one table of rule kinds; the wire form of a rule is its kind plus its fields.
-_RULE_CLASSES = {"std_rule": StdRule, "top_percent": TopPercentRule, "fixed": FixedTheta}
-_RULE_KINDS = {cls: kind for kind, cls in _RULE_CLASSES.items()}
 
 
 @dataclass(frozen=True)
@@ -264,20 +265,9 @@ def run_attack(
     return AttackReport(theta, cfg.theta_rule, scores, tuple(classify(s, theta) for s in scores), calibration)
 
 
-def theta_rule_to_dict(rule: ThetaRule) -> dict:
-    return {"kind": _RULE_KINDS[type(rule)], **asdict(rule)}
-
-
-def theta_rule_from_dict(doc: dict) -> ThetaRule:
-    cls = _RULE_CLASSES.get(doc.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown theta rule kind {doc.get('kind')!r}")
-    return cls(**{f.name: float(doc[f.name]) for f in fields(cls)})
-
-
 def calibration_to_dict(report: AttackReport) -> dict:
     """``{"calibration": {nonmembers, also_candidates}}`` when StdRule calibrated theta, else ``{}``."""
-    return {} if report.calibration is None else {"calibration": asdict(report.calibration)}
+    return {} if report.calibration is None else {"calibration": _to_dict(report.calibration)}
 
 
 def report_to_dict(report: AttackReport) -> dict:
@@ -288,7 +278,7 @@ def report_to_dict(report: AttackReport) -> dict:
     """
     return {
         "theta": report.theta,
-        "theta_rule": theta_rule_to_dict(report.theta_rule),
+        "theta_rule": _to_dict(report.theta_rule),
         **calibration_to_dict(report),
         "per_candidate": [
             {"id": s.candidate_id, "l_t": s.l_t, "l_r": s.l_r, "r": s.r, "is_member": member}
@@ -305,6 +295,6 @@ def report_from_dict(doc: dict) -> AttackReport:
         for row in rows
     )
     is_member = tuple(bool(row["is_member"]) for row in rows)
-    calibration = Calibration(**doc["calibration"]) if "calibration" in doc else None
-    rule = theta_rule_from_dict(doc["theta_rule"])
+    calibration = _read(Calibration, doc["calibration"], "the calibration block") if "calibration" in doc else None
+    rule = _read(ThetaRule, doc["theta_rule"], "the theta_rule block")
     return AttackReport(float(doc["theta"]), rule, scores, is_member, calibration)

@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import attack as attack_mod
 from . import data as data_mod
 from . import harness, models
-from .core import _write_json, zscore_normalize
+from .core import _read, _write_json, zscore_normalize
 from .metrics import LabeledScores, headline_summary
 
 
@@ -29,7 +29,7 @@ def _normalized_corpus(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = harness._synthetic_config_from_dict(_load_json(args.config))
+    cfg = _read(data_mod.SyntheticConfig, _load_json(args.config), args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     data_mod.save_csv(data_mod.generate_synthetic(cfg), args.out)
@@ -38,7 +38,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = models.ImputerConfig(**_load_json(args.config))
+    cfg = _read(models.ImputerConfig, _load_json(args.config), args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     corpus = _normalized_corpus(args.data)
@@ -49,7 +49,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    cfg = harness._attack_config_from_dict(_load_json(args.config) if args.config else {})
+    cfg = _read(attack_mod.AttackConfig, _load_json(args.config) if args.config else {}, args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     target = models.load_model(args.target)
@@ -92,7 +92,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     report = harness.run_experiment(cfg)
     out_dir = harness.write_experiment_outputs(report, args.out)
     print(
-        f"scenario {report.scenario} done in {report.wall_clock_seconds:.1f}s: "
+        f"scenario {report.config.scenario} done in {report.wall_clock_seconds:.1f}s: "
         f"LBRM AUROC {report.lbrm_metrics['auroc']:.3f} vs naive {report.naive_metrics['auroc']:.3f}; "
         f"outputs in {out_dir}"
     )

@@ -8,10 +8,12 @@ there, whoever asked.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 import os
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -279,3 +281,62 @@ def _write_json(doc: dict, path: str) -> None:
     with _atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _classes(kind) -> list:
+    """The config dataclasses ``kind`` can hold: itself, or the members of its union."""
+    return [c for c in typing.get_args(kind) or (kind,) if dataclasses.is_dataclass(c)]
+
+
+def _read(kind, value, where: str):
+    """``value``, parsed from JSON, read as ``kind``; ``where`` names it in errors.
+
+    ``kind`` is a config dataclass, a union of them told apart by each class's
+    ``TAG`` ClassVar (its key and value), ``X | None``, a fixed-length tuple,
+    or bool, int, float or str. An object's keys must be fields of its class
+    (or its own tag), and a key left out takes the field's default. A float
+    reads from any number, while a bool, an int or a str reads only from
+    itself; null reads only where None is allowed. Anything else raises
+    ValueError naming the key and the block it is in.
+    """
+    if value is None and type(None) in typing.get_args(kind):
+        return None
+    classes = _classes(kind)
+    if classes and not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    if len(classes) > 1:
+        key, tags = classes[0].TAG[0], {c.TAG[1]: c for c in classes}
+        if value.get(key) not in tags:
+            raise ValueError(f"{where} needs {key!r} to be one of {sorted(tags)}, got {value.get(key)!r}")
+        return _read(tags[value[key]], value, f"the {value[key]} {where.removeprefix('the ')}")
+    if classes:
+        cls, tag = classes[0], getattr(classes[0], "TAG", None)
+        hints, names = typing.get_type_hints(cls), {f.name for f in dataclasses.fields(cls)}
+        parsed = {}
+        for key, item in value.items():
+            if tag is not None and (key, item) == tag:
+                continue
+            if key not in names:
+                raise ValueError(f"unknown key {key!r} in {where}")
+            nested = f"the {key} block" if _classes(hints[key]) else f"{key!r} in {where}"
+            parsed[key] = _read(hints[key], item, nested)
+        return cls(**parsed)
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ValueError(f"{where} must be a list of {len(items)}, got {value!r}")
+        return tuple(_read(item_kind, item, where) for item_kind, item in zip(items, value))
+    if type(value) is kind or kind is float and type(value) is int:
+        return kind(value)
+    raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
+
+
+def _to_dict(obj):
+    """The JSON form of a config dataclass that ``_read`` reads back: its tag, if
+    it has one, and every field, with tuples as lists."""
+    if dataclasses.is_dataclass(obj):
+        tag = getattr(obj, "TAG", None)
+        return dict([tag] if tag else []) | {f.name: _to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_dict(item) for item in obj]
+    return obj

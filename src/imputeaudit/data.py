@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,6 +39,8 @@ class CsvSchemaError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticConfig:
+    TAG: ClassVar[tuple[str, str]] = ("source", "synthetic")
+
     family: str = "A"
     count: int = 100
     length: int = 64

@@ -12,18 +12,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
-from .attack import (
-    AttackConfig,
-    AttackReport,
-    calibration_to_dict,
-    report_to_dict,
-    run_attack,
-    theta_rule_from_dict,
-    theta_rule_to_dict,
-)
-from .core import TimeSeries, _write_json, derive_seed, zscore_normalize
+from .attack import AttackConfig, AttackReport, calibration_to_dict, report_to_dict, run_attack
+from .core import TimeSeries, _read, _to_dict, _write_json, derive_seed, zscore_normalize
 from .data import (
     ScenarioSplit,
     SyntheticConfig,
@@ -61,13 +54,15 @@ class ParityError(RuntimeError):
 
 @dataclass(frozen=True)
 class CsvSource:
+    TAG: ClassVar[tuple[str, str]] = ("source", "csv")
+
     path: str
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: int
-    data_source: SyntheticConfig | CsvSource
+    data: SyntheticConfig | CsvSource
     target_model: ImputerConfig
     reference_model: ImputerConfig
     master_seed: int = 0
@@ -97,9 +92,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    scenario: int
-    master_seed: int
-    config_echo: dict
+    config: ExperimentConfig
     parity: ParityReport
     attack_report: AttackReport
     labels: tuple[bool, ...]
@@ -107,72 +100,17 @@ class ExperimentReport:
     naive_metrics: dict[str, float]
     lbrm_curve: RocCurve
     naive_curve: RocCurve
-    n_members: int
-    n_nonmembers: int
     wall_clock_seconds: float
-
-
-def _check_keys(doc: dict, known, where: str) -> None:
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in {where}")
-
-
-def _from_dict(cls, doc: dict, where: str):
-    """``cls(**doc)`` for a config dataclass; an unknown key raises ValueError naming ``where`` and the key."""
-    _check_keys(doc, {f.name for f in fields(cls)}, where)
-    return cls(**doc)
-
-
-def _synthetic_config_from_dict(doc: dict) -> SyntheticConfig:
-    doc = {k: tuple(v) if k in ("components", "amplitude_range") else v for k, v in doc.items() if k != "source"}
-    return _from_dict(SyntheticConfig, doc, "the synthetic data block")
-
-
-def _attack_config_from_dict(doc: dict) -> AttackConfig:
-    doc = dict(doc)
-    if "theta_rule" in doc:
-        doc["theta_rule"] = theta_rule_from_dict(doc["theta_rule"])
-    return _from_dict(AttackConfig, doc, "the attack block")
-
-
-def _data_source_from_dict(doc: dict) -> SyntheticConfig | CsvSource:
-    data = dict(doc)
-    source_kind = data.pop("source")
-    if source_kind == "synthetic":
-        return _synthetic_config_from_dict(data)
-    if source_kind == "csv":
-        return _from_dict(CsvSource, data, "the csv data block")
-    raise ValueError(f"unknown data source {source_kind!r}")
-
-
-# How each top-level key of the schema is read; a key left out takes the ExperimentConfig default.
-_CONFIG_READERS = {
-    "scenario": int,
-    "master_seed": int,
-    "data": _data_source_from_dict,
-    "target_model": lambda doc: _from_dict(ImputerConfig, doc, "the target_model block"),
-    "reference_model": lambda doc: _from_dict(ImputerConfig, doc, "the reference_model block"),
-    "attack": _attack_config_from_dict,
-    "fine_tune": lambda doc: None if doc is None else _from_dict(ImputerConfig, doc, "the fine_tune block"),
-    "parity_tolerance": float,
-    "parity_fraction": float,
-    "output_dir": str,
-    "override_parity": bool,
-    "independent_reference": bool,
-}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse the documented JSON schema (see README) into an ExperimentConfig.
 
-    An unknown key, at the top level or in any nested block, raises
-    ValueError naming the key and where it is, so a misspelt key cannot run
-    a different audit.
+    An unknown key, at the top level or in any nested block, or a value of the
+    wrong type raises ValueError naming the key and where it is, so a misspelt
+    key cannot run a different audit.
     """
-    _check_keys(doc, _CONFIG_READERS, "the experiment config")
-    parsed = {key: read(doc[key]) for key, read in _CONFIG_READERS.items() if key in doc}
-    return ExperimentConfig(data_source=parsed.pop("data"), **parsed)
+    return _read(ExperimentConfig, doc, "the experiment config")
 
 
 def config_from_file(path: str) -> ExperimentConfig:
@@ -183,19 +121,14 @@ def config_from_file(path: str) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical echo of the config for reports (JSON-safe, deterministic): the
     schema ``config_from_dict`` reads, with every field filled in."""
-    out = asdict(cfg)
-    data = {k: list(v) if isinstance(v, tuple) else v for k, v in out.pop("data_source").items()}
-    out["data"] = {"source": "csv" if isinstance(cfg.data_source, CsvSource) else "synthetic", **data}
-    out["attack"]["theta_rule"] = theta_rule_to_dict(cfg.attack.theta_rule)
-    return out
+    return _to_dict(cfg)
 
 
 def _load_corpus(cfg: ExperimentConfig) -> list[TimeSeries]:
-    if isinstance(cfg.data_source, SyntheticConfig):
-        source = replace(cfg.data_source, seed=derive_seed(cfg.master_seed, "data"))
-        corpus = generate_synthetic(source)
+    if isinstance(cfg.data, SyntheticConfig):
+        corpus = generate_synthetic(replace(cfg.data, seed=derive_seed(cfg.master_seed, "data")))
     else:
-        corpus = load_csv(cfg.data_source.path)
+        corpus = load_csv(cfg.data.path)
     return [zscore_normalize(s)[0] for s in corpus]
 
 
@@ -240,9 +173,7 @@ def _finish(
 
     lbrm_metrics, naive_metrics, lbrm_curve, naive_curve = metrics_from_report(report, labels)
     return ExperimentReport(
-        scenario=cfg.scenario,
-        master_seed=cfg.master_seed,
-        config_echo=config_to_dict(cfg),
+        config=cfg,
         parity=parity,
         attack_report=report,
         labels=tuple(labels),
@@ -250,8 +181,6 @@ def _finish(
         naive_metrics=naive_metrics,
         lbrm_curve=lbrm_curve,
         naive_curve=naive_curve,
-        n_members=len(split.private),
-        n_nonmembers=len(split.test),
         wall_clock_seconds=time.monotonic() - started,
     )
 
@@ -298,15 +227,16 @@ def report_json_dict(report: ExperimentReport) -> dict:
     report also says how many of the nonmembers theta was calibrated on were
     candidates too (``calibration``); the scenario pipelines calibrate on the
     test split they score, so there it is all of them."""
+    members = sum(report.labels)
     return {
-        "scenario": report.scenario,
-        "master_seed": report.master_seed,
-        "config": report.config_echo,
-        "parity": {**asdict(report.parity), "gap": report.parity.gap},
+        "scenario": report.config.scenario,
+        "master_seed": report.config.master_seed,
+        "config": config_to_dict(report.config),
+        "parity": {**_to_dict(report.parity), "gap": report.parity.gap},
         "theta": report.attack_report.theta,
-        "theta_rule": theta_rule_to_dict(report.attack_report.theta_rule),
+        "theta_rule": _to_dict(report.attack_report.theta_rule),
         **calibration_to_dict(report.attack_report),
-        "candidates": {"members": report.n_members, "nonmembers": report.n_nonmembers},
+        "candidates": {"members": members, "nonmembers": len(report.labels) - members},
         "methods": {"lbrm": report.lbrm_metrics, "naive": report.naive_metrics},
         "roc_files": {"lbrm": "roc_lbrm.csv", "naive": "roc_naive.csv"},
     }
@@ -318,7 +248,7 @@ def write_experiment_outputs(report: ExperimentReport, out_dir: str | None = Non
     Output directory resolution: explicit argument, then the IMPUTEAUDIT_OUT
     environment variable, then the config's output_dir.
     """
-    resolved = out_dir or os.environ.get(OUTPUT_DIR_ENV) or report.config_echo["output_dir"]
+    resolved = out_dir or os.environ.get(OUTPUT_DIR_ENV) or report.config.output_dir
     os.makedirs(resolved, exist_ok=True)
     _write_json(report_json_dict(report), os.path.join(resolved, "report.json"))
     _write_json(report_to_dict(report.attack_report), os.path.join(resolved, "scores.json"))

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MaskedSeries, TimeSeries, _query, _write_json, apply_mask, derive_seed, random_missing_mask
+from .core import MaskedSeries, TimeSeries, _query, _read, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -450,7 +450,7 @@ def save_model(model: TrainedImputer, path: str) -> None:
     """Self-describing JSON dump; the parameter round trip is bit-exact."""
     doc = {
         "format": MODEL_FORMAT,
-        "config": asdict(model.config),
+        "config": _to_dict(model.config),
         "n_steps": model.n_steps,
         "n_dims": model.n_dims,
         "history": list(model.history),
@@ -466,7 +466,7 @@ def load_model(path: str) -> TrainedImputer:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").astype(np.float64)
     return TrainedImputer(
-        config=ImputerConfig(**doc["config"]),
+        config=_read(ImputerConfig, doc["config"], f"the config block of {path}"),
         n_steps=int(doc["n_steps"]),
         n_dims=int(doc["n_dims"]),
         params=params,

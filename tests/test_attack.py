@@ -31,11 +31,10 @@ from imputeaudit.attack import (
     report_from_dict,
     report_to_dict,
     resolve_theta,
+    ThetaRule,
     run_attack,
-    theta_rule_from_dict,
-    theta_rule_to_dict,
 )
-from imputeaudit.core import OracleError, TimeSeries, single_unit_mask
+from imputeaudit.core import OracleError, TimeSeries, _read, _to_dict, single_unit_mask
 from imputeaudit.dtw import dtw_distance
 
 
@@ -290,13 +289,15 @@ def test_report_serialization_round_trip():
 
 def test_theta_rule_codec():
     for rule in (StdRule(2.0), TopPercentRule(10.0), FixedTheta(0.8)):
-        assert theta_rule_from_dict(theta_rule_to_dict(rule)) == rule
+        assert _read(ThetaRule, _to_dict(rule), "the theta_rule block") == rule
     with pytest.raises(ValueError):
-        theta_rule_from_dict({"kind": "nope"})
+        _read(ThetaRule, {"kind": "nope"}, "the theta_rule block")
     # integer fields parse as floats, so the echo of {"percent": 25} says 25.0
-    rule = theta_rule_from_dict({"kind": "top_percent", "percent": 25})
-    assert theta_rule_to_dict(rule) == {"kind": "top_percent", "percent": 25.0}
+    rule = _read(ThetaRule, {"kind": "top_percent", "percent": 25}, "the theta_rule block")
+    assert _to_dict(rule) == {"kind": "top_percent", "percent": 25.0}
     assert isinstance(rule.percent, float)
+    # a left-out field takes its default
+    assert _read(ThetaRule, {"kind": "std_rule"}, "the theta_rule block") == StdRule()
 
 
 def test_resolve_theta_per_rule():

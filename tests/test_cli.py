@@ -172,6 +172,13 @@ def test_scenario_command_checks_declared_scenario(tmp_path, capsys):
     assert "declares scenario 2" in capsys.readouterr().err
 
 
+def test_train_rejects_an_unknown_config_key_by_name(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({"epoch": 1}))
+    assert main(["train", "--data", str(tmp_path / "none.csv"), "--config", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "unknown key 'epoch'" in capsys.readouterr().err
+
+
 def test_missing_config_file_reports_path(capsys):
     assert main(["scenario2", "--config", "/nonexistent/cfg.json"]) == 1
     assert "/nonexistent/cfg.json" in capsys.readouterr().err

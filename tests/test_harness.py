@@ -38,7 +38,7 @@ def mini_config(scenario, **overrides):
     base = dict(
         scenario=scenario,
         master_seed=5,
-        data_source=MINI_DATA,
+        data=MINI_DATA,
         target_model=MINI_MODEL,
         reference_model=MINI_MODEL,
         attack=AttackConfig(repeats=4, theta_rule=TopPercentRule(25.0)),
@@ -57,7 +57,7 @@ def scenario2_report():
 
 def test_scenario2_report_shape(scenario2_report):
     report = scenario2_report
-    assert report.n_members == 8 and report.n_nonmembers == 8
+    assert sum(report.labels) == 8 and report.labels.count(False) == 8
     assert len(report.attack_report.is_member) == 16
     assert set(report.lbrm_metrics) == {"auroc", "tpr_at_0_1", "tpr_at_top25"}
     assert set(report.naive_metrics) == {"auroc", "tpr_at_0_1", "tpr_at_top25"}
@@ -66,7 +66,7 @@ def test_scenario2_report_shape(scenario2_report):
 
 def test_scenario2_target_differs_from_base(scenario2_report):
     # the fine-tuned target moved away from the reference/base parameters
-    echo = scenario2_report.config_echo
+    echo = config_to_dict(scenario2_report.config)
     assert echo["fine_tune"] is not None
     scores = scenario2_report.attack_report.scores
     assert any(s.r != 1.0 for s in scores)
@@ -74,7 +74,7 @@ def test_scenario2_target_differs_from_base(scenario2_report):
 
 def test_scenario1_runs_and_pools_match():
     report = run_scenario1(mini_config(1))
-    assert report.n_members == 16 and report.n_nonmembers == 8
+    assert sum(report.labels) == 16 and report.labels.count(False) == 8
     assert len(report.labels) == 24
     assert sum(report.labels) == 16
 
@@ -103,7 +103,7 @@ def test_independent_reference_is_trained_apart_from_the_base(scenario2_report):
 
 def test_run_experiment_dispatch():
     report = run_experiment(mini_config(1))
-    assert report.scenario == 1
+    assert report.config.scenario == 1
 
 
 def test_parity_gate_aborts_and_override_runs():
@@ -185,8 +185,8 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     cfg = config_from_file(str(path))
     assert cfg.scenario == 2
-    assert isinstance(cfg.data_source, SyntheticConfig)
-    assert cfg.data_source.components == (1, 2)
+    assert isinstance(cfg.data, SyntheticConfig)
+    assert cfg.data.components == (1, 2)
     assert cfg.attack.theta_rule == StdRule(1.5)
     echo = config_to_dict(cfg)
     assert echo["data"]["components"] == [1, 2]
@@ -201,7 +201,7 @@ def test_config_csv_source(tmp_path):
         "reference_model": {"epochs": 1},
     }
     cfg = config_from_dict(doc)
-    assert cfg.data_source == CsvSource(path="corpus.csv")
+    assert cfg.data == CsvSource(path="corpus.csv")
 
 
 def test_config_rejects_unknown_keys_by_name():
@@ -227,6 +227,28 @@ def test_config_rejects_unknown_keys_in_nested_blocks_by_name(block, where, key)
     doc = json.loads((root / "configs/scenario2_fixture.json").read_text())
     doc[block] = {**doc[block], key: 1}
     with pytest.raises(ValueError, match=f"unknown key '{key}' in {where}"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (["override_parity"], "false", "'override_parity' in the experiment config"),
+    (["master_seed"], 7.9, "'master_seed' in the experiment config"),
+    (["master_seed"], True, "'master_seed' in the experiment config"),
+    (["target_model", "hidden"], True, "'hidden' in the target_model block"),
+    (["fine_tune", "epochs"], 500.0, "'epochs' in the fine_tune block"),
+    (["data", "components"], 3, "'components' in the synthetic data block"),
+    (["attack"], None, "the attack block"),
+    (["attack", "theta_rule", "percnt"], 10, "unknown key 'percnt' in the top_percent theta_rule block"),
+])
+def test_config_rejects_mistyped_values_by_name(path, value, match):
+    # Each of these once parsed to a different audit: "false" as True, 7.9 as 7, true as 1, and so on.
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "configs/scenario2_fixture.json").read_text())
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ValueError, match=match):
         config_from_dict(doc)
 
 
@@ -258,8 +280,8 @@ def test_std_rule_scenario_resolves_theta_from_test_split():
     report = run_scenario2(cfg)
     assert np.isfinite(report.attack_report.theta)
     # Theta is calibrated on the test split, which is also scored: report.json says so.
-    assert report_json_dict(report)["calibration"] == {"nonmembers": report.n_nonmembers,
-                                                       "also_candidates": report.n_nonmembers}
+    nonmembers = report.labels.count(False)
+    assert report_json_dict(report)["calibration"] == {"nonmembers": nonmembers, "also_candidates": nonmembers}
 
 
 def test_top_percent_report_has_no_calibration_block(scenario2_report):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,16 @@ def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "not_model.json"
     path.write_text('{"format": "other"}')
     with pytest.raises(ValueError):
+        load_model(str(path))
+
+
+def test_load_rejects_an_unknown_config_key(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(train(small_corpus(steps=6), replace(AE_TINY, epochs=1)), str(path))
+    doc = json.loads(path.read_text())
+    doc["config"]["epoch"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unknown key 'epoch' in the config block of"):
         load_model(str(path))
 
 
