@@ -288,13 +288,27 @@ def report_to_dict(report: AttackReport) -> dict:
     }
 
 
+# The wire schema of ``report_to_dict``, as ``report_from_dict`` reads it.
+@dataclass(frozen=True)
+class _ScoreRow:
+    id: str
+    l_t: float
+    l_r: float
+    r: float
+    is_member: bool
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class _Scores:
+    theta: float
+    theta_rule: ThetaRule
+    per_candidate: tuple[_ScoreRow, ...]
+    calibration: Calibration | None = None
+
+
 def report_from_dict(doc: dict) -> AttackReport:
-    rows = doc["per_candidate"]
-    scores = tuple(
-        MembershipScore(str(row["id"]), float(row["l_t"]), float(row["l_r"]), float(row["r"]), bool(row.get("degenerate")))
-        for row in rows
-    )
-    is_member = tuple(bool(row["is_member"]) for row in rows)
-    calibration = _read(Calibration, doc["calibration"], "the calibration block") if "calibration" in doc else None
-    rule = _read(ThetaRule, doc["theta_rule"], "the theta_rule block")
-    return AttackReport(float(doc["theta"]), rule, scores, is_member, calibration)
+    read = _read(_Scores, doc, "the scores document")
+    rows = read.per_candidate
+    scores = tuple(MembershipScore(row.id, row.l_t, row.l_r, row.r, row.degenerate) for row in rows)
+    return AttackReport(read.theta, read.theta_rule, scores, tuple(row.is_member for row in rows), read.calibration)

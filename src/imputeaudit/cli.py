@@ -15,13 +15,8 @@ from dataclasses import replace
 from . import attack as attack_mod
 from . import data as data_mod
 from . import harness, models
-from .core import _read, _write_json, zscore_normalize
+from .core import _load, _read, _write_json, zscore_normalize
 from .metrics import LabeledScores, headline_summary
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _normalized_corpus(path: str):
@@ -29,7 +24,7 @@ def _normalized_corpus(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _read(data_mod.SyntheticConfig, _load_json(args.config), args.config)
+    cfg = _load(data_mod.SyntheticConfig, args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     data_mod.save_csv(data_mod.generate_synthetic(cfg), args.out)
@@ -38,7 +33,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _read(models.ImputerConfig, _load_json(args.config), args.config)
+    cfg = _load(models.ImputerConfig, args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     corpus = _normalized_corpus(args.data)
@@ -49,7 +44,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    cfg = _read(attack_mod.AttackConfig, _load_json(args.config) if args.config else {}, args.config)
+    cfg = _load(attack_mod.AttackConfig, args.config) if args.config else attack_mod.AttackConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     target = models.load_model(args.target)
@@ -64,13 +59,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    report = attack_mod.report_from_dict(_load_json(args.scores))
-    label_map = _load_json(args.labels)
+    report = attack_mod.report_from_dict(_load(dict, args.scores))
+    label_map = _load(dict, args.labels)
     labels = []
     for score in report.scores:
         if score.candidate_id not in label_map:
             raise ValueError(f"labels file has no entry for candidate {score.candidate_id!r}")
-        labels.append(bool(label_map[score.candidate_id]))
+        labels.append(_read(bool, label_map[score.candidate_id], f"the label of candidate {score.candidate_id!r} in {args.labels}"))
     lbrm = headline_summary(LabeledScores([s.r for s in report.scores], labels))
     naive = headline_summary(LabeledScores([s.l_t for s in report.scores], labels))
     summary = {"lbrm": lbrm, "naive": naive}

@@ -283,24 +283,47 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _classes(kind) -> list:
+def _load(kind, path: str):
+    """The JSON file at ``path`` read as ``kind`` (see ``_read``); every error names ``path``."""
+    with open(path) as fh:
+        try:
+            return _read(kind, json.load(fh), path)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+@functools.cache
+def _classes(kind) -> tuple:
     """The config dataclasses ``kind`` can hold: itself, or the members of its union."""
-    return [c for c in typing.get_args(kind) or (kind,) if dataclasses.is_dataclass(c)]
+    return tuple(c for c in typing.get_args(kind) or (kind,) if dataclasses.is_dataclass(c))
+
+
+_hints = functools.cache(typing.get_type_hints)  # a class's field types, resolved once
 
 
 def _read(kind, value, where: str):
     """``value``, parsed from JSON, read as ``kind``; ``where`` names it in errors.
 
     ``kind`` is a config dataclass, a union of them told apart by each class's
-    ``TAG`` ClassVar (its key and value), ``X | None``, a fixed-length tuple,
-    or bool, int, float or str. An object's keys must be fields of its class
-    (or its own tag), and a key left out takes the field's default. A float
-    reads from any number, while a bool, an int or a str reads only from
-    itself; null reads only where None is allowed. Anything else raises
-    ValueError naming the key and the block it is in.
+    ``TAG`` ClassVar (its key and value), ``X | None``, a tuple of fixed
+    length or ``tuple[X, ...]``, or bool, int, float, str or dict. An object's
+    keys must be fields of its class (or its own tag), a key left out takes
+    the field's default, and a field without one must be given. A float reads
+    from any number, while any other kind reads only from itself; null reads
+    only where None is allowed. Anything else raises ValueError naming the key
+    and the block it is in, or the item's index in its list.
     """
     if value is None and type(None) in typing.get_args(kind):
         return None
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ValueError(f"{where} must be a list of {len(items)}, got {value!r}")
+        return tuple(_read(item_kind, item, f"item {i} of {where}") for i, (item_kind, item) in enumerate(zip(items, value)))
     classes = _classes(kind)
     if classes and not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {value!r}")
@@ -311,21 +334,18 @@ def _read(kind, value, where: str):
         return _read(tags[value[key]], value, f"the {value[key]} {where.removeprefix('the ')}")
     if classes:
         cls, tag = classes[0], getattr(classes[0], "TAG", None)
-        hints, names = typing.get_type_hints(cls), {f.name for f in dataclasses.fields(cls)}
-        parsed = {}
+        hints, fields = _hints(cls), {f.name: f for f in dataclasses.fields(cls)}
         for key, item in value.items():
-            if tag is not None and (key, item) == tag:
-                continue
-            if key not in names:
+            if key not in fields and (key, item) != tag:
                 raise ValueError(f"unknown key {key!r} in {where}")
-            nested = f"the {key} block" if _classes(hints[key]) else f"{key!r} in {where}"
-            parsed[key] = _read(hints[key], item, nested)
+        parsed = {}
+        for key, f in fields.items():
+            if key in value:
+                nested = f"the {key} block of {where}" if _classes(hints[key]) else f"{key!r} in {where}"
+                parsed[key] = _read(hints[key], value[key], nested)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"missing key {key!r} in {where}")
         return cls(**parsed)
-    if typing.get_origin(kind) is tuple:
-        items = typing.get_args(kind)
-        if not isinstance(value, list) or len(value) != len(items):
-            raise ValueError(f"{where} must be a list of {len(items)}, got {value!r}")
-        return tuple(_read(item_kind, item, where) for item_kind, item in zip(items, value))
     if type(value) is kind or kind is float and type(value) is int:
         return kind(value)
     raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")

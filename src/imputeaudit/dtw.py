@@ -54,9 +54,9 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _coordinates(v: np.ndarray) -> list[list]:
-    # One list per dimension, 1-based like the sweep's rows and columns.
-    return [[None, *v[:, k].tolist()] for k in range(v.shape[1])]
+def _coordinates(v: np.ndarray, start: int = 0) -> list[list]:
+    # One list per dimension, 1-based like the sweep's rows and columns; rows up to ``start`` are None.
+    return [[None] * (start + 1) + column for column in v[start:].T.tolist()]
 
 
 def _origin(m: int) -> list:
@@ -288,4 +288,4 @@ def dtw_distance(
     else:
         bound, synced, _ = _near_diagonal([va], vb)[0]
     ys = _coordinates(vb) if start == 0 else shared.ys
-    return _sweep(_coordinates(va), ys, costs, [bound] * n, synced, prev, first, last, range(start + 1, n + 1))
+    return _sweep(_coordinates(va, start), ys, costs, [bound] * n, synced, prev, first, last, range(start + 1, n + 1))

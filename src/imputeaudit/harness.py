@@ -9,14 +9,13 @@ derived from the master seed, so report.json is a pure function of
 """
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from .attack import AttackConfig, AttackReport, calibration_to_dict, report_to_dict, run_attack
-from .core import TimeSeries, _read, _to_dict, _write_json, derive_seed, zscore_normalize
+from .core import TimeSeries, _load, _read, _to_dict, _write_json, derive_seed, zscore_normalize
 from .data import (
     ScenarioSplit,
     SyntheticConfig,
@@ -114,8 +113,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_from_file(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    return _load(ExperimentConfig, path)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

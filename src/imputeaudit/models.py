@@ -22,12 +22,12 @@ Models operate in normalized space: callers are expected to z-score series
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .core import MaskedSeries, TimeSeries, _query, _read, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
+from .core import MaskedSeries, TimeSeries, _load, _query, _read, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -446,29 +446,29 @@ def parity_check(
 MODEL_FORMAT = "imputeaudit-model-v1"
 
 
+@dataclass(frozen=True)
+class _ModelFile:
+    """A model file: its format tag, and the parameters as base64 of little-endian float64s."""
+
+    TAG: ClassVar[tuple[str, str]] = ("format", MODEL_FORMAT)
+
+    config: ImputerConfig
+    n_steps: int
+    n_dims: int
+    history: tuple[float, ...]
+    params_b64: str
+
+
 def save_model(model: TrainedImputer, path: str) -> None:
     """Self-describing JSON dump; the parameter round trip is bit-exact."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "config": _to_dict(model.config),
-        "n_steps": model.n_steps,
-        "n_dims": model.n_dims,
-        "history": list(model.history),
-        "params_b64": base64.b64encode(np.ascontiguousarray(model.params, dtype="<f8").tobytes()).decode("ascii"),
-    }
-    _write_json(doc, path)
+    params_b64 = base64.b64encode(np.ascontiguousarray(model.params, dtype="<f8").tobytes()).decode("ascii")
+    _write_json(_to_dict(_ModelFile(model.config, model.n_steps, model.n_dims, model.history, params_b64)), path)
 
 
 def load_model(path: str) -> TrainedImputer:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load(dict, path)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    params = np.frombuffer(base64.b64decode(doc["params_b64"]), dtype="<f8").astype(np.float64)
-    return TrainedImputer(
-        config=_read(ImputerConfig, doc["config"], f"the config block of {path}"),
-        n_steps=int(doc["n_steps"]),
-        n_dims=int(doc["n_dims"]),
-        params=params,
-        history=tuple(doc["history"]),
-    )
+    file = _read(_ModelFile, doc, path)
+    params = np.frombuffer(base64.b64decode(file.params_b64), dtype="<f8").astype(np.float64)
+    return TrainedImputer(file.config, file.n_steps, file.n_dims, params, file.history)

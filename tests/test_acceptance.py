@@ -5,6 +5,7 @@ lines; the plain suite result is authoritative either way.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -211,6 +212,12 @@ def test_criterion_8_full_run_determinism(tmp_path):
         bytes_b = (Path(dir_b) / "report.json").read_bytes()
         assert bytes_a == bytes_b
         assert (Path(dir_a) / "scores.json").read_bytes() == (Path(dir_b) / "scores.json").read_bytes()
+        # The fixture runs at the benchmark's pinned seed, so its bytes are pinned there too.
+        pins = json.loads((CONFIG_DIR.parent / "benchmarks" / "pins.json").read_text())
+        assert cfg.master_seed == pins["seed"]
+        digests = {name: hashlib.sha256((Path(dir_a) / name).read_bytes()).hexdigest()
+                   for name in ("report.json", "scores.json")}
+        assert digests == pins["digests"]["s2-fixture"]
 
 
 def test_criterion_9_property_sweep(tmp_path):

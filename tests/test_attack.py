@@ -287,6 +287,29 @@ def test_report_serialization_round_trip():
         assert back.is_member == report.is_member
 
 
+def _scores_doc():
+    return {
+        "theta": 1.0, "theta_rule": {"kind": "fixed", "theta": 1.0},
+        "per_candidate": [{"id": "a", "l_t": 0.2, "l_r": 1.0, "r": 0.2, "is_member": True}],
+    }
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["per_candidate"][0].update(is_member="false"), "'is_member' in item 0 of the per_candidate block"),
+    (lambda d: d["per_candidate"][0].update(degenerate="no"), "'degenerate' in item 0 of the per_candidate block"),
+    (lambda d: d.update(theta="0.5"), "'theta' in the scores document"),
+    (lambda d: d["per_candidate"][0].update(ratio=0.2), "unknown key 'ratio' in item 0 of the per_candidate block"),
+    (lambda d: d.pop("per_candidate"), "missing key 'per_candidate' in the scores document"),
+], ids=["is_member", "degenerate", "theta", "unknown_row_key", "no_per_candidate"])
+def test_report_from_dict_rejects_mistyped_rows_by_name(edit, match):
+    # "is_member": "false" once read as a member and "degenerate": "no" as degenerate.
+    doc = _scores_doc()
+    assert report_from_dict(doc).is_member == (True,)
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        report_from_dict(doc)
+
+
 def test_theta_rule_codec():
     for rule in (StdRule(2.0), TopPercentRule(10.0), FixedTheta(0.8)):
         assert _read(ThetaRule, _to_dict(rule), "the theta_rule block") == rule

@@ -2,11 +2,15 @@
 
 The tracer (benchmarks/tracing.py) replaces each ``SITES`` entry by name, so a
 renamed or deleted function would otherwise fail every traced benchmark
-sample instead of this test.
+sample instead of this test. The audit-long workload's bytes are pinned here
+too, so a change to the model-file, scores or labels readers that moves them
+fails the suite before it fails a benchmark sample.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib
+import json
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -50,3 +54,25 @@ def test_attack_makes_one_dtw_call_and_one_impute_call_per_query(monkeypatch, ti
     attack.run_attack(fresh_model, fresh_model, list(tiny_corpus), cfg)
     assert counts["dtw"] == counts["impute"] == 2 * len(tiny_corpus) * cfg.repeats
     assert counts["mask"] == len(tiny_corpus) * cfg.repeats
+
+
+def test_audit_long_path_reproduces_its_pinned_bytes(monkeypatch, tmp_path):
+    # The benchmark's audit-long calls (benchmarks/run.py) at its pinned seed: save two models,
+    # then load them, score the candidates and summarize the scores against the labels.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    child = importlib.import_module("child")
+    from imputeaudit.cli import main
+
+    pins = json.loads((BENCHMARKS / "pins.json").read_text())
+    seed = pins["seed"]
+    prep = tmp_path / "prep"
+    prep.mkdir()
+    child.prepare_audit_long(str(prep), json.loads((BENCHMARKS / "audit_long.json").read_text()), seed)
+    scores, summary = tmp_path / "scores.json", tmp_path / "summary.json"
+    assert main(["attack", "--target", str(prep / "target.json"), "--reference", str(prep / "reference.json"),
+                 "--candidates", str(prep / "candidates.csv"), "--config", str(prep / "attack.json"),
+                 "--out", str(scores), "--seed", str(seed)]) == 0
+    assert main(["metrics", "--scores", str(scores), "--labels", str(prep / "labels.json"),
+                 "--out", str(summary)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (scores, summary)}
+    assert digests == pins["digests"]["audit-long"]

@@ -137,6 +137,12 @@ def test_metrics_command_missing_label_errors(tmp_path, capsys):
     assert main(["metrics", "--scores", str(tmp_path / "scores.json"),
                  "--labels", str(tmp_path / "labels.json")]) == 1
     assert "no entry for candidate" in capsys.readouterr().err
+    # A quoted "false" once read as a member; a label must be a JSON boolean.
+    (tmp_path / "labels.json").write_text(json.dumps({"a": "false"}))
+    assert main(["metrics", "--scores", str(tmp_path / "scores.json"),
+                 "--labels", str(tmp_path / "labels.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "candidate 'a'" in err[0]
 
 
 def test_scenario2_cli_runs_twice_byte_identical(tmp_path, capsys):
@@ -182,6 +188,23 @@ def test_train_rejects_an_unknown_config_key_by_name(tmp_path, capsys):
 def test_missing_config_file_reports_path(capsys):
     assert main(["scenario2", "--config", "/nonexistent/cfg.json"]) == 1
     assert "/nonexistent/cfg.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scenario2", "generate", "train", "attack", "metrics"])
+def test_malformed_json_input_reports_path(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"a": }')
+    args = {
+        "scenario2": ["--config", str(bad)],
+        "generate": ["--config", str(bad), "--out", str(tmp_path / "c.csv")],
+        "train": ["--data", str(tmp_path / "c.csv"), "--config", str(bad), "--out", str(tmp_path / "m.json")],
+        "attack": ["--target", str(bad), "--reference", str(bad), "--candidates", str(tmp_path / "c.csv"),
+                   "--out", str(tmp_path / "s.json")],
+        "metrics": ["--scores", str(bad), "--labels", str(bad)],
+    }[command]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad} is not valid JSON")
 
 
 def test_unknown_subcommand_exits_2(capsys):

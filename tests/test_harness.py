@@ -212,6 +212,11 @@ def test_config_rejects_unknown_keys_by_name():
         config_from_dict({**doc, "parity_tolerence": 5})
     with pytest.raises(ValueError, match="'delimiter'"):
         config_from_dict({**doc, "data": {"source": "csv", "path": "corpus.csv", "delimiter": ";"}})
+    # A required key left out is named too, not the dataclass constructor's TypeError.
+    with pytest.raises(ValueError, match="missing key 'scenario' in the experiment config"):
+        config_from_dict({k: v for k, v in doc.items() if k != "scenario"})
+    with pytest.raises(ValueError, match="missing key 'path' in the csv data block"):
+        config_from_dict({**doc, "data": {"source": "csv"}})
 
 
 @pytest.mark.parametrize("block, where, key", [

@@ -321,6 +321,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, arch_cfg):
     assert np.array_equal(loaded.params, model.params)
     assert loaded.config == model.config
     assert loaded.history == model.history
+    save_model(loaded, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     masked = apply_mask(corpus[0], random_missing_mask(corpus[0].shape, 0.3, seed=2))
     assert np.array_equal(loaded.impute(masked).values, model.impute(masked).values)
@@ -331,6 +333,9 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_text('{"format": "other"}')
     with pytest.raises(ValueError):
         load_model(str(path))
+    path.write_text('{"format": ')
+    with pytest.raises(ValueError, match="not_model.json is not valid JSON"):
+        load_model(str(path))
 
 
 def test_load_rejects_an_unknown_config_key(tmp_path):
@@ -340,6 +345,24 @@ def test_load_rejects_an_unknown_config_key(tmp_path):
     doc["config"]["epoch"] = 1
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unknown key 'epoch' in the config block of"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(n_steps="8"), "'n_steps' in .* must be int, got '8'"),
+    (lambda d: d.update(n_dims=True), "'n_dims' in .* must be int, got True"),
+    (lambda d: d.update(history=[1, "2.5"]), "item 1 of 'history' in .* must be float, got '2.5'"),
+    (lambda d: d.update(extra=1), "unknown key 'extra' in"),
+    (lambda d: d.pop("history"), "missing key 'history' in"),
+], ids=["n_steps", "n_dims", "history_item", "unknown_key", "no_history"])
+def test_load_rejects_mistyped_model_files_by_name(tmp_path, edit, match):
+    # Each of these once loaded, cast by hand or ignored, and a left-out history raised KeyError.
+    path = tmp_path / "model.json"
+    save_model(train(small_corpus(steps=6), replace(AE_TINY, epochs=1)), str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
         load_model(str(path))
 
 
