@@ -36,7 +36,6 @@ __all__ = [
     "classify",
     "resolve_theta",
     "run_attack",
-    "calibration_to_dict",
     "report_to_dict",
     "report_from_dict",
 ]
@@ -265,11 +264,6 @@ def run_attack(
     return AttackReport(theta, cfg.theta_rule, scores, tuple(classify(s, theta) for s in scores), calibration)
 
 
-def calibration_to_dict(report: AttackReport) -> dict:
-    """``{"calibration": {nonmembers, also_candidates}}`` when StdRule calibrated theta, else ``{}``."""
-    return {} if report.calibration is None else {"calibration": _to_dict(report.calibration)}
-
-
 def report_to_dict(report: AttackReport) -> dict:
     """Fixed wire schema: {theta, theta_rule[, calibration], per_candidate:[{id,l_t,l_r,r,is_member[,degenerate]}]}.
 
@@ -279,7 +273,7 @@ def report_to_dict(report: AttackReport) -> dict:
     return {
         "theta": report.theta,
         "theta_rule": _to_dict(report.theta_rule),
-        **calibration_to_dict(report),
+        **({} if report.calibration is None else {"calibration": _to_dict(report.calibration)}),
         "per_candidate": [
             {"id": s.candidate_id, "l_t": s.l_t, "l_r": s.l_r, "r": s.r, "is_member": member}
             | ({"degenerate": True} if s.degenerate else {})

@@ -11,27 +11,22 @@ equals the original up to its masked block. The rows of the program above
 that block see only the original, so they are the rows of the original's
 self-alignment. A ``SelfAlignment`` computes every completion's
 diagonal-path cost U, last nonzero-diagonal row and first differing row in
-one stacked pass, then sweeps the shared rows once per original, and every
-pair resumes from them at its own first differing row. Row r is swept at
-B_r, the largest U among the pairs that resume at or below row r, so B_r
-never increases with r and the rows only the pairs with late blocks need
-are swept narrower.
+one stacked pass, then sweeps the shared rows once per original, at one
+bound B, the largest U among the completions that first differ below row 0.
+Every pair resumes from them at its own first differing row.
 
-Why the bits do not change: by induction on r, the sweep computes every
-cell of row r whose full-sweep value is at or below B_r exactly, and
-leaves every other cell above B_r, or unswept (infinite). Costs are
-nonnegative, so such a cell's optimal predecessor is at or below B_r, which
-is at most B_{r-1}; that predecessor was therefore computed exactly, and
-the sweep reaches the cell. A pair that resumes at row s has U <= B_s <= B_r
-for every r <= s, so every cell it reads at or below U is exact and every
-other cell is above U. The pair's sweep only ever compares cells with U and
-takes minima, where a cell above U never beats one at or below it. So every
-comparison with U, hence every cell swept, every cell at or below U and
-D(n, n), which is at most U, is the same as in the pair's own sweep.
+Why the bits do not change: the shared rows are the pruned sweep at B, so by
+the argument ``dtw_distance`` gives for U, every cell of them whose
+full-sweep value is at or below B is exact, and every other cell is above B,
+or unswept (infinite). A pair that resumes has U <= B, so every cell it
+reads at or below U is exact and every other cell is above U. The pair's
+sweep only ever compares cells with U and takes minima, where a cell above U
+never beats one at or below it. So every comparison with U, hence every cell
+swept, every cell at or below U and D(n, n), which is at most U, is the same
+as in the pair's own sweep.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -79,12 +74,6 @@ def _diagonal_bounds(diagonals: np.ndarray) -> tuple[list[float], list[int]]:
     return np.add.accumulate(diagonals, axis=1)[:, -1].tolist(), synced.tolist()
 
 
-def _diagonal_bound(diagonal: np.ndarray) -> tuple[float, int]:
-    """U and the last nonzero-diagonal row of one diagonal (see ``_diagonal_bounds``)."""
-    bounds, synced = _diagonal_bounds(diagonal[None])
-    return bounds[0], synced[0]
-
-
 def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float, int, int]]:
     """U, the last nonzero-diagonal row and the number of leading rows equal
     to ``vb``, for each of ``series`` against ``vb``, all of one shape
@@ -102,18 +91,18 @@ def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float
     return list(zip(bounds, synced, equal.tolist()))
 
 
-def _sweep(xs: list[list], ys: list[list], costs: list | None, bounds: list, synced: int,
+def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, synced: int,
            prev: list, first: int, last: int, rows: range, keep: list | None = None) -> float:
     """Sweep the DP rows ``rows`` (1-based) on top of ``prev``, the row before them.
 
-    Row i is pruned at ``bounds[i - 1]``, and the bounds never increase.
-    ``first`` and ``last`` are ``prev``'s first and last column at or below
-    its own bound. Point costs come from ``costs`` when given, and from the
-    coordinates ``xs`` of the rows and ``ys`` of the columns otherwise (one
-    or two dimensions). Each swept row goes to ``keep``, when it is given,
-    with its own first and last column at or below the bound. Returns the
-    last swept row's last cell, or D(i, i) from the early stop (see
-    ``dtw_distance``). ``prev`` is only read, never written.
+    Every row is pruned at ``bound``. ``first`` and ``last`` are ``prev``'s
+    first and last column at or below it. Point costs come from ``costs``
+    when given, and from the coordinates ``xs`` of the rows and ``ys`` of the
+    columns otherwise (one or two dimensions). Each swept row goes to
+    ``keep``, when it is given, with its own first and last column at or
+    below the bound. Returns the last swept row's last cell, or D(i, i) from
+    the early stop (see ``dtw_distance``). ``prev`` is only read, never
+    written.
     """
     inf = float("inf")
     sqrt = math.sqrt
@@ -121,7 +110,6 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bounds: list, syn
     two = len(ys) == 2
     xs0, xs1, ys0, ys1 = xs[0], xs[-1], ys[0], ys[-1]
     for i in rows:
-        bound = bounds[i - 1]
         cur = [inf] * (m + 1)
         row = costs[i - 1] if costs is not None else None
         x0, x1 = xs0[i], xs1[i]
@@ -168,21 +156,20 @@ class SelfAlignment:
     last nonzero-diagonal row and the first differing row of every
     completion of the original's shape. It then sweeps the rows, once, down
     to the last row before any completion first differs from the original,
-    row r at B_r (``bounds[r - 1]``), the largest U among the completions
-    that first differ at or below row r. Each later pair reads the rows and
-    never changes them, and a ``TimeSeries`` completion reads its three
-    numbers from the pass instead of computing them again. A pair the rows
-    do not serve gets the plain sweep: unequal lengths, more than two
-    dimensions, another original, or U above the bound of the row it would
-    resume from.
+    at one bound (``bound``), the largest U among the completions that first
+    differ below row 0. Each later pair reads the rows and never changes
+    them, and a ``TimeSeries`` completion reads its three numbers from the
+    pass instead of computing them again. A pair the rows do not serve gets
+    the plain sweep: unequal lengths, more than two dimensions, another
+    original, or U above ``bound``.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
         self.original = _values(original)
         self.ys = _coordinates(self.original)
         self.completions = completions
-        self.rows: list | None = None  # row i is rows[i - 1], with its first and last column at or below B_i
-        self.bounds: list[float] = []  # B_i is bounds[i - 1]
+        self.rows: list | None = None  # row i is rows[i - 1], with its first and last column at or below bound
+        self.bound = 0.0  # every shared row is swept at it
         self._pairs: dict = {}  # id of a TimeSeries completion -> (the completion, (U, synced, equal))
 
     def _build(self) -> None:
@@ -193,14 +180,11 @@ class SelfAlignment:
         for completion, pair in zip(same, numbers):
             if isinstance(completion, TimeSeries):  # frozen values, so the numbers stay right
                 self._pairs[id(completion)] = (completion, pair)
-        # top[s]: the largest U among the pairs that first differ at row s (a NaN U never serves).
-        top = [0.0] * (max((equal for _, _, equal in numbers), default=0) + 1)
-        for bound, _, equal in numbers:
-            if bound > top[equal]:
-                top[equal] = bound
-        self.bounds = list(itertools.accumulate(reversed(top[1:]), max))[::-1]
+        # A NaN U never serves, and a pair that differs at row 0 resumes from no row.
+        self.bound = max((u for u, _, equal in numbers if equal and not math.isnan(u)), default=0.0)
+        depth = max((equal for _, _, equal in numbers), default=0)
         self.rows = []
-        _sweep(self.ys, self.ys, None, self.bounds, n + 1, _origin(n), 1, 0, range(1, len(self.bounds) + 1), self.rows)
+        _sweep(self.ys, self.ys, None, self.bound, n + 1, _origin(n), 1, 0, range(1, depth + 1), self.rows)
 
     def _pair(self, a: object, va: np.ndarray) -> tuple[float, int, int]:
         """U, the last nonzero-diagonal row and the leading equal rows of ``va`` against the original."""
@@ -213,7 +197,7 @@ class SelfAlignment:
         """The last shared row a pair can start from, its first and last column
         at or below the pair's ``bound``, and its row number; None if none serves."""
         start = min(equal, len(self.rows))
-        if start == 0 or not bound <= self.bounds[start - 1]:
+        if start == 0 or not bound <= self.bound:
             return None
         row, first, last = self.rows[start - 1]
         # D(start, start) is 0.0 <= bound, so both scans stop inside [first, last].
@@ -254,8 +238,8 @@ def dtw_distance(
     infinite cost is never 0.0, and unequal lengths never stop early.
 
     With ``shared``, the self-alignment of ``b``, the sweep starts below the
-    rows where ``a`` equals ``b``. Those rows were swept once, each at a
-    bound at least U (see the module docstring): every cell at or below U in
+    rows where ``a`` equals ``b``. Those rows were swept once, at one bound
+    at least U (see the module docstring): every cell at or below U in
     them is exact and every other cell is above U, so the first and last
     columns at or below U, every later comparison with U and D(n, n) are
     those of the pair's own sweep. ``shared`` changes the time, never the
@@ -279,7 +263,7 @@ def dtw_distance(
         matrix = _point_costs(va, vb)
         costs = matrix.tolist()
         if n == m:
-            bound, synced = _diagonal_bound(np.diagonal(matrix))
+            (bound,), (synced,) = _diagonal_bounds(np.diagonal(matrix)[None])
     elif shared is not None and (vb is shared.original or np.array_equal(vb, shared.original)):
         bound, synced, equal = shared._pair(a, va)
         resumed = shared._resume(bound, equal)
@@ -288,4 +272,4 @@ def dtw_distance(
     else:
         bound, synced, _ = _near_diagonal([va], vb)[0]
     ys = _coordinates(vb) if start == 0 else shared.ys
-    return _sweep(_coordinates(va, start), ys, costs, [bound] * n, synced, prev, first, last, range(start + 1, n + 1))
+    return _sweep(_coordinates(va, start), ys, costs, bound, synced, prev, first, last, range(start + 1, n + 1))

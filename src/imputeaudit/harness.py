@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from .attack import AttackConfig, AttackReport, calibration_to_dict, report_to_dict, run_attack
+from .attack import AttackConfig, AttackReport, report_to_dict, run_attack
 from .core import TimeSeries, _load, _read, _to_dict, _write_json, derive_seed, zscore_normalize
 from .data import (
     ScenarioSplit,
@@ -226,14 +226,14 @@ def report_json_dict(report: ExperimentReport) -> dict:
     candidates too (``calibration``); the scenario pipelines calibrate on the
     test split they score, so there it is all of them."""
     members = sum(report.labels)
+    attack_doc = report_to_dict(report.attack_report)
+    del attack_doc["per_candidate"]  # theta, theta_rule and, for std_rule, calibration stay
     return {
         "scenario": report.config.scenario,
         "master_seed": report.config.master_seed,
         "config": config_to_dict(report.config),
         "parity": {**_to_dict(report.parity), "gap": report.parity.gap},
-        "theta": report.attack_report.theta,
-        "theta_rule": _to_dict(report.attack_report.theta_rule),
-        **calibration_to_dict(report.attack_report),
+        **attack_doc,
         "candidates": {"members": members, "nonmembers": len(report.labels) - members},
         "methods": {"lbrm": report.lbrm_metrics, "naive": report.naive_metrics},
         "roc_files": {"lbrm": "roc_lbrm.csv", "naive": "roc_naive.csv"},

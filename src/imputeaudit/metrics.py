@@ -134,13 +134,18 @@ def tpr_at_top_percent(data: LabeledScores, percent: float) -> float:
     return float((selected & data.is_member).sum() / data.n_members)
 
 
-def headline_summary(data: LabeledScores, fpr_cap: float = 0.1, top_percent: float = 25.0) -> dict[str, float]:
+# The operating points of the headline summary; its keys name them.
+_FPR_CAP = 0.1
+_TOP_PERCENT = 25.0
+
+
+def headline_summary(data: LabeledScores) -> dict[str, float]:
     """The three numbers every report carries: AUROC, TPR@0.1 FPR, TPR@top25%."""
     curve = roc_curve(data)
     return {
         "auroc": auroc(curve),
-        "tpr_at_0_1": tpr_at_fpr(curve, fpr_cap),
-        "tpr_at_top25": tpr_at_top_percent(data, top_percent),
+        "tpr_at_0_1": tpr_at_fpr(curve, _FPR_CAP),
+        "tpr_at_top25": tpr_at_top_percent(data, _TOP_PERCENT),
     }
 
 

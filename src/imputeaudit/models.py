@@ -411,8 +411,10 @@ def evaluate_mae(model, data: list[TimeSeries], fraction: float, seed: int) -> f
     count = 0
     for i, s in enumerate(data):
         mask = random_missing_mask(s.shape, fraction, derive_seed(seed, i))
-        completed = _query(model, apply_mask(s, mask), "parity")
         hidden = mask.missing()
+        if not hidden.any():
+            raise ValueError(f"parity fraction {fraction} hides no entry of series {s.id!r} of shape {s.shape}")
+        completed = _query(model, apply_mask(s, mask), "parity")
         abs_err += float(np.abs(completed.values[hidden] - s.values[hidden]).sum())
         count += int(hidden.sum())
     return abs_err / count

@@ -201,10 +201,10 @@ def test_criterion_7_split_fidelity():
         assert (len(split_b.public), len(split_b.private), len(split_b.test)) == (886, 295, 296)
 
 
-def test_criterion_8_full_run_determinism(tmp_path):
+def test_criterion_8_full_run_determinism(scenario2_outcome, tmp_path):
     with criterion(8, "two identical scenario runs produce byte-identical report.json"):
+        first, _ = scenario2_outcome
         cfg = config_from_file(str(CONFIG_DIR / "scenario2_fixture.json"))
-        first = run_experiment(cfg)
         second = run_experiment(cfg)
         dir_a = write_experiment_outputs(first, str(tmp_path / "a"))
         dir_b = write_experiment_outputs(second, str(tmp_path / "b"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from imputeaudit.core import TimeSeries
-from imputeaudit.dtw import SelfAlignment, _diagonal_bound, _diagonal_bounds, _near_diagonal, dtw_distance
+from imputeaudit.dtw import SelfAlignment, _diagonal_bounds, _near_diagonal, dtw_distance
 
 
 def test_identity_is_exactly_zero():
@@ -275,11 +275,12 @@ def test_diagonal_bound_adds_in_the_sweeps_order(diagonal):
     for i, c in enumerate(diagonal.tolist(), 1):
         bound = c + bound
         synced = i if c != 0.0 else synced
-    assert _diagonal_bound(diagonal) == (bound, synced)
+    assert _diagonal_bounds(diagonal[None]) == ([bound], [synced])
 
 
-# Falling bounds: row r of the shared rows is swept at B_r, the largest U among
-# the completions that first differ at or below row r.
+# The shared rows are swept at one bound, the largest U among the completions
+# that resume from them; completions whose U falls or rises with their block's
+# start resume from rows swept wider than their own U.
 SHARED = settings(max_examples=100, deadline=None)
 
 @st.composite
@@ -305,30 +306,28 @@ def sloped_completion_sets(draw):
 
 @SHARED
 @given(sloped_completion_sets())
-def test_falling_bounds_match_full_sweep(case):
+def test_sloped_completions_match_full_sweep(case):
     original, completions = case
     shared = SelfAlignment(original, completions)
     for completion in completions:
         assert dtw_distance(completion, original, shared) == dtw_reference(completion.values, original)
-    assert len(shared.bounds) == len(shared.rows)
-    assert all(later <= earlier for earlier, later in zip(shared.bounds, shared.bounds[1:]))
-    # B_r is the largest U among the completions that first differ at or below row r.
-    diagonal = [_diagonal_bound(np.sqrt(((c.values - original) ** 2).sum(axis=1)))[0] for c in completions]
-    for r, bound in enumerate(shared.bounds, 1):
-        resuming = [u for u, c in zip(diagonal, completions) if _equal_rows(c.values, original) >= r]
-        assert bound == max(resuming)
+    # The bound is the largest U among the completions that resume from a shared row.
+    diagonal, _ = _diagonal_bounds(np.sqrt(((np.stack([c.values for c in completions]) - original) ** 2).sum(axis=2)))
+    resuming = [u for u, c in zip(diagonal, completions) if _equal_rows(c.values, original) >= 1]
+    assert shared.bound == max(resuming, default=0.0)
 
 
 @EXACT
 @given(completion_sets())
 def test_shared_rows_are_exact_at_or_below_their_bound(case):
-    # The claim the falling bounds rest on: each shared cell at or below its row's
-    # bound is the full sweep's, and every other one is above that bound.
+    # The claim the shared rows rest on: each shared cell at or below the bound
+    # is the full sweep's, and every other one is above the bound.
     original, completions = case
     shared = SelfAlignment(original, completions)
     dtw_distance(completions[0], original, shared)
     full = dtw_reference_rows(original, original)
-    for r, ((row, first, last), bound) in enumerate(zip(shared.rows, shared.bounds), 1):
+    bound = shared.bound
+    for r, (row, first, last) in enumerate(shared.rows, 1):
         for j, (got, want) in enumerate(zip(row, full[r])):
             assert got == want if want <= bound else got > bound
         inside = [j for j, want in enumerate(full[r]) if want <= bound]
@@ -364,6 +363,6 @@ def test_a_completion_the_rows_were_not_built_from_matches_full_sweep(case, data
 )
 def test_stacked_diagonal_bounds_match_each_diagonal_alone(diagonals):
     bounds, synced = _diagonal_bounds(diagonals)
-    alone = [_diagonal_bound(row) for row in diagonals]
-    assert np.array_equal(bounds, [u for u, _ in alone], equal_nan=True)
-    assert synced == [s for _, s in alone]
+    alone = [_diagonal_bounds(row[None]) for row in diagonals]
+    assert np.array_equal(bounds, [u for (u,), _ in alone], equal_nan=True)
+    assert synced == [s for _, (s,) in alone]

@@ -250,6 +250,18 @@ def test_evaluate_mae_of_zero_filler_is_mean_abs():
     assert mae == pytest.approx(total / count, abs=1e-12)
 
 
+def test_parity_fraction_that_hides_no_entry_raises_before_that_series_is_queried():
+    from helpers import RecordingOracle
+
+    # round(0.005 * 400) = 2 entries, but round(0.005 * 64) = 0: the s2 fixture's
+    # 64 x 1 series would hide none and the mean would divide by zero.
+    corpus = [TimeSeries("long", np.zeros((400, 1))), TimeSeries("s0", np.zeros((64, 1)))]
+    oracle = RecordingOracle()
+    with pytest.raises(ValueError, match=r"parity fraction 0.005 hides no entry of series 's0' of shape \(64, 1\)"):
+        parity_check(oracle, oracle, corpus, tolerance=0.1, fraction=0.005)
+    assert [view.series.id for view in oracle.seen] == ["long"]
+
+
 def test_overfit_autoencoder_memorizes(tiny_corpus, overfit_model, fresh_model):
     assert overfit_model.history[-1] < 0.05
 
