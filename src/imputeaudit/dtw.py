@@ -49,9 +49,9 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _coordinates(v: np.ndarray, start: int = 0) -> list[list]:
-    # One list per dimension, 1-based like the sweep's rows and columns; rows up to ``start`` are None.
-    return [[None] * (start + 1) + column for column in v[start:].T.tolist()]
+def _coordinates(v: np.ndarray) -> list[list]:
+    # One list per dimension, 1-based like the sweep's rows and columns.
+    return [[None] + column for column in v.T.tolist()]
 
 
 def _origin(m: int) -> list:
@@ -74,21 +74,24 @@ def _diagonal_bounds(diagonals: np.ndarray) -> tuple[list[float], list[int]]:
     return np.add.accumulate(diagonals, axis=1)[:, -1].tolist(), synced.tolist()
 
 
-def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float, int, int]]:
-    """U, the last nonzero-diagonal row and the number of leading rows equal
-    to ``vb``, for each of ``series`` against ``vb``, all of one shape
-    (n, dims) with 1 or 2 dims.
+def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float, int, int, int]]:
+    """U, the last nonzero-diagonal row, the number of leading rows equal to
+    ``vb`` and the last row that differs from it (0 if none), for each of
+    ``series`` against ``vb``, all of one shape (n, dims) with 1 or 2 dims.
 
     Two finite floats differ exactly when their difference is nonzero, and a
-    NaN difference counts as nonzero, so the leading equal rows are those
-    with an all-zero ``diff`` row, even where a difference squares to zero.
+    NaN difference counts as nonzero, so the equal rows are those with an
+    all-zero ``diff`` row, even where a difference squares to zero.
     """
+    n = vb.shape[0]
     diff = np.stack(series) - vb
     square = diff * diff
     bounds, synced = _diagonal_bounds(np.sqrt(square[..., 0] + square[..., 1] if vb.shape[1] == 2 else square[..., 0]))
     changed = (diff != 0.0).any(axis=2)
-    equal = np.where(changed.any(axis=1), changed.argmax(axis=1), vb.shape[0])
-    return list(zip(bounds, synced, equal.tolist()))
+    some = changed.any(axis=1)
+    equal = np.where(some, changed.argmax(axis=1), n)
+    differ = np.where(some, n - changed[:, ::-1].argmax(axis=1), 0)
+    return list(zip(bounds, synced, equal.tolist(), differ.tolist()))
 
 
 def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, synced: int,
@@ -181,13 +184,13 @@ class SelfAlignment:
             if isinstance(completion, TimeSeries):  # frozen values, so the numbers stay right
                 self._pairs[id(completion)] = (completion, pair)
         # A NaN U never serves, and a pair that differs at row 0 resumes from no row.
-        self.bound = max((u for u, _, equal in numbers if equal and not math.isnan(u)), default=0.0)
-        depth = max((equal for _, _, equal in numbers), default=0)
+        self.bound = max((u for u, _, equal, _ in numbers if equal and not math.isnan(u)), default=0.0)
+        depth = max((equal for _, _, equal, _ in numbers), default=0)
         self.rows = []
         _sweep(self.ys, self.ys, None, self.bound, n + 1, _origin(n), 1, 0, range(1, depth + 1), self.rows)
 
-    def _pair(self, a: object, va: np.ndarray) -> tuple[float, int, int]:
-        """U, the last nonzero-diagonal row and the leading equal rows of ``va`` against the original."""
+    def _pair(self, a: object, va: np.ndarray) -> tuple[float, int, int, int]:
+        """``_near_diagonal``'s four numbers for ``va`` against the original."""
         if self.rows is None:
             self._build()
         known = self._pairs.get(id(a))
@@ -265,11 +268,20 @@ def dtw_distance(
         if n == m:
             (bound,), (synced,) = _diagonal_bounds(np.diagonal(matrix)[None])
     elif shared is not None and (vb is shared.original or np.array_equal(vb, shared.original)):
-        bound, synced, equal = shared._pair(a, va)
+        bound, synced, equal, differ = shared._pair(a, va)
         resumed = shared._resume(bound, equal)
         if resumed is not None:
             prev, first, last, start = resumed
     else:
-        bound, synced, _ = _near_diagonal([va], vb)[0]
-    ys = _coordinates(vb) if start == 0 else shared.ys
-    return _sweep(_coordinates(va, start), ys, costs, bound, synced, prev, first, last, range(start + 1, n + 1))
+        bound, synced, _, _ = _near_diagonal([va], vb)[0]
+    if start == 0:
+        xs, ys = _coordinates(va), _coordinates(vb)
+    else:
+        # Outside its differing rows ``a`` equals the original, so its coordinates are a copy of the
+        # original's with those rows written in; a zero of either sign squares to the same cost.
+        ys = shared.ys
+        xs = [y.copy() for y in ys]
+        stop = max(differ, start)
+        for x, column in zip(xs, va[start:stop].T.tolist()):
+            x[start + 1 : stop + 1] = column
+    return _sweep(xs, ys, costs, bound, synced, prev, first, last, range(start + 1, n + 1))

@@ -87,6 +87,13 @@ class ExperimentConfig:
             raise ValueError("parity_tolerance must be positive")
         if not 0.0 < self.parity_fraction < 1.0:
             raise ValueError("parity_fraction must be in (0, 1)")
+        # The parity mask hides round(fraction * steps * dims) entries (core.random_missing_mask). A
+        # synthetic series' shape is known here; a CSV source is checked when evaluate_mae masks it.
+        if isinstance(self.data, SyntheticConfig) and round(self.parity_fraction * self.data.length * self.data.dims) == 0:
+            raise ValueError(
+                f"parity_fraction {self.parity_fraction} hides no entry of a {self.data.length}x{self.data.dims} "
+                "synthetic series"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,13 +8,17 @@ finite differences.
 
 A training run allocates its parameter, gradient and velocity buffers once
 and names their blocks through views built once; ``forward`` reads the
-parameter views and ``backward`` overwrites every gradient view. Each epoch
-draws all of its masks in one ``(n, steps * dims)`` call and gathers the
-shuffled data once, and each batch slices both. That is the same stream as a
-draw per batch: ``Generator.random`` spends one 64-bit word per float64, so
-one draw of n rows equals the per-batch draws joined, and the hidden entries
-are picked per row (``argpartition`` along axis 1), exactly ``n_hidden`` of
-them in every row.
+parameter views and ``backward`` overwrites every gradient view. The run also
+owns one workspace that both passes write every per-step tensor into (see
+``_buffer``); ``TrainedImputer.impute`` passes none, so a trained model holds
+no mutable state.
+
+Each epoch draws all of its masks in one ``(n, steps * dims)`` call and
+gathers the shuffled data once, and each batch slices both. That is the same
+stream as a draw per batch: ``Generator.random`` spends one 64-bit word per
+float64, so one draw of n rows equals the per-batch draws joined, and the
+hidden entries are picked per row (``argpartition`` along axis 1), exactly
+``n_hidden`` of them in every row.
 
 Models operate in normalized space: callers are expected to z-score series
 (see core.zscore_normalize) before training or querying.
@@ -115,8 +119,29 @@ def _fan_in_init(rng: np.random.Generator, layout: _Layout) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _buffer(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: a new one without a
+    workspace, else the one ``ws`` holds under (name, shape), made on first use.
+
+    A training run passes one workspace to every step, so a step's tensors
+    reuse the memory of the step before instead of being freed and mapped
+    again; there is one set per batch size, as an epoch's short last batch
+    has its own shapes.
+    """
+    if ws is None:
+        return np.empty(shape)
+    buf = ws.get((name, shape))
+    if buf is None:
+        buf = ws[(name, shape)] = np.empty(shape)
+    return buf
+
+
 class _Autoencoder:
-    """tanh MLP: flattened series -> hidden -> latent -> hidden -> series."""
+    """tanh MLP: flattened series -> hidden -> latent -> hidden -> series.
+
+    Its tensors are a few KiB, small enough that allocating them each step
+    costs little, so it takes a workspace and ignores it.
+    """
 
     def __init__(self, n_steps: int, n_dims: int, cfg: ImputerConfig) -> None:
         flat = n_steps * n_dims
@@ -128,7 +153,7 @@ class _Autoencoder:
         self.layout = _layout(shapes)
         self.n_params = self.layout[-1][2]
 
-    def forward(self, p: dict[str, np.ndarray], x: np.ndarray):
+    def forward(self, p: dict[str, np.ndarray], x: np.ndarray, ws: dict | None = None):
         b, t, d = x.shape
         a0 = x.reshape(b, t * d)
         h1 = np.tanh(a0 @ p["W1"] + p["b1"])
@@ -137,7 +162,8 @@ class _Autoencoder:
         y = h2 @ p["W4"] + p["b4"]
         return y.reshape(b, t, d), (a0, h1, z, h2)
 
-    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray]) -> None:
+    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray],
+                 ws: dict | None = None) -> None:
         """Overwrite every gradient view in ``g``."""
         a0, h1, z, h2 = cache
         b = dy.shape[0]
@@ -177,6 +203,7 @@ class _SelfAttentionImputer:
         dm, ff = cfg.model_dim, cfg.ff_dim
         self.heads = cfg.heads
         self.head_dim = dm // cfg.heads
+        self.ff_dim = ff
         self.blocks = cfg.blocks
         self.positions = _sinusoid_table(n_steps, dm)
         shapes = [("We", (n_dims, dm)), ("be", (dm,))]
@@ -194,70 +221,121 @@ class _SelfAttentionImputer:
         self.n_params = self.layout[-1][2]
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
+        """(b, t, heads * head_dim) -> a (b, heads, t, head_dim) view; writes land in ``x``."""
         b, t, _ = x.shape
         return x.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        b, h, t, hd = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
-
-    def forward(self, p: dict[str, np.ndarray], x: np.ndarray):
-        h = x @ p["We"] + p["be"] + self.positions
+    def forward(self, p: dict[str, np.ndarray], x: np.ndarray, ws: dict | None = None):
+        """Every tensor of the step goes to a buffer from ``ws`` (see ``_buffer``);
+        the cache holds them, so it is valid until the next step through ``ws``."""
+        b, t, _ = x.shape
+        dm, hd = self.heads * self.head_dim, self.head_dim
+        scale = 1.0 / np.sqrt(hd)
+        h = _buffer(ws, "h0", (b, t, dm))
+        np.matmul(x, p["We"], out=h)
+        h += p["be"]
+        h += self.positions
+        key_t = _buffer(ws, "key_t", (b, self.heads, hd, t))
+        row = _buffer(ws, "row", (b, self.heads, t, 1))
         block_caches = []
-        scale = 1.0 / np.sqrt(self.head_dim)
         for k in range(self.blocks):
-            q = self._split_heads(h @ p[f"Wq{k}"] + p[f"bq{k}"])
-            key = self._split_heads(h @ p[f"Wk{k}"] + p[f"bk{k}"])
-            v = self._split_heads(h @ p[f"Wv{k}"] + p[f"bv{k}"])
-            logits = (q @ key.transpose(0, 1, 3, 2)) * scale
-            logits -= logits.max(axis=-1, keepdims=True)  # softmax stability
-            weights = np.exp(logits)
-            weights /= weights.sum(axis=-1, keepdims=True)
-            mixed = self._merge_heads(weights @ v)
-            attended = h + mixed @ p[f"Wo{k}"] + p[f"bo{k}"]
-            pre = attended @ p[f"Wf1_{k}"] + p[f"bf1_{k}"]
-            act = np.tanh(pre)
-            out = attended + act @ p[f"Wf2_{k}"] + p[f"bf2_{k}"]
+            projections = []
+            for gate in "qkv":
+                proj = _buffer(ws, f"{gate}{k}", (b, t, dm))
+                np.matmul(h, p[f"W{gate}{k}"], out=proj)
+                proj += p[f"b{gate}{k}"]
+                projections.append(self._split_heads(proj))
+            q, key, v = projections
+            # A contiguous copy of k^T multiplies faster than the transposed view, to the same bits.
+            np.copyto(key_t, key.transpose(0, 1, 3, 2))
+            weights = _buffer(ws, f"weights{k}", (b, self.heads, t, t))
+            np.matmul(q, key_t, out=weights)
+            weights *= scale
+            weights -= weights.max(axis=-1, keepdims=True, out=row)  # softmax stability
+            np.exp(weights, out=weights)
+            weights /= weights.sum(axis=-1, keepdims=True, out=row)
+            mixed = _buffer(ws, f"mixed{k}", (b, t, dm))
+            np.matmul(weights, v, out=self._split_heads(mixed))
+            attended = _buffer(ws, f"attended{k}", (b, t, dm))
+            np.matmul(mixed, p[f"Wo{k}"], out=attended)
+            np.add(h, attended, out=attended)
+            attended += p[f"bo{k}"]
+            act = _buffer(ws, f"act{k}", (b, t, self.ff_dim))
+            np.matmul(attended, p[f"Wf1_{k}"], out=act)
+            act += p[f"bf1_{k}"]
+            np.tanh(act, out=act)
+            out = _buffer(ws, f"h{k + 1}", (b, t, dm))
+            np.matmul(act, p[f"Wf2_{k}"], out=out)
+            np.add(attended, out, out=out)
+            out += p[f"bf2_{k}"]
             block_caches.append((h, q, key, v, weights, mixed, attended, act))
             h = out
-        y = h @ p["Wout"] + p["bout"]
+        y = _buffer(ws, "y", x.shape)
+        np.matmul(h, p["Wout"], out=y)
+        y += p["bout"]
         return y, (x, h, block_caches)
 
-    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray]) -> None:
-        """Overwrite every gradient view in ``g``."""
+    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray],
+                 ws: dict | None = None) -> None:
+        """Overwrite every gradient view in ``g``.
+
+        One buffer ``dh`` carries the gradient down the blocks: each block
+        adds its residual branches to it in place, in the order the sums are
+        written, so it holds dout, then dattended, then dh_in.
+        """
         x, h_final, block_caches = cache
+        b, t, _ = x.shape
+        dm = self.heads * self.head_dim
         scale = 1.0 / np.sqrt(self.head_dim)
 
         g["Wout"][...] = np.einsum("btm,btd->md", h_final, dy)
         g["bout"][...] = dy.sum(axis=(0, 1))
-        dh = dy @ p["Wout"].T
+        dh = _buffer(ws, "dh", (b, t, dm))
+        np.matmul(dy, p["Wout"].T, out=dh)
+        branch = _buffer(ws, "branch", (b, t, dm))
+        dmixed = _buffer(ws, "dmixed", (b, t, dm))
+        # dq, dk and dv side by side, so one contraction and one sum give their weight and bias gradients.
+        dqkv = _buffer(ws, "dqkv", (b, t, 3 * dm))
+        dq, dkey, dv = (self._split_heads(dqkv[..., i * dm : (i + 1) * dm]) for i in range(3))
+        dweights = _buffer(ws, "dweights", (b, self.heads, t, t))
+        dlogits = _buffer(ws, "dlogits", (b, self.heads, t, t))
+        row = _buffer(ws, "row", (b, self.heads, t, 1))
+        dpre = _buffer(ws, "dpre", (b, t, self.ff_dim))
+        slope = _buffer(ws, "slope", (b, t, self.ff_dim))
 
         for k in reversed(range(self.blocks)):
             h_in, q, key, v, weights, mixed, attended, act = block_caches[k]
             # feed-forward residual: out = attended + tanh(attended W1 + b1) W2 + b2
-            g[f"Wf2_{k}"][...] = np.einsum("btf,btm->fm", act, dh)
+            g[f"Wf2_{k}"][...] = np.einsum("btm,btf->mf", dh, act).T
             g[f"bf2_{k}"][...] = dh.sum(axis=(0, 1))
-            dact = dh @ p[f"Wf2_{k}"].T
-            dpre = dact * (1.0 - act * act)
+            np.matmul(dh, p[f"Wf2_{k}"].T, out=dpre)
+            np.multiply(act, act, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            dpre *= slope
             g[f"Wf1_{k}"][...] = np.einsum("btm,btf->mf", attended, dpre)
             g[f"bf1_{k}"][...] = dpre.sum(axis=(0, 1))
-            dattended = dh + dpre @ p[f"Wf1_{k}"].T
+            dh += np.matmul(dpre, p[f"Wf1_{k}"].T, out=branch)  # now dattended
             # attention residual: attended = h_in + merge(softmax(q k^T) v) Wo + bo
-            g[f"Wo{k}"][...] = np.einsum("btm,btn->mn", mixed, dattended)
-            g[f"bo{k}"][...] = dattended.sum(axis=(0, 1))
-            dmixed = self._split_heads(dattended @ p[f"Wo{k}"].T)
-            dweights = dmixed @ v.transpose(0, 1, 3, 2)
-            dv = weights.transpose(0, 1, 3, 2) @ dmixed
-            dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
-            dq = (dlogits @ key) * scale
-            dkey = (dlogits.transpose(0, 1, 3, 2) @ q) * scale
-            dh_in = dattended.copy()
-            for name, dval in (("q", dq), ("k", dkey), ("v", dv)):
-                dflat = self._merge_heads(dval)
-                g[f"W{name}{k}"][...] = np.einsum("btm,btn->mn", h_in, dflat)
-                g[f"b{name}{k}"][...] = dflat.sum(axis=(0, 1))
-                dh_in += dflat @ p[f"W{name}{k}"].T
-            dh = dh_in
+            g[f"Wo{k}"][...] = np.einsum("btm,btn->mn", mixed, dh)
+            g[f"bo{k}"][...] = dh.sum(axis=(0, 1))
+            np.matmul(dh, p[f"Wo{k}"].T, out=dmixed)
+            dmixed_heads = self._split_heads(dmixed)
+            np.matmul(dmixed_heads, v.transpose(0, 1, 3, 2), out=dweights)
+            np.matmul(weights.transpose(0, 1, 3, 2), dmixed_heads, out=dv)
+            # dlogits = weights * (dweights - rowsum(dweights * weights))
+            np.multiply(dweights, weights, out=dlogits)
+            dweights -= dlogits.sum(axis=-1, keepdims=True, out=row)
+            np.multiply(weights, dweights, out=dlogits)
+            np.matmul(dlogits, key, out=dq)
+            dq *= scale
+            np.matmul(dlogits.transpose(0, 1, 3, 2), q, out=dkey)
+            dkey *= scale
+            w_qkv = np.einsum("btm,btn->mn", h_in, dqkv)
+            b_qkv = dqkv.sum(axis=(0, 1))
+            for i, gate in enumerate("qkv"):
+                g[f"W{gate}{k}"][...] = w_qkv[:, i * dm : (i + 1) * dm]
+                g[f"b{gate}{k}"][...] = b_qkv[i * dm : (i + 1) * dm]
+                dh += np.matmul(dqkv[..., i * dm : (i + 1) * dm], p[f"W{gate}{k}"].T, out=branch)  # now dh_in
 
         g["We"][...] = np.einsum("btd,btm->dm", x, dh)
         g["be"][...] = dh.sum(axis=(0, 1))
@@ -347,6 +425,7 @@ def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng:
     step = np.empty_like(params)
     p = _unpack(params, net.layout)
     g = _unpack(grad, net.layout)
+    ws: dict = {}
     history = []
     # Overflow during a diverging run surfaces as DivergenceError below, not
     # as a stream of numpy warnings.
@@ -361,10 +440,10 @@ def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng:
                 hi = lo + cfg.batch_size
                 batch_hidden = hidden[lo:hi]
                 count = batch_hidden.shape[0] * n_hidden
-                predicted, cache = net.forward(p, inputs[lo:hi])
+                predicted, cache = net.forward(p, inputs[lo:hi], ws)
                 residual = predicted - shuffled[lo:hi]
                 dy = np.where(batch_hidden, np.sign(residual), 0.0) / count
-                net.backward(p, cache, dy, g)
+                net.backward(p, cache, dy, g, ws)
                 velocity *= cfg.momentum
                 velocity += grad
                 np.multiply(velocity, cfg.learning_rate, out=step)

@@ -1,4 +1,4 @@
-"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training) shared across the test suite.
+"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the attention step) shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -205,6 +205,82 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
             n_terms += count
         history.append(abs_err / n_terms)
     return params, tuple(history)
+
+
+def _split_heads(net, x: np.ndarray) -> np.ndarray:
+    b, t, _ = x.shape
+    return x.reshape(b, t, net.heads, net.head_dim).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    b, h, t, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
+
+
+def attention_forward_reference(net, p: dict[str, np.ndarray], x: np.ndarray):
+    """The attention forward pass with a new array for every tensor, and the
+    heads merged by copy.
+
+    ``_SelfAttentionImputer.forward`` writes into reused buffers; it must
+    return exactly these bits.
+    """
+    h = x @ p["We"] + p["be"] + net.positions
+    block_caches = []
+    scale = 1.0 / np.sqrt(net.head_dim)
+    for k in range(net.blocks):
+        q = _split_heads(net, h @ p[f"Wq{k}"] + p[f"bq{k}"])
+        key = _split_heads(net, h @ p[f"Wk{k}"] + p[f"bk{k}"])
+        v = _split_heads(net, h @ p[f"Wv{k}"] + p[f"bv{k}"])
+        logits = (q @ key.transpose(0, 1, 3, 2)) * scale
+        logits -= logits.max(axis=-1, keepdims=True)
+        weights = np.exp(logits)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        mixed = _merge_heads(weights @ v)
+        attended = h + mixed @ p[f"Wo{k}"] + p[f"bo{k}"]
+        act = np.tanh(attended @ p[f"Wf1_{k}"] + p[f"bf1_{k}"])
+        out = attended + act @ p[f"Wf2_{k}"] + p[f"bf2_{k}"]
+        block_caches.append((h, q, key, v, weights, mixed, attended, act))
+        h = out
+    y = h @ p["Wout"] + p["bout"]
+    return y, (x, h, block_caches)
+
+
+def attention_backward_reference(net, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray]) -> None:
+    """The attention backward pass over ``attention_forward_reference``'s
+    cache: new arrays, and one contraction per weight gradient.
+
+    ``_SelfAttentionImputer.backward`` must write exactly these bits.
+    """
+    x, h_final, block_caches = cache
+    scale = 1.0 / np.sqrt(net.head_dim)
+    g["Wout"][...] = np.einsum("btm,btd->md", h_final, dy)
+    g["bout"][...] = dy.sum(axis=(0, 1))
+    dh = dy @ p["Wout"].T
+    for k in reversed(range(net.blocks)):
+        h_in, q, key, v, weights, mixed, attended, act = block_caches[k]
+        g[f"Wf2_{k}"][...] = np.einsum("btf,btm->fm", act, dh)
+        g[f"bf2_{k}"][...] = dh.sum(axis=(0, 1))
+        dpre = (dh @ p[f"Wf2_{k}"].T) * (1.0 - act * act)
+        g[f"Wf1_{k}"][...] = np.einsum("btm,btf->mf", attended, dpre)
+        g[f"bf1_{k}"][...] = dpre.sum(axis=(0, 1))
+        dattended = dh + dpre @ p[f"Wf1_{k}"].T
+        g[f"Wo{k}"][...] = np.einsum("btm,btn->mn", mixed, dattended)
+        g[f"bo{k}"][...] = dattended.sum(axis=(0, 1))
+        dmixed = _split_heads(net, dattended @ p[f"Wo{k}"].T)
+        dweights = dmixed @ v.transpose(0, 1, 3, 2)
+        dv = weights.transpose(0, 1, 3, 2) @ dmixed
+        dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+        dq = (dlogits @ key) * scale
+        dkey = (dlogits.transpose(0, 1, 3, 2) @ q) * scale
+        dh_in = dattended.copy()
+        for name, dval in (("q", dq), ("k", dkey), ("v", dv)):
+            dflat = _merge_heads(dval)
+            g[f"W{name}{k}"][...] = np.einsum("btm,btn->mn", h_in, dflat)
+            g[f"b{name}{k}"][...] = dflat.sum(axis=(0, 1))
+            dh_in += dflat @ p[f"W{name}{k}"].T
+        dh = dh_in
+    g["We"][...] = np.einsum("btd,btm->dm", x, dh)
+    g["be"][...] = dh.sum(axis=(0, 1))
 
 
 def generate_synthetic_reference(cfg) -> list[TimeSeries]:

@@ -76,3 +76,15 @@ def test_audit_long_path_reproduces_its_pinned_bytes(monkeypatch, tmp_path):
                  "--out", str(summary)]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (scores, summary)}
     assert digests == pins["digests"]["audit-long"]
+
+
+def test_s2_attention_run_reproduces_its_pinned_bytes(tmp_path):
+    # The benchmark's s2-attention call (benchmarks/run.py) at its pinned seed: the only
+    # workload that trains and queries the attention imputer.
+    from imputeaudit.cli import main
+
+    pins = json.loads((BENCHMARKS / "pins.json").read_text())
+    assert main(["scenario2", "--config", str(BENCHMARKS / "s2_attention.json"), "--seed", str(pins["seed"]),
+                 "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("report.json", "scores.json")}
+    assert digests == pins["digests"]["s2-attention"]

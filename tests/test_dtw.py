@@ -214,6 +214,11 @@ def _equal_rows(a, b):
     return int(changed[0]) if changed.size else a.shape[0]
 
 
+def _last_differing_row(a, b):
+    changed = np.flatnonzero((a != b).any(axis=1))
+    return int(changed[-1]) + 1 if changed.size else 0
+
+
 @EXACT
 @given(completion_sets())
 def test_shared_self_alignment_matches_full_sweep(case):
@@ -223,6 +228,9 @@ def test_shared_self_alignment_matches_full_sweep(case):
         assert dtw_distance(completion, original, shared) == dtw_reference(completion, original)
     # The rows reach down to the last row any completion still shares with the original.
     assert len(shared.rows) == max(_equal_rows(c, original) for c in completions)
+    # Below its last differing row a pair reads the original's coordinates.
+    numbers = _near_diagonal(completions, original)
+    assert [differ for _, _, _, differ in numbers] == [_last_differing_row(c, original) for c in completions]
 
 
 @EXACT
@@ -347,7 +355,7 @@ def test_a_completion_the_rows_were_not_built_from_matches_full_sweep(case, data
     # A pair only resumes from a row that is the full sweep's at or below its U.
     self_rows = dtw_reference_rows(original, original)
     for completion in completions:
-        bound, _, equal = _near_diagonal([completion.values], original)[0]
+        bound, _, equal, _ = _near_diagonal([completion.values], original)[0]
         resumed = shared._resume(bound, equal)
         if resumed is not None:
             row, first, last, start = resumed

@@ -274,6 +274,19 @@ def test_shipped_configs_parse_to_what_they_say(path):
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_parity_fraction_that_hides_no_entry_is_rejected_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the config was checked")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs/scenario2_fixture.json").read_text())
+    # 0.005 * 64 steps * 1 dim rounds to no hidden entry.
+    with pytest.raises(ValueError, match="parity_fraction"):
+        harness.run_experiment(config_from_dict({**doc, "parity_fraction": 0.005}))
+    # The smallest fraction that hides one entry passes.
+    assert config_from_dict({**doc, "parity_fraction": 0.5 / 64 + 1e-9}).parity_fraction > 0.5 / 64
+
+
 def test_config_rejects_unknown_source():
     with pytest.raises(ValueError):
         config_from_dict({"scenario": 1, "data": {"source": "parquet"},

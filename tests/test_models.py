@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import ShiftingOracle, TruncatingOracle, ZeroFillOracle, descend_reference
+from helpers import (
+    ShiftingOracle,
+    TruncatingOracle,
+    ZeroFillOracle,
+    attention_backward_reference,
+    attention_forward_reference,
+    descend_reference,
+)
 
 from imputeaudit.core import MaskMatrix, OracleError, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.models import (
@@ -90,6 +97,59 @@ def test_backward_overwrites_every_gradient_entry(cfg):
     net.backward(p, cache, dy, _unpack(fresh, net.layout))
     assert np.all(np.isfinite(stale))
     assert np.array_equal(stale, fresh)
+
+
+# The s2-attention benchmark's network.
+ATTN_BENCH = ImputerConfig(architecture="attention", model_dim=16, heads=2, ff_dim=32)
+
+
+def attention_case(blocks, batch, seed):
+    net = _build_net(64, 1, replace(ATTN_BENCH, blocks=blocks))
+    rng = np.random.default_rng(seed)
+    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
+    return net, params, rng.normal(size=(batch, 64, 1)), rng.normal(size=(batch, 64, 1)) / (batch * 64)
+
+
+def attention_step(net, params, x, dy, ws=None, reference=False):
+    """(y, gradient views) of one forward and backward pass; the gradient starts as NaN."""
+    p = _unpack(params, net.layout)
+    g = _unpack(np.full(net.n_params, np.nan), net.layout)
+    if reference:
+        y, cache = attention_forward_reference(net, p, x)
+        attention_backward_reference(net, p, cache, dy, g)
+    else:
+        y, cache = net.forward(p, x, ws)
+        y = y.copy()  # the workspace's copy is overwritten by the next step
+        net.backward(p, cache, dy, g, ws)
+    return y, g
+
+
+def assert_same_step(step, expected):
+    (y, g), (y_expected, g_expected) = step, expected
+    assert np.array_equal(y, y_expected)
+    for name in g_expected:
+        assert np.array_equal(g[name], g_expected[name]), name
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("batch", [16, 6, 1])  # a full batch, an epoch's short last batch, one query
+def test_attention_step_matches_reference_bit_for_bit(blocks, batch):
+    net, params, x, dy = attention_case(blocks, batch, seed=10 * batch + blocks)
+    expected = attention_step(net, params, x, dy, reference=True)
+    assert_same_step(attention_step(net, params, x, dy), expected)
+    assert_same_step(attention_step(net, params, x, dy, ws={}), expected)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_attention_steps_through_one_workspace_match_fresh_steps(blocks):
+    # Stale or aliased buffers would show on the second step of a batch size, or on a second block.
+    ws: dict = {}
+    for seed, batch in enumerate((16, 6, 16, 6, 16)):
+        net, params, x, dy = attention_case(blocks, batch, seed)
+        assert_same_step(attention_step(net, params, x, dy, ws), attention_step(net, params, x, dy))
+        if seed == 1:
+            buffers = {key: id(buf) for key, buf in ws.items()}
+    assert {key: id(buf) for key, buf in ws.items()} == buffers
 
 
 def small_corpus(seed=0, n=8, steps=16, dims=1):
