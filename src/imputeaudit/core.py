@@ -267,7 +267,7 @@ def derive_seed(master: int, label: object) -> int:
 def _atomic_open(path: str, newline: str | None = None):
     """Write through a temp file beside ``path`` that replaces it whole on success and is removed on any exception."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    fh = open(tmp, "w", newline=newline)
+    fh = open(tmp, "w", newline=newline, encoding="utf-8")
     try:
         with fh:
             yield fh
@@ -285,10 +285,10 @@ def _write_json(doc: dict, path: str) -> None:
 
 def _load(kind, path: str):
     """The JSON file at ``path`` read as ``kind`` (see ``_read``); every error names ``path``."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return _read(kind, json.load(fh), path)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 

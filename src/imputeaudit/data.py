@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import csv
-import math
+import warnings
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NoReturn
 
 import numpy as np
 
@@ -158,6 +158,13 @@ def split_scenario2(data: list[TimeSeries], seed: int) -> ScenarioSplit:
     return _split(data, seed, (3 * n) // 5, n // 5)
 
 
+# A body record as numpy's C reader parses it. Its number grammar is numpy's:
+# on repr output it returns float()'s bits, but it rejects Python-only
+# spellings such as 1_0.
+_FIELDS = ["id", "t", "dim", "value"]
+_RECORD = np.dtype([("id", object), ("t", "<i8"), ("dim", "<i8"), ("value", "<f8")])
+
+
 def save_csv(data: list[TimeSeries], path: str) -> None:
     """Write `id,t,dim,value` rows grouped by id, ordered by t then dim.
 
@@ -165,58 +172,180 @@ def save_csv(data: list[TimeSeries], path: str) -> None:
     """
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "t", "dim", "value"])
+        writer.writerow(_FIELDS)
         for s in data:
             for t in range(s.length):
                 for d in range(s.dims):
                     writer.writerow([s.id, t, d, repr(float(s.values[t, d]))])
 
 
-def load_csv(path: str) -> list[TimeSeries]:
-    """Read a corpus saved by :func:`save_csv` (or matching its schema)."""
-    per_id: dict[str, dict[tuple[int, int], float]] = {}
-    with open(path, newline="") as fh:
+def _records(path: str, max_rows: int | None = None) -> np.ndarray | None:
+    """The first ``max_rows`` (default: all) body records at ``path``, or None when numpy's reader rejects one of them.
+
+    Blank lines are skipped and do not count toward ``max_rows``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+            if header is not None and [h.strip() for h in header] == _FIELDS:
+                with warnings.catch_warnings():
+                    # loadtxt warns on an empty body, which load_csv rejects with its own
+                    # error, and on each blank line it does not count toward max_rows
+                    warnings.simplefilter("ignore", UserWarning)
+                    return np.loadtxt(fh, dtype=_RECORD, delimiter=",", quotechar='"', comments=None,
+                                      ndmin=1, max_rows=max_rows)
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        except ValueError:
+            return None
+    raise CsvParseError(f"line 1: expected header 'id,t,dim,value', got {header}")
+
+
+def _parsed_prefix(path: str) -> tuple[int, np.ndarray]:
+    """The index of the first record numpy's reader rejects, and the records before it.
+
+    Bisects on ``max_rows``, so every probe is one C parse of a prefix of the body.
+    """
+    good, rows, bad = 0, np.empty(0, _RECORD), 1
+    while (probe := _records(path, bad)) is not None and len(probe) == bad:
+        good, rows, bad = bad, probe, 2 * bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        probe = _records(path, mid)
+        if probe is None:
+            bad = mid
+        else:
+            good, rows = mid, probe
+    return good, rows
+
+
+def _locate(path: str, index: int) -> tuple[int, list[str]]:
+    """The physical line on which body record ``index`` starts, and its fields.
+
+    Blank lines are skipped, as numpy's reader skips them; a quoted field may
+    span lines. Only a rejected file is read this way.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "t", "dim", "value"]:
-            raise CsvParseError(f"line 1: expected header 'id,t,dim,value', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CsvParseError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            sid = row[0]
-            try:
-                t = int(row[1])
-                d = int(row[2])
-                value = float(row[3])
-            except ValueError as exc:
-                raise CsvParseError(f"line {lineno}: {exc}") from exc
-            if t < 0 or d < 0:
-                raise CsvParseError(f"line {lineno}: t and dim must be nonnegative")
-            if not math.isfinite(value):
-                raise CsvParseError(f"line {lineno}: value must be finite")
-            cells = per_id.setdefault(sid, {})
-            if (t, d) in cells:
-                raise CsvSchemaError(f"series {sid!r}: duplicate entry for (t={t}, dim={d})")
-            cells[(t, d)] = value
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if index == 0:
+                    return start, row
+                index -= 1
+            start = reader.line_num + 1
 
-    if not per_id:
+
+def _unparsed_field(row: list[str]) -> str:
+    """Why numpy's reader rejects ``row``: its field count, else the first of t, dim and value it cannot parse."""
+    if len(row) != len(_FIELDS):
+        return f"expected {len(_FIELDS)} fields, got {len(row)}"
+    for name, text in zip(_FIELDS[1:3], row[1:3]):
+        try:
+            np.loadtxt(['"' + text.replace('"', '""') + '"'], dtype=_RECORD[name], delimiter=",",
+                       quotechar='"', comments=None)
+        except ValueError:
+            return f"{name} must be an integer, got {text!r}"
+    return f"value must be a number, got {row[3]!r}"
+
+
+def _number_series(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids of ``rows`` in first-appearance order, and each record's index into them.
+
+    Then sets every record's id to None. The names are fresh copies: the first
+    id of each series, kept, would pin every pymalloc pool the parse filled
+    with ids, and that memory would stay resident for the rest of the run.
+    """
+    ids = rows["id"]
+    # A series' records are usually contiguous, so the dict work is per run of one id, not per record.
+    run_start = np.ones(len(ids), dtype=bool)
+    run_start[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(run_start)
+    run_ids = ids[starts].tolist()
+    number = {sid: i for i, sid in enumerate(dict.fromkeys(run_ids))}
+    series = np.repeat(np.array([number[sid] for sid in run_ids], dtype=np.intp), np.diff(starts, append=len(ids)))
+    names = [sid.encode().decode() for sid in number]
+    rows["id"] = None
+    return names, series
+
+
+def _reject(path: str, rows: np.ndarray, unparsed: int | None, names: list[str], series: np.ndarray) -> NoReturn:
+    """Raise the error for the first bad record of ``rows``, else for record ``unparsed``, else for the first bad series.
+
+    ``rows`` are the records before ``unparsed``, or all of them, and ``series``
+    numbers each record's id in ``names``.
+    """
+    t, dim, value = rows["t"], rows["dim"], rows["value"]
+    # A repeated cell is every record after the first with its (series, t, dim);
+    # lexsort is stable, so those follow the first in file order.
+    order = np.lexsort((dim, t, series))
+    cells = series[order], t[order], dim[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:][np.logical_and.reduce([c[1:] == c[:-1] for c in cells])]] = True
+    negative = (t < 0) | (dim < 0)
+    infinite = ~np.isfinite(value)
+    flagged = np.flatnonzero(negative | infinite | repeat)
+    if flagged.size:
+        i = int(flagged[0])
+        line = _locate(path, i)[0]
+        if negative[i]:
+            raise CsvParseError(f"line {line}: t and dim must be nonnegative")
+        if infinite[i]:
+            raise CsvParseError(f"line {line}: value must be finite")
+        raise CsvSchemaError(f"line {line}: series {names[series[i]]!r}: duplicate entry for (t={t[i]}, dim={dim[i]})")
+    if unparsed is not None:
+        line, row = _locate(path, unparsed)
+        raise CsvParseError(f"line {line}: {_unparsed_field(row)}")
+
+    # With no repeated cell, a series fills its grid iff it has one record per cell.
+    # The grid size is taken in float64 so that a huge t cannot wrap around.
+    last_t = np.zeros(len(names), dtype=np.int64)
+    np.maximum.at(last_t, series, t)
+    last_dim = np.zeros(len(names), dtype=np.int64)
+    np.maximum.at(last_dim, series, dim)
+    count = np.bincount(series, minlength=len(names))
+    incomplete = count != (last_t + 1.0) * (last_dim + 1.0)
+    i = int(np.flatnonzero(incomplete | (last_t != last_t[0]) | (last_dim != last_dim[0]))[0])
+    line = _locate(path, int(np.argmax(series == i)))[0]
+    steps, dims = int(last_t[i]) + 1, int(last_dim[i]) + 1
+    if incomplete[i]:
+        problem = f"expected {steps * dims} entries for shape ({steps}, {dims}), got {count[i]}"
+    else:
+        problem = f"shape ({steps}, {dims}) differs from ({int(last_t[0]) + 1}, {int(last_dim[0]) + 1})"
+    raise CsvSchemaError(f"series {names[i]!r}, starting at line {line}: {problem}")
+
+
+def load_csv(path: str) -> list[TimeSeries]:
+    """Read a UTF-8 corpus saved by :func:`save_csv` (or matching its schema).
+
+    numpy's C reader parses the body in one call; series keep the order in
+    which their ids first appear. A rejected file raises CsvParseError or
+    CsvSchemaError naming the physical line of the first bad record in file
+    order. Within a record the checks run in this order: field count, t, dim,
+    value, the signs of t and dim, finiteness, and a repeated (id, t, dim)
+    cell. Then each series, in first-appearance order, must fill its grid of
+    (t, dim) cells and share the first series' shape; those errors name the
+    line on which the series starts.
+    """
+    rows, unparsed = _records(path), None
+    if rows is None:
+        unparsed, rows = _parsed_prefix(path)
+    elif len(rows) == 0:
         raise CsvSchemaError("file contains no data rows")
+    names, series = _number_series(rows)
+    t, dim, value = rows["t"], rows["dim"], rows["value"]
 
-    out = []
-    shape: tuple[int, int] | None = None
-    for sid, cells in per_id.items():
-        steps = 1 + max(t for t, _ in cells)
-        dims = 1 + max(d for _, d in cells)
-        if len(cells) != steps * dims:
-            raise CsvSchemaError(f"series {sid!r}: expected {steps * dims} entries for shape ({steps}, {dims}), got {len(cells)}")
-        if shape is None:
-            shape = (steps, dims)
-        elif shape != (steps, dims):
-            raise CsvSchemaError(f"series {sid!r}: shape ({steps}, {dims}) differs from {shape}")
-        values = np.empty((steps, dims))
-        for (t, d), v in cells.items():
-            values[t, d] = v
-        out.append(TimeSeries(sid, values))
-    return out
+    # A good file has one record per cell of a (series, t, dim) grid: with
+    # exactly as many cells as records, that holds iff no cell is hit twice.
+    if unparsed is None and (t >= 0).all() and (dim >= 0).all() and np.isfinite(value).all():
+        steps, dims = int(t.max()) + 1, int(dim.max()) + 1
+        if len(names) * steps * dims == len(rows):
+            cell = (series * steps + t) * dims + dim
+            hit = np.zeros(len(rows), dtype=bool)
+            hit[cell] = True
+            if hit.all():
+                values = np.empty(len(rows))
+                values[cell] = value
+                return [TimeSeries(sid, v) for sid, v in zip(names, values.reshape(len(names), steps, dims))]
+    _reject(path, rows, unparsed, names, series)

@@ -89,7 +89,9 @@ def roc_curve(data: LabeledScores) -> RocCurve:
     """
     if data.n_members == 0 or data.n_nonmembers == 0:
         raise ValueError("ROC needs at least one member and one nonmember")
-    thresholds = np.unique(data.scores)
+    # np.unique's own sort-then-first-of-run algorithm; np.unique itself imports numpy.ma
+    ordered = np.sort(data.scores)
+    thresholds = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
     member_sorted = np.sort(data.scores[data.is_member])
     nonmember_sorted = np.sort(data.scores[~data.is_member])
     tpr = np.searchsorted(member_sorted, thresholds, side="right") / data.n_members

@@ -1,4 +1,4 @@
-"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the attention step) shared across the test suite.
+"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the attention step, CSV loading) shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -6,10 +6,13 @@ trainer.
 """
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 
 from imputeaudit.core import MaskedSeries, TimeSeries
-from imputeaudit.data import _draw_components, _render_components
+from imputeaudit.data import CsvParseError, CsvSchemaError, _draw_components, _render_components
 from imputeaudit.dtw import _point_costs, _values
 from imputeaudit.models import _batch_observed, _unpack
 
@@ -301,4 +304,66 @@ def generate_synthetic_reference(cfg) -> list[TimeSeries]:
             for t in range(1, cfg.length):
                 noise[t] = cfg.ar_coeff * noise[t - 1] + shocks[t]
         out.append(TimeSeries(f"syn{cfg.family}-{i:04d}", _render_components(comps, cfg.length) + noise))
+    return out
+
+
+def load_csv_reference(path: str) -> list[TimeSeries]:
+    """The per-record CSV loop: Python's int() and float() on each field of each record.
+
+    ``data.load_csv`` parses the body with numpy's C reader and checks arrays;
+    where the two number grammars agree it must return the same series, or
+    raise the same class with the same message. Lines are physical: a record
+    is named by the line it starts on, a series by the line of its first record.
+    """
+    per_id: dict[str, dict[tuple[int, int], float]] = {}
+    first_line: dict[str, int] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["id", "t", "dim", "value"]:
+            raise CsvParseError(f"line 1: expected header 'id,t,dim,value', got {header}")
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != 4:
+                raise CsvParseError(f"line {line}: expected 4 fields, got {len(row)}")
+            sid = row[0]
+            numbers = []
+            for name, text, kind in (("t", row[1], int), ("dim", row[2], int), ("value", row[3], float)):
+                try:
+                    numbers.append(kind(text))
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
+                    raise CsvParseError(f"line {line}: {name} must be {what}, got {text!r}") from None
+            t, d, value = numbers
+            if t < 0 or d < 0:
+                raise CsvParseError(f"line {line}: t and dim must be nonnegative")
+            if not math.isfinite(value):
+                raise CsvParseError(f"line {line}: value must be finite")
+            cells = per_id.setdefault(sid, {})
+            first_line.setdefault(sid, line)
+            if (t, d) in cells:
+                raise CsvSchemaError(f"line {line}: series {sid!r}: duplicate entry for (t={t}, dim={d})")
+            cells[(t, d)] = value
+    if not per_id:
+        raise CsvSchemaError("file contains no data rows")
+
+    out = []
+    shape: tuple[int, int] | None = None
+    for sid, cells in per_id.items():
+        steps = 1 + max(t for t, _ in cells)
+        dims = 1 + max(d for _, d in cells)
+        where = f"series {sid!r}, starting at line {first_line[sid]}"
+        if len(cells) != steps * dims:
+            raise CsvSchemaError(f"{where}: expected {steps * dims} entries for shape ({steps}, {dims}), got {len(cells)}")
+        if shape is None:
+            shape = (steps, dims)
+        elif shape != (steps, dims):
+            raise CsvSchemaError(f"{where}: shape ({steps}, {dims}) differs from ({shape[0]}, {shape[1]})")
+        values = np.empty((steps, dims))
+        for (t, d), v in cells.items():
+            values[t, d] = v
+        out.append(TimeSeries(sid, values))
     return out

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import imputeaudit
 from imputeaudit.cli import main
 from imputeaudit.data import load_csv
 from imputeaudit.metrics import LabeledScores, auroc, roc_curve
@@ -70,6 +74,28 @@ def test_train_and_attack_pipeline(workdir, capsys):
     assert not [p for p in workdir.iterdir() if ".tmp-" in p.name]
     assert len(doc["per_candidate"]) == 12
     assert {"id", "l_t", "l_r", "r", "is_member"} == set(doc["per_candidate"][0])
+
+
+def test_audit_calls_do_not_import_numpy_ma(workdir):
+    """np.unique imports numpy.ma; the black-box audit's two calls must not pay for it."""
+    corpus = workdir / "corpus.csv"
+    main(["generate", "--config", str(workdir / "data.json"), "--out", str(corpus)])
+    for role, seed in (("target", "1"), ("reference", "2")):
+        main(["train", "--data", str(corpus), "--config", str(workdir / "model.json"),
+              "--out", str(workdir / f"{role}.json"), "--seed", seed])
+    ids = [s.id for s in load_csv(str(corpus))]
+    (workdir / "labels.json").write_text(json.dumps({sid: i % 2 == 0 for i, sid in enumerate(ids)}))
+    attack = ["attack", "--target", str(workdir / "target.json"), "--reference", str(workdir / "reference.json"),
+              "--candidates", str(corpus), "--out", str(workdir / "scores.json")]
+    metrics = ["metrics", "--scores", str(workdir / "scores.json"), "--labels", str(workdir / "labels.json")]
+    script = (f"import sys; from imputeaudit.cli import main; "
+              f"assert main({attack!r}) == 0 and main({metrics!r}) == 0; "
+              f"print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imputeaudit.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_metrics_command_matches_hand_auroc(tmp_path, capsys):

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
-from helpers import generate_synthetic_reference
+from helpers import generate_synthetic_reference, load_csv_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import imputeaudit
 
 from imputeaudit.core import TimeSeries
 from imputeaudit.data import (
@@ -184,3 +193,177 @@ def test_csv_bad_header(tmp_path):
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(CsvParseError, match="line 1"):
         load_csv(str(path))
+
+
+# Before the bad record: a blank line (line 3) and a quoted id that spans
+# lines 4 and 5, so the bad record starts on physical line 6.
+CSV_PREFIX = 'id,t,dim,value\na,0,0,1.0\n\n"two\nlines",0,0,2.0\n'
+
+
+def write_csv(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("c,0,0", CsvParseError, "line 6: expected 4 fields, got 3"),
+    ("c,0,0,1.0,2", CsvParseError, "line 6: expected 4 fields, got 5"),
+    ("c,x,0,1.0", CsvParseError, "line 6: t must be an integer, got 'x'"),
+    ("c,0,1.5,1.0", CsvParseError, "line 6: dim must be an integer, got '1.5'"),
+    ("c,0,0,abc", CsvParseError, "line 6: value must be a number, got 'abc'"),
+    ("c,-1,0,1.0", CsvParseError, "line 6: t and dim must be nonnegative"),
+    ("c,0,-2,1.0", CsvParseError, "line 6: t and dim must be nonnegative"),
+    ("c,0,0,inf", CsvParseError, "line 6: value must be finite"),
+    ("c,0,0,nan", CsvParseError, "line 6: value must be finite"),
+    ("a,0,0,3.0", CsvSchemaError, "line 6: series 'a': duplicate entry for (t=0, dim=0)"),
+    ("c,0,0,1.0\nc,2,0,1.0", CsvSchemaError, "series 'c', starting at line 6: expected 3 entries for shape (3, 1), got 2"),
+    ("c,0,0,1.0\nc,1,0,2.0", CsvSchemaError, "series 'c', starting at line 6: shape (2, 1) differs from (1, 1)"),
+    # within a record: field count, t, dim, value, sign, finiteness, duplicate
+    ("c,x,y", CsvParseError, "line 6: expected 4 fields, got 3"),
+    ("c,x,-1,nan", CsvParseError, "line 6: t must be an integer, got 'x'"),
+    ("c,-1,y,nan", CsvParseError, "line 6: dim must be an integer, got 'y'"),
+    ("c,-1,0,nan", CsvParseError, "line 6: t and dim must be nonnegative"),
+    ("a,0,0,nan", CsvParseError, "line 6: value must be finite"),
+    # across records, file order wins over the kind of check
+    ("c,-1,0,1.0\nd,0,0", CsvParseError, "line 6: t and dim must be nonnegative"),
+    ("a,0,0,3.0\nd,x,0,1.0", CsvSchemaError, "line 6: series 'a': duplicate entry for (t=0, dim=0)"),
+    ("d,x,0,1.0\na,0,0,3.0", CsvParseError, "line 6: t must be an integer, got 'x'"),
+])
+def test_csv_rejection_names_the_physical_line(tmp_path, bad, error, message):
+    path = write_csv(tmp_path / "bad.csv", CSV_PREFIX + bad + "\n")
+    with pytest.raises(error) as caught:
+        load_csv(path)
+    assert str(caught.value) == message
+    with pytest.raises(error) as expected:
+        load_csv_reference(path)
+    assert str(expected.value) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("c,0,0,1_0", "line 6: value must be a number, got '1_0'"),
+    ("c,1_0,0,1.0", "line 6: t must be an integer, got '1_0'"),
+])
+def test_csv_numbers_follow_numpys_grammar(tmp_path, bad, message):
+    """float() and int() read 1_0 as 10; numpy's reader rejects it."""
+    with pytest.raises(CsvParseError) as caught:
+        load_csv(write_csv(tmp_path / "bad.csv", CSV_PREFIX + bad + "\n"))
+    assert str(caught.value) == message
+
+
+def test_csv_first_record_rejected(tmp_path):
+    with pytest.raises(CsvParseError, match="^line 2: expected 4 fields, got 2$"):
+        load_csv(write_csv(tmp_path / "bad.csv", "id,t,dim,value\nx,y\na,0,0,1.0\n"))
+
+
+def test_csv_ids_may_start_with_a_hash(tmp_path):
+    loaded = load_csv(write_csv(tmp_path / "hash.csv", "id,t,dim,value\n#a,0,0,1.0\n# b,0,0,2.0\n"))
+    assert [(s.id, s.values.tolist()) for s in loaded] == [("#a", [[1.0]]), ("# b", [[2.0]])]
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+def test_csv_empty_body_is_a_schema_error_without_a_warning(tmp_path, body):
+    path = write_csv(tmp_path / "empty.csv", "id,t,dim,value\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvSchemaError, match="no data rows"):
+            load_csv(path)
+
+
+def test_csv_that_is_not_utf8_names_the_file(tmp_path):
+    for name, raw in (("body.csv", b"id,t,dim,value\na,0,0,1.0\n\xff,1,0,2.0\n"), ("header.csv", b"\xffid,t,dim,value\n")):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(CsvParseError, match=f"{name} is not UTF-8 text"):
+            load_csv(str(path))
+
+
+_IDS = ["a", "b", "#h", '"q\nx"', '" s, ""z"""']
+# Spellings that Python's int() and float() and numpy's reader read alike.
+_INTS = ["0", "1", "2", "-1", "+1", "01", " 2", "x", "", "1.5", "1e1"]
+_FINITE = ["1.5", "-0.0", "2", "5e-324", "-1e300", " 3"]
+_VALUES = _FINITE + ["nan", "-inf", "1e400", "abc", ""]
+
+
+@st.composite
+def csv_texts(draw):
+    """A complete grid of records, then up to three edits: blank lines, stray, altered or dropped records, or shuffling."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=3, unique=True))
+    steps, dims = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lines = [f"{sid},{t},{d},{draw(st.sampled_from(_FINITE))}" for sid in ids for t in range(steps) for d in range(dims)]
+    field = {1: st.sampled_from(_INTS), 2: st.sampled_from(_INTS), 3: st.sampled_from(_VALUES)}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["blank", "insert", "alter", "drop", "shuffle"]))
+        at = draw(st.integers(0, len(lines)))
+        if edit == "blank":
+            lines.insert(at, "")
+        elif edit == "insert":
+            fields = [draw(st.sampled_from(_IDS))] + [draw(field[k]) for k in (1, 2, 3)] + ["9"]
+            lines.insert(at, ",".join(fields[: draw(st.integers(3, 5))]))
+        elif edit == "alter" and at < len(lines) and lines[at]:
+            fields = lines[at].rsplit(",", 3)
+            k = draw(st.integers(1, len(fields) - 1))
+            fields[k] = draw(field[k])
+            lines[at] = ",".join(fields)
+        elif edit == "drop" and at < len(lines):
+            del lines[at]
+        elif edit == "shuffle":
+            lines = draw(st.permutations(lines))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(["id,t,dim,value", *lines]) + newline
+
+
+def _outcome(load, path):
+    try:
+        return [(s.id, s.values.shape, s.values.tobytes()) for s in load(path)]
+    except (CsvParseError, CsvSchemaError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts())
+def test_csv_loader_matches_the_per_record_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(os.path.join(tmp, "c.csv"), text)
+        assert _outcome(load_csv, path) == _outcome(load_csv_reference, path)
+
+
+_ID_CHARS = st.one_of(st.sampled_from(list(',"\n\r #é-α')), st.characters(codec="utf-8"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_csv_round_trip_keeps_ids_and_bits(data):
+    ids = data.draw(st.lists(st.text(_ID_CHARS, max_size=8), min_size=1, max_size=4, unique=True))
+    shape = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    corpus = [TimeSeries(sid, data.draw(hnp.arrays(np.float64, shape, elements=finite))) for sid in ids]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.csv")
+        save_csv(corpus, path)
+        loaded = load_csv(path)
+    assert [s.id for s in loaded] == ids
+    for x, y in zip(corpus, loaded):
+        assert y.values.view(np.uint64).tolist() == x.values.view(np.uint64).tolist()
+
+
+def test_csv_files_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, the default text encoding is ASCII."""
+    sid = "série-α"
+    utf8 = write_csv(tmp_path / "utf8.csv", f"id,t,dim,value\n{sid},0,0,1.5\n")
+    labels = tmp_path / "labels.json"
+    labels.write_text(f'{{"{sid}": true}}', encoding="utf-8")
+    out = str(tmp_path / "out.csv")
+    # the script is ASCII: the command line is decoded with the locale's encoding too
+    script = f"""
+from imputeaudit.core import TimeSeries, _load
+from imputeaudit.data import load_csv, save_csv
+assert [s.id for s in load_csv({utf8!a})] == [{sid!a}]
+save_csv([TimeSeries({sid!a}, [1.5, -0.0])], {out!a})
+assert [(s.id, s.values.tolist()) for s in load_csv({out!a})] == [({sid!a}, [[1.5], [-0.0]])]
+assert _load(dict, {str(labels)!a}) == {{{sid!a}: True}}
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imputeaudit.__file__)))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from helpers import mann_whitney
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeaudit.metrics import (
     LabeledScores,
@@ -107,6 +109,18 @@ def test_roc_monotonicity_random():
         assert np.all(np.diff(curve.tpr) >= 0)
         assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
         assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324]),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=40),
+       st.lists(st.booleans(), min_size=40, max_size=40))
+def test_roc_thresholds_are_np_unique_bit_for_bit(scores, members):
+    members[:2] = [True, False]
+    scores = np.array(scores)
+    curve = roc_curve(labeled(scores, members[: len(scores)]))
+    assert curve.thresholds[0] == -np.inf
+    assert curve.thresholds[1:].view(np.uint64).tolist() == np.unique(scores).view(np.uint64).tolist()
 
 
 def test_tpr_at_fpr_validation():

@@ -410,6 +410,13 @@ def test_load_rejects_foreign_file(tmp_path):
         load_model(str(path))
 
 
+def test_load_rejects_a_file_that_is_not_utf8_by_name(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"format": "é"}'.encode("latin-1"))
+    with pytest.raises(ValueError, match="latin1.json is not valid JSON"):
+        load_model(str(path))
+
+
 def test_load_rejects_an_unknown_config_key(tmp_path):
     path = tmp_path / "model.json"
     save_model(train(small_corpus(steps=6), replace(AE_TINY, epochs=1)), str(path))
