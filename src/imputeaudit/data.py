@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, NoReturn
@@ -169,14 +170,19 @@ def save_csv(data: list[TimeSeries], path: str) -> None:
     """Write `id,t,dim,value` rows grouped by id, ordered by t then dim.
 
     Values are written with repr, so a save/load round trip is exact.
+    Each series goes out as one string, with the bytes ``csv.writer`` writes
+    row by row: only the id can need quoting, and it is quoted once.
     """
     with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
+        fh.write(",".join(_FIELDS) + "\r\n")
         for s in data:
-            for t in range(s.length):
-                for d in range(s.dims):
-                    writer.writerow([s.id, t, d, repr(float(s.values[t, d]))])
+            # The id as csv.writer writes it in a row of more than one field
+            # (alone in a row, an empty id would be written as "").
+            line = io.StringIO()
+            csv.writer(line).writerow([s.id, ""])
+            sid, dims = line.getvalue()[:-3], s.dims
+            cells = enumerate(s.values.ravel().tolist())
+            fh.write("".join([f"{sid},{k // dims},{k % dims},{v!r}\r\n" for k, v in cells]))
 
 
 def _records(path: str, max_rows: int | None = None) -> np.ndarray | None:

@@ -2,32 +2,47 @@
 
 ``dtw_distance`` is the dynamic program, pruned to the cells that can lie
 on an optimal alignment, stopped early once the alignment is back on a
-diagonal of exact zeros, and bit-identical to the full sweep. The oracles
-it is tested against, the full sweep and an enumeration of every alignment
-path, live in the test suite.
+diagonal of exact zeros and a row's minimum is its diagonal cell, and
+bit-identical to the full sweep. The oracles it is tested against, the full
+sweep and an enumeration of every alignment path, live in the test suite.
 
 The audit aligns many completions with one original, and a completion
 equals the original up to its masked block. The rows of the program above
 that block see only the original, so they are the rows of the original's
 self-alignment. A ``SelfAlignment`` computes every completion's
 diagonal-path cost U, last nonzero-diagonal row and first differing row in
-one stacked pass, then sweeps the shared rows once per original, at one
-bound B, the largest U among the completions that first differ below row 0.
-Every pair resumes from them at its own first differing row.
+one stacked pass, then sweeps the upper triangle of the shared rows once
+per original, at one bound B, the largest U among the completions that
+first differ below row 0. Every pair resumes from them at its own first
+differing row, from the whole row rebuilt by symmetry.
+
+Why the upper triangle is enough: the point cost c(i, j) of a series with
+itself equals c(j, i) bit for bit, since fl(a - b) = -fl(b - a) and a
+square drops the sign. Each cell is its cost plus the minimum of its three
+predecessors, and the predecessors of (j, i) are those of (i, j) with up
+and left swapped. The sweep's minimum starts from the diagonal one and
+takes a strictly smaller up or left, so with no -0.0 among the cells the
+swap leaves it unchanged, and D(i, j) = D(j, i) by induction. A cell with
+j > i has all three predecessors on or above the diagonal, and D(i, i) is
++0.0 plus its diagonal predecessor whatever the cell left of it holds, so
+the cells on and above the diagonal are a pruned program of their own.
 
 Why the bits do not change: the shared rows are the pruned sweep at B, so by
 the argument ``dtw_distance`` gives for U, every cell of them whose
 full-sweep value is at or below B is exact, and every other cell is above B,
-or unswept (infinite). A pair that resumes has U <= B, so every cell it
-reads at or below U is exact and every other cell is above U. The pair's
-sweep only ever compares cells with U and takes minima, where a cell above U
-never beats one at or below it. So every comparison with U, hence every cell
-swept, every cell at or below U and D(n, n), which is at most U, is the same
-as in the pair's own sweep.
+or unswept (infinite); by symmetry the same holds for the columns left of
+the diagonal, read from the rows above. A pair that resumes has U <= B, so
+every cell it reads at or below U is exact and every other cell is above U.
+The pair's sweep only ever compares cells with U and with each other and
+takes minima, where a cell above U never beats one at or below it. So every
+comparison with U, hence every cell swept, every cell at or below U and
+D(n, n), which is at most U, is the same as in the pair's own sweep.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,8 +65,12 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _coordinates(v: np.ndarray) -> list[list]:
-    # One list per dimension, 1-based like the sweep's rows and columns.
-    return [[None] + column for column in v.T.tolist()]
+    # One list per dimension, 1-based like the sweep's rows and columns. One
+    # dimension gets a second one of zeros: sqrt(d * d + 0.0) has the bits of sqrt(d * d).
+    columns = v.T.tolist()
+    if len(columns) == 1:
+        columns.append([0.0] * v.shape[0])
+    return [[None] + column for column in columns]
 
 
 def _origin(m: int) -> list:
@@ -100,25 +119,28 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, syn
 
     Every row is pruned at ``bound``. ``first`` and ``last`` are ``prev``'s
     first and last column at or below it. Point costs come from ``costs``
-    when given, and from the coordinates ``xs`` of the rows and ``ys`` of the
-    columns otherwise (one or two dimensions). Each swept row goes to
-    ``keep``, when it is given, with its own first and last column at or
-    below the bound. Returns the last swept row's last cell, or D(i, i) from
-    the early stop (see ``dtw_distance``). ``prev`` is only read, never
-    written.
+    when given, and otherwise from the coordinates ``xs`` of the rows and
+    ``ys`` of the columns, two lists each (see ``_coordinates``). Returns the
+    last swept row's last cell, or D(i, i) from the early stop at the row
+    minimum (see ``dtw_distance``). ``prev`` is only read, never written.
+
+    With ``keep``, the sweep is a self-alignment's (``xs`` is ``ys``): row i
+    is swept from its diagonal cell, so only the upper triangle is computed
+    (see the module docstring), and each row goes to ``keep`` with its first
+    and last column at or below the bound.
     """
     inf = float("inf")
     sqrt = math.sqrt
     m = len(prev) - 1
-    two = len(ys) == 2
-    xs0, xs1, ys0, ys1 = xs[0], xs[-1], ys[0], ys[-1]
+    xs0, xs1, ys0, ys1 = xs[0], xs[1], ys[0], ys[1]
     for i in rows:
         cur = [inf] * (m + 1)
         row = costs[i - 1] if costs is not None else None
         x0, x1 = xs0[i], xs1[i]
-        next_first, next_last = first, 0
-        diag, left = prev[first - 1], inf
-        for j in range(first, m + 1):
+        lo = i if keep is not None else first
+        next_first, next_last = lo, 0
+        diag, left = prev[lo - 1], inf
+        for j in range(lo, m + 1):
             up = prev[j]
             best = diag
             if up < best:
@@ -126,14 +148,11 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, syn
             if left < best:
                 best = left
             diag = up
-            if row is not None:
-                c = row[j - 1]
-            elif two:
+            if row is None:
                 d, e = x0 - ys0[j], x1 - ys1[j]
                 c = sqrt(d * d + e * e)
             else:
-                d = x0 - ys0[j]
-                c = sqrt(d * d)
+                c = row[j - 1]
             left = c + best
             cur[j] = left
             if left > bound:
@@ -145,8 +164,8 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, syn
                 next_last = j
         if keep is not None:
             keep.append((cur, next_first, next_last))
-        if next_first == next_last == i and i >= synced:
-            return float(cur[i])  # the rest of the diagonal adds only zeros
+        if i >= synced and all(map(cur[i].__le__, cur[lo : j + 1])):
+            return float(cur[i])  # the row's minimum, and the rest of the diagonal adds only zeros
         prev, first, last = cur, next_first, next_last
     return float(prev[m])
 
@@ -157,22 +176,29 @@ class SelfAlignment:
     Give it to ``dtw_distance(completion, original, shared)`` for each
     completion. The first such call computes, in one stacked pass, U, the
     last nonzero-diagonal row and the first differing row of every
-    completion of the original's shape. It then sweeps the rows, once, down
-    to the last row before any completion first differs from the original,
-    at one bound (``bound``), the largest U among the completions that first
-    differ below row 0. Each later pair reads the rows and never changes
-    them, and a ``TimeSeries`` completion reads its three numbers from the
-    pass instead of computing them again. A pair the rows do not serve gets
-    the plain sweep: unequal lengths, more than two dimensions, another
-    original, or U above ``bound``.
+    completion of the original's shape. It then sweeps the upper triangle of
+    the rows, once, down to the last row before any completion first differs
+    from the original, at one bound (``bound``), the largest U among the
+    completions that first differ below row 0. Each later pair rebuilds the
+    whole row it resumes from by symmetry and never changes the stored rows,
+    and a ``TimeSeries`` completion reads its numbers from the pass instead
+    of computing them again. A pair the rows do not serve gets the plain
+    sweep: unequal lengths, more than two dimensions, another original, or U
+    above ``bound``.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
         self.original = _values(original)
         self.ys = _coordinates(self.original)
         self.completions = completions
-        self.rows: list | None = None  # row i is rows[i - 1], with its first and last column at or below bound
+        # Row i is rows[i - 1], filled from column i on (the upper triangle; the cells left of it are
+        # infinite), with its first and last column at or below bound.
+        self.rows: list | None = None
         self.bound = 0.0  # every shared row is swept at it
+        # The running maximum of the rows' last columns at or below the bound: row
+        # bisect_left(_reach, s) + 1 is the first to reach column s, and every row above it
+        # holds nothing at or below the bound there.
+        self._reach: list[int] = []
         self._pairs: dict = {}  # id of a TimeSeries completion -> (the completion, (U, synced, equal))
 
     def _build(self) -> None:
@@ -188,6 +214,7 @@ class SelfAlignment:
         depth = max((equal for _, _, equal, _ in numbers), default=0)
         self.rows = []
         _sweep(self.ys, self.ys, None, self.bound, n + 1, _origin(n), 1, 0, range(1, depth + 1), self.rows)
+        self._reach = list(accumulate([last for _, _, last in self.rows], max))
 
     def _pair(self, a: object, va: np.ndarray) -> tuple[float, int, int, int]:
         """``_near_diagonal``'s four numbers for ``va`` against the original."""
@@ -197,12 +224,17 @@ class SelfAlignment:
         return known[1] if known is not None and known[0] is a else _near_diagonal([va], self.original)[0]
 
     def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int] | None:
-        """The last shared row a pair can start from, its first and last column
-        at or below the pair's ``bound``, and its row number; None if none serves."""
+        """The last shared row a pair can start from, rebuilt whole as a new
+        list, its first and last column at or below the pair's ``bound``, and
+        its row number; None if none serves."""
         start = min(equal, len(self.rows))
         if start == 0 or not bound <= self.bound:
             return None
-        row, first, last = self.rows[start - 1]
+        stored, _, last = self.rows[start - 1]
+        # The stored row starts at the diagonal; D(start, j) = D(j, start) fills in the columns left of it.
+        first = bisect_left(self._reach, start) + 1
+        row = stored.copy()
+        row[first:start] = [above[start] for above, _, _ in self.rows[first - 1 : start - 1]]
         # D(start, start) is 0.0 <= bound, so both scans stop inside [first, last].
         while row[first] > bound:
             first += 1
@@ -233,12 +265,13 @@ def dtw_distance(
 
     The sweep also stops early. From ``synced``, the last row with a
     nonzero diagonal point cost (the masked block's end in an audit pair),
-    on, a row i whose only cell at or below U is (i, i) ends the sweep with
-    D(i, i). Skipped cells have no predecessor at or below U, so every path
-    of cost at most U, every optimal one included, goes through (i, i).
-    Costs never decrease along a path, so D(n, n) >= D(i, i), and the
-    diagonal from (i, i) adds only +0.0, so D(n, n) <= D(i, i). A NaN or
-    infinite cost is never 0.0, and unequal lengths never stop early.
+    on, a row i where D(i, i) is no larger than any swept cell ends the
+    sweep with D(i, i). The diagonal from (i, i) adds only +0.0, so
+    D(n, n) <= D(i, i). Every path to (n, n) crosses row i and costs never
+    decrease along it, while D(i, i) is no larger than any swept cell of the
+    row and the unswept ones are above U >= D(i, i), so D(n, n) >= D(i, i).
+    A NaN cell compares false, so it blocks the stop. A NaN or infinite cost
+    is never 0.0, and unequal lengths never stop early.
 
     With ``shared``, the self-alignment of ``b``, the sweep starts below the
     rows where ``a`` equals ``b``. Those rows were swept once, at one bound
@@ -250,7 +283,8 @@ def dtw_distance(
 
     With one or two dimensions, point costs are computed for the visited
     cells only: summing at most two squares takes one addition, so the order
-    numpy sums in cannot change the bits. With more dimensions, or unequal
+    numpy sums in cannot change the bits, and one dimension adds a square of
+    +0.0, which leaves them as they are. With more dimensions, or unequal
     lengths where every cell is visited anyway, the costs come from the full
     matrix.
     """
@@ -259,9 +293,7 @@ def dtw_distance(
         raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
     n, m, dims = va.shape[0], vb.shape[0], va.shape[1]
 
-    # The row the sweep starts below, its first and last column at or below the bound, and its number.
-    prev, first, last, start = _origin(m), 1, 0, 0
-    costs, bound, synced = None, float("inf"), n + 1
+    costs, bound, synced, resumed = None, float("inf"), n + 1, None
     if n != m or dims > 2:
         matrix = _point_costs(va, vb)
         costs = matrix.tolist()
@@ -270,17 +302,19 @@ def dtw_distance(
     elif shared is not None and (vb is shared.original or np.array_equal(vb, shared.original)):
         bound, synced, equal, differ = shared._pair(a, va)
         resumed = shared._resume(bound, equal)
-        if resumed is not None:
-            prev, first, last, start = resumed
     else:
         bound, synced, _, _ = _near_diagonal([va], vb)[0]
-    if start == 0:
+    # The row the sweep starts below, its first and last column at or below the bound, and its number.
+    if resumed is None:
+        prev, first, last, start = _origin(m), 1, 0, 0
         xs, ys = _coordinates(va), _coordinates(vb)
     else:
+        prev, first, last, start = resumed
         # Outside its differing rows ``a`` equals the original, so its coordinates are a copy of the
-        # original's with those rows written in; a zero of either sign squares to the same cost.
+        # original's with those rows written in; a zero of either sign squares to the same cost. The
+        # zero column of one dimension is never written, so both share it.
         ys = shared.ys
-        xs = [y.copy() for y in ys]
+        xs = [y.copy() for y in ys[:dims]] + ys[dims:]
         stop = max(differ, start)
         for x, column in zip(xs, va[start:stop].T.tolist()):
             x[start + 1 : stop + 1] = column

@@ -1,4 +1,4 @@
-"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the attention step, CSV loading) shared across the test suite.
+"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the attention step, CSV writing and loading) shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -305,6 +305,21 @@ def generate_synthetic_reference(cfg) -> list[TimeSeries]:
                 noise[t] = cfg.ar_coeff * noise[t - 1] + shocks[t]
         out.append(TimeSeries(f"syn{cfg.family}-{i:04d}", _render_components(comps, cfg.length) + noise))
     return out
+
+
+def save_csv_reference(data: list[TimeSeries], path: str) -> None:
+    """The per-cell CSV writer: one ``csv.writer`` row per value.
+
+    ``data.save_csv`` writes each series as one string; it must write the
+    same bytes.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "t", "dim", "value"])
+        for s in data:
+            for t in range(s.length):
+                for d in range(s.dims):
+                    writer.writerow([s.id, t, d, repr(float(s.values[t, d]))])
 
 
 def load_csv_reference(path: str) -> list[TimeSeries]:

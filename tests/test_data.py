@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import generate_synthetic_reference, load_csv_reference
+from helpers import generate_synthetic_reference, load_csv_reference, save_csv_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -331,20 +331,37 @@ def test_csv_loader_matches_the_per_record_reference(text):
 _ID_CHARS = st.one_of(st.sampled_from(list(',"\n\r #é-α')), st.characters(codec="utf-8"))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_csv_round_trip_keeps_ids_and_bits(data):
-    ids = data.draw(st.lists(st.text(_ID_CHARS, max_size=8), min_size=1, max_size=4, unique=True))
-    shape = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3)))
+@st.composite
+def corpora(draw):
+    """Up to four series of one shape, with distinct ids of any characters (an empty one too) and any finite values."""
+    ids = draw(st.lists(st.text(_ID_CHARS, max_size=8), min_size=1, max_size=4, unique=True))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 3)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    corpus = [TimeSeries(sid, data.draw(hnp.arrays(np.float64, shape, elements=finite))) for sid in ids]
+    return [TimeSeries(sid, draw(hnp.arrays(np.float64, shape, elements=finite))) for sid in ids]
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_csv_round_trip_keeps_ids_and_bits(corpus):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.csv")
         save_csv(corpus, path)
         loaded = load_csv(path)
-    assert [s.id for s in loaded] == ids
+    assert [s.id for s in loaded] == [s.id for s in corpus]
     for x, y in zip(corpus, loaded):
         assert y.values.view(np.uint64).tolist() == x.values.view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_csv_writer_matches_the_per_cell_reference(corpus):
+    # An empty id is quoted only when it is alone in a row, so the writer must not quote it alone.
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        save_csv(corpus, got)
+        save_csv_reference(corpus, want)
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
 
 
 def test_csv_files_do_not_depend_on_the_locale(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from helpers import BRUTE_FORCE_CELL_LIMIT, dtw_brute_force, dtw_reference, dtw_reference_rows
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from imputeaudit import dtw
 from imputeaudit.core import TimeSeries
 from imputeaudit.dtw import SelfAlignment, _diagonal_bounds, _near_diagonal, dtw_distance
 
@@ -183,6 +186,76 @@ def test_length_one_and_two_match_full_sweep(case):
     assert dtw_distance(a, b) == dtw_reference(a, b)
 
 
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@EXACT
+@given(block_pairs(), st.data())
+def test_nan_in_either_series_matches_full_sweep(case, data):
+    # A NaN cost is never 0.0 and a NaN cell compares false, so neither may stop the sweep early.
+    completion, original = case
+    target = data.draw(st.sampled_from([completion, original]))
+    target[data.draw(st.integers(0, target.shape[0] - 1)), data.draw(st.integers(0, target.shape[1] - 1))] = math.nan
+    for a, b in ((completion, original), (original, completion)):
+        assert _same(dtw_distance(a, b), dtw_reference(a, b))
+    if original.shape[1] <= 2:
+        assert _same(dtw_distance(completion, original, SelfAlignment(original, [completion])),
+                     dtw_reference(completion, original))
+
+
+@EXACT
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda dims: arrays(np.float64, st.tuples(st.integers(1, 24), st.just(dims)), elements=VALUES)))
+def test_self_alignment_is_symmetric_bit_for_bit(x):
+    # D(i, j) = D(j, i): the shared rows store only the upper triangle and mirror the rest.
+    rows = np.array(dtw_reference_rows(x, x))[1:, 1:]
+    assert np.array_equal(rows.view(np.uint64), rows.T.view(np.uint64))
+
+
+def _spy_on_sweep(monkeypatch) -> list[list[int]]:
+    """The rows each later ``_sweep`` call goes through, one list per call."""
+    swept, sweep = [], dtw._sweep
+
+    def spy(*args):
+        rows = []
+        swept.append(rows)
+
+        def recorded(numbers):
+            for i in numbers:
+                rows.append(i)
+                yield i
+
+        return sweep(*args[:8], recorded(args[8]), *args[9:])
+
+    monkeypatch.setattr(dtw, "_sweep", spy)
+    return swept
+
+
+def test_sweep_stops_at_the_first_row_whose_minimum_is_its_diagonal_cell(monkeypatch):
+    # U = 2 and the last nonzero diagonal cost is on row 2. Row 3 is [inf, 1, 1, 1, 2, 4]:
+    # D(3, 3) is its minimum, though (3, 1), (3, 2) and (3, 4) are at or below U as well.
+    a = np.array([[2.0], [2.0], [1.0], [2.0], [3.0]])
+    b = np.array([[2.0], [0.0], [1.0], [2.0], [3.0]])
+    assert dtw_reference_rows(a, b)[3] == [math.inf, 1.0, 1.0, 1.0, 2.0, 4.0]
+    swept = _spy_on_sweep(monkeypatch)
+    for shared in (None, SelfAlignment(b, [a])):
+        assert dtw_distance(a, b, shared) == dtw_reference(a, b)
+        assert swept[-1] == ([1, 2, 3] if shared is None else [2, 3])  # a shared pair resumes below row 1
+
+
+def test_nan_cell_blocks_the_stop(monkeypatch):
+    # inf - inf makes (2, 1) NaN. Row 2 is [inf, nan, inf, inf] and is the last with a nonzero
+    # diagonal cost: D(2, 2) is no larger than any other number in it, but the NaN keeps the sweep going.
+    a = np.array([[0.0], [math.inf], [1.0]])
+    b = np.array([[math.inf], [0.0], [1.0]])
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(dtw_reference_rows(a, b)[2][1])
+        swept = _spy_on_sweep(monkeypatch)
+        assert dtw_distance(a, b) == dtw_reference(a, b)
+    assert swept == [[1, 2, 3]]
+
+
 # The shared self-alignment (SelfAlignment): pairs resume from rows swept once
 # for the original, and must still return the full sweep's bits.
 BLOCK_KINDS = st.sampled_from(["anywhere", "first-row", "last-row", "all-but-one"])
@@ -329,14 +402,19 @@ def test_sloped_completions_match_full_sweep(case):
 @given(completion_sets())
 def test_shared_rows_are_exact_at_or_below_their_bound(case):
     # The claim the shared rows rest on: each shared cell at or below the bound
-    # is the full sweep's, and every other one is above the bound.
+    # is the full sweep's, and every other one is above the bound. The rows
+    # hold the upper triangle; a pair resumes from the whole row rebuilt from it.
     original, completions = case
     shared = SelfAlignment(original, completions)
     dtw_distance(completions[0], original, shared)
     full = dtw_reference_rows(original, original)
     bound = shared.bound
-    for r, (row, first, last) in enumerate(shared.rows, 1):
-        for j, (got, want) in enumerate(zip(row, full[r])):
+    for r, (stored, _, _) in enumerate(shared.rows, 1):
+        for got, want in zip(stored[r:], full[r][r:]):
+            assert got == want if want <= bound else got > bound
+        row, first, last, start = shared._resume(bound, r)
+        assert start == r
+        for got, want in zip(row, full[r]):
             assert got == want if want <= bound else got > bound
         inside = [j for j, want in enumerate(full[r]) if want <= bound]
         assert (first, last) == (inside[0], inside[-1])
