@@ -11,6 +11,8 @@ fair benchmark on this exact series = memorization).
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from dataclasses import dataclass, field
@@ -139,14 +141,20 @@ def mask_schedule(n_steps: int, block_length: int, repeats: int, placement: str 
     seed unused); "random" draws them from the seed. One schedule is shared by
     every candidate of a run and by both attack variants.
     """
+    return list(_schedule(n_steps, block_length, repeats, placement, seed))
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(n_steps: int, block_length: int, repeats: int, placement: str, seed: int) -> tuple[int, ...]:
+    # Computed once per run and shape; a tuple, so no caller can change what the next one gets.
     if block_length >= n_steps:
         raise ValueError(f"block length {block_length} >= series length {n_steps}")
     span = n_steps - block_length
     if placement == "even":
         points = np.linspace(0.0, span, repeats + 2)[1:-1]
-        return [int(round(p)) for p in points]
+        return tuple(int(round(p)) for p in points)
     rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.choice(span + 1, size=repeats, replace=repeats > span + 1)]
+    return tuple(int(s) for s in rng.choice(span + 1, size=repeats, replace=repeats > span + 1))
 
 
 def loss_ratio(l_t: float, l_r: float, epsilon: float = 1e-12) -> tuple[float, bool]:
@@ -173,13 +181,15 @@ def lbrm_score(
     ``x``'s self-alignment rows with the other completions.
     """
     completions = []
-    for start in mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
+    starts = _schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed)
+    for start in starts:
         masked = single_unit_mask(x, start, cfg.block_length, cfg.dim)
         completions += (_query(target, masked, "target"), _query(reference, masked, "reference"))
     shared = SelfAlignment(x, completions)
     losses = [dtw_distance(completion, x, shared) for completion in completions]
-    l_t = float(np.mean(losses[0::2]))
-    l_r = float(np.mean(losses[1::2]))
+    # np.mean's own pairwise sum and division, without its per-call overhead.
+    l_t = float(np.add.reduce(losses[0::2]) / len(starts))
+    l_r = float(np.add.reduce(losses[1::2]) / len(starts))
     r, degenerate = loss_ratio(l_t, l_r, cfg.epsilon)
     return MembershipScore(candidate_id=x.id, l_t=l_t, l_r=l_r, r=r, degenerate=degenerate)
 

@@ -8,6 +8,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -94,6 +95,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="imputeaudit", description="Membership-inference audit for time-series imputers")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -169,6 +169,17 @@ class ImputationOracle(Protocol):
     def impute(self, x: MaskedSeries) -> TimeSeries: ...
 
 
+def _series(id: str, values: np.ndarray) -> TimeSeries:
+    """A ``TimeSeries`` around ``values``, a new finite float64 (steps, dims)
+    array that no one else holds, frozen in place: the copy and the checks the
+    constructor makes on outside input are skipped. Masked views and model
+    completions are built this way."""
+    values.setflags(write=False)
+    series = object.__new__(TimeSeries)
+    series.__dict__.update(id=id, values=values)
+    return series
+
+
 def _query(oracle: ImputationOracle, masked: MaskedSeries, caller: str) -> TimeSeries:
     """One black-box query; a failure or a completion that breaks the contract names the series and the caller."""
     try:
@@ -233,8 +244,7 @@ def apply_mask(x: TimeSeries, mask: MaskMatrix) -> MaskedSeries:
     """Zero out masked positions of ``x``."""
     if x.shape != mask.shape:
         raise ValueError(f"shape mismatch: series {x.shape} vs mask {mask.shape}")
-    filled = np.where(mask.observed(), x.values, 0.0)
-    return MaskedSeries(series=TimeSeries(x.id, filled), mask=mask)
+    return MaskedSeries(series=_series(x.id, np.where(mask.observed(), x.values, 0.0)), mask=mask)
 
 
 def zscore_normalize(x: TimeSeries) -> tuple[TimeSeries, NormParams]:

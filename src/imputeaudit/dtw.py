@@ -52,10 +52,10 @@ __all__ = ["SelfAlignment", "dtw_distance"]
 
 
 def _values(x: TimeSeries | np.ndarray | list) -> np.ndarray:
-    arr = x.values if isinstance(x, TimeSeries) else _as_matrix(x)
+    arr = x.values if isinstance(x, TimeSeries) else _as_matrix(x)  # float64 either way
     if arr.shape[0] < 1:
         raise ValueError("series must be nonempty")
-    return np.asarray(arr, dtype=np.float64)
+    return arr
 
 
 def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,13 +100,15 @@ def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float
 
     Two finite floats differ exactly when their difference is nonzero, and a
     NaN difference counts as nonzero, so the equal rows are those with an
-    all-zero ``diff`` row, even where a difference squares to zero.
+    all-zero ``diff`` row, even where a difference squares to zero. With one
+    dimension, its first and last columns are the same one.
     """
     n = vb.shape[0]
     diff = np.stack(series) - vb
     square = diff * diff
     bounds, synced = _diagonal_bounds(np.sqrt(square[..., 0] + square[..., 1] if vb.shape[1] == 2 else square[..., 0]))
-    changed = (diff != 0.0).any(axis=2)
+    nonzero = diff != 0.0
+    changed = nonzero[..., 0] | nonzero[..., -1]
     some = changed.any(axis=1)
     equal = np.where(some, changed.argmax(axis=1), n)
     differ = np.where(some, n - changed[:, ::-1].argmax(axis=1), 0)
@@ -179,12 +181,13 @@ class SelfAlignment:
     completion of the original's shape. It then sweeps the upper triangle of
     the rows, once, down to the last row before any completion first differs
     from the original, at one bound (``bound``), the largest U among the
-    completions that first differ below row 0. Each later pair rebuilds the
-    whole row it resumes from by symmetry and never changes the stored rows,
-    and a ``TimeSeries`` completion reads its numbers from the pass instead
-    of computing them again. A pair the rows do not serve gets the plain
-    sweep: unequal lengths, more than two dimensions, another original, or U
-    above ``bound``.
+    completions that first differ below row 0. The whole row a pair resumes
+    from is rebuilt by symmetry once and shared by every pair that resumes
+    from it, which, like the stored rows, it only reads; a ``TimeSeries``
+    completion reads its numbers from the pass instead of computing them
+    again. A pair the rows do not serve gets the plain sweep: unequal
+    lengths, more than two dimensions, another original, or U above
+    ``bound``.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
@@ -199,14 +202,15 @@ class SelfAlignment:
         # bisect_left(_reach, s) + 1 is the first to reach column s, and every row above it
         # holds nothing at or below the bound there.
         self._reach: list[int] = []
-        self._pairs: dict = {}  # id of a TimeSeries completion -> (the completion, (U, synced, equal))
+        self._pairs: dict = {}  # id of a TimeSeries completion -> (the completion, _near_diagonal's numbers)
+        self._starts: dict = {}  # row number -> the whole row rebuilt, its first and last column at or below the bound
 
     def _build(self) -> None:
         vb = self.original
         n = vb.shape[0]
-        same = [c for c in self.completions if _values(c).shape == vb.shape]
-        numbers = _near_diagonal([_values(c) for c in same], vb) if same else []
-        for completion, pair in zip(same, numbers):
+        same = [(c, v) for c in self.completions if (v := _values(c)).shape == vb.shape]
+        numbers = _near_diagonal([v for _, v in same], vb) if same else []
+        for (completion, _), pair in zip(same, numbers):
             if isinstance(completion, TimeSeries):  # frozen values, so the numbers stay right
                 self._pairs[id(completion)] = (completion, pair)
         # A NaN U never serves, and a pair that differs at row 0 resumes from no row.
@@ -224,17 +228,21 @@ class SelfAlignment:
         return known[1] if known is not None and known[0] is a else _near_diagonal([va], self.original)[0]
 
     def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int] | None:
-        """The last shared row a pair can start from, rebuilt whole as a new
-        list, its first and last column at or below the pair's ``bound``, and
-        its row number; None if none serves."""
+        """The last shared row a pair can start from, rebuilt whole, its first
+        and last column at or below the pair's ``bound``, and its row number;
+        None if none serves. Each row is rebuilt once, as a new list that
+        every pair resuming from it only reads."""
         start = min(equal, len(self.rows))
         if start == 0 or not bound <= self.bound:
             return None
-        stored, _, last = self.rows[start - 1]
-        # The stored row starts at the diagonal; D(start, j) = D(j, start) fills in the columns left of it.
-        first = bisect_left(self._reach, start) + 1
-        row = stored.copy()
-        row[first:start] = [above[start] for above, _, _ in self.rows[first - 1 : start - 1]]
+        if start not in self._starts:
+            stored, _, last = self.rows[start - 1]
+            # The stored row starts at the diagonal; D(start, j) = D(j, start) fills in the columns left of it.
+            first = bisect_left(self._reach, start) + 1
+            row = stored.copy()
+            row[first:start] = [above[start] for above, _, _ in self.rows[first - 1 : start - 1]]
+            self._starts[start] = row, first, last
+        row, first, last = self._starts[start]
         # D(start, start) is 0.0 <= bound, so both scans stop inside [first, last].
         while row[first] > bound:
             first += 1

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import MaskedSeries, TimeSeries, _load, _query, _read, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
+from .core import MaskedSeries, TimeSeries, _load, _query, _read, _series, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -379,7 +379,9 @@ class TrainedImputer:
             raise ValueError(f"expected shape ({self.n_steps}, {self.n_dims}), got {x.series.shape}")
         predicted, _ = self._net.forward(self._views, x.series.values[None])
         filled = np.where(x.mask.observed(), x.series.values, predicted[0])
-        return TimeSeries(x.id, filled)
+        if not np.isfinite(filled).all():
+            raise ValueError(f"series {x.id!r}: values must be finite")
+        return _series(x.id, filled)
 
 
 @dataclass(frozen=True)

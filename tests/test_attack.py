@@ -15,6 +15,7 @@ from helpers import (
     dtw_reference,
 )
 
+from imputeaudit import attack
 from imputeaudit.attack import (
     AttackConfig,
     Calibration,
@@ -58,6 +59,26 @@ def test_mask_schedule_random_seeded():
     assert a == b
     assert a != c
     assert all(0 <= s <= 63 for s in a)
+
+
+@pytest.mark.parametrize("placement", ["even", "random"])
+def test_changing_a_returned_schedule_changes_no_later_one(placement, monkeypatch):
+    # Each schedule is computed once per run and shape: a caller holds a copy of it.
+    cfg = AttackConfig(block_length=2, repeats=5, placement=placement, seed=3)
+    expected = mask_schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed)
+    returned = mask_schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed)
+    returned[0] = 99
+    returned.append(7)
+    assert mask_schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed) == expected
+    starts = []
+
+    def recorded(x, start, *rest):
+        starts.append(start)
+        return single_unit_mask(x, start, *rest)
+
+    monkeypatch.setattr(attack, "single_unit_mask", recorded)
+    lbrm_score(ZeroFillOracle(), ZeroFillOracle(), series(1), cfg)
+    assert starts == expected
 
 
 def test_mask_schedule_rejects_full_cover():

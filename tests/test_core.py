@@ -229,6 +229,31 @@ def test_masked_series_holds_only_what_the_oracle_sees():
         MaskedSeries(TimeSeries("a", np.ones((3, 1))), MaskMatrix(np.ones((4, 1))))
 
 
+def test_views_and_completions_are_frozen_and_share_no_memory(tiny_corpus, fresh_model, monkeypatch):
+    # Views and completions are built without the constructor's copy: each must still own
+    # its values, read-only, apart from the caller's series and the model's output.
+    outputs = []
+    forward = fresh_model._net.forward
+
+    def recorded(*args):
+        predicted, cache = forward(*args)
+        outputs.append(predicted)
+        return predicted, cache
+
+    monkeypatch.setattr(fresh_model._net, "forward", recorded)
+    x = tiny_corpus[0]
+    for mask in (single_unit_mask(x, 5, 3).mask, random_missing_mask(x.shape, 0.2, 1), MaskMatrix(np.ones(x.shape))):
+        masked = apply_mask(x, mask)
+        completed = _query(fresh_model, masked, "target")
+        model_arrays = [outputs[-1], *fresh_model._views.values()]
+        for frozen, others in ((masked.series.values, [x.values]),
+                               (completed.values, [masked.series.values, x.values, *model_arrays])):
+            assert not frozen.flags.writeable
+            with pytest.raises(ValueError):
+                frozen[0, 0] = 1.0
+            assert not any(np.shares_memory(frozen, other) for other in others)
+
+
 def test_counting_oracle_counts():
     from helpers import CountingOracle, ZeroFillOracle
 

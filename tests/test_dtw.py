@@ -330,11 +330,40 @@ def test_self_alignment_rows_are_only_read():
         completion[start : start + 3, 1] += rng.normal(size=3)
         completions.append(completion)
     shared = SelfAlignment(original, completions)
+    # Each row a pair resumes from is rebuilt once, and every pair reads that one list.
+    resumed, resume = {}, shared._resume
+
+    def recorded(bound, equal):
+        row, first, last, start = resume(bound, equal)
+        assert resumed.setdefault(start, (row, list(row)))[0] is row
+        return row, first, last, start
+
+    shared._resume = recorded
     first = [dtw_distance(c, original, shared) for c in completions]
     rows = [(list(row), lo, hi) for row, lo, hi in shared.rows]
     assert [dtw_distance(c, original, shared) for c in reversed(completions)] == first[::-1]
     assert [(list(row), lo, hi) for row, lo, hi in shared.rows] == rows
+    assert len(resumed) == len(completions)
+    assert all(row == copy for row, copy in resumed.values())
     assert first == [dtw_reference(c, original) for c in completions]
+
+
+@pytest.mark.parametrize("dims, dim", [(1, 0), (2, 0), (2, 1)], ids=["one-dim", "first-of-two", "second-of-two"])
+def test_a_difference_that_squares_to_zero_still_differs(dims, dim):
+    # 1e-200 squares to 0.0: its row has a zero diagonal cost, yet it is not equal to the original's.
+    rng = np.random.default_rng(dims + dim)
+    original = rng.normal(size=(12, dims))
+    original[5, dim] = 0.0
+    tiny, blocked = original.copy(), original.copy()
+    tiny[5, dim] = 1e-200
+    blocked[5, dim] = 1e-200
+    blocked[8:10, dim] += 1.0
+    assert (tiny - original)[5, dim] ** 2 == 0.0
+    numbers = _near_diagonal([tiny, blocked], original)
+    assert [(equal, differ) for _, _, equal, differ in numbers] == [(5, 6), (5, 10)]
+    shared = SelfAlignment(original, [tiny, blocked])
+    for completion in (tiny, blocked):
+        assert dtw_distance(completion, original, shared) == dtw_reference(completion, original)
 
 
 @pytest.mark.parametrize("steps, dims", [(8, 3), (6, 1)], ids=["three-dims", "unequal-length"])

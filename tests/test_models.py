@@ -14,7 +14,7 @@ from helpers import (
     descend_reference,
 )
 
-from imputeaudit.core import MaskMatrix, OracleError, TimeSeries, apply_mask, random_missing_mask, single_unit_mask
+from imputeaudit.core import MaskMatrix, OracleError, TimeSeries, _query, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.models import (
     DivergenceError,
     ImputerConfig,
@@ -368,6 +368,25 @@ def test_parity_queries_are_checked_at_the_boundary(broken):
         parity_check(broken, ZeroFillOracle(), corpus, tolerance=0.1)
     with pytest.raises(OracleError, match="parity oracle .*'s0'"):
         parity_check(ZeroFillOracle(), broken, corpus, tolerance=0.1)
+
+
+def test_an_overflowing_model_fails_at_the_query_boundary(tiny_corpus, fresh_model):
+    # Finite parameters whose last layer overflows: every hidden unit saturates at +1 and
+    # adds 1e308 to each output. The completion is checked in impute, and _query names
+    # the caller and the series.
+    params = fresh_model.params.copy()
+    views = _unpack(params, fresh_model._net.layout)
+    views["b3"][...] = 50.0
+    views["W4"][...] = 1e308
+    views["b4"][...] = 1e308
+    model = TrainedImputer(fresh_model.config, fresh_model.n_steps, fresh_model.n_dims, params, fresh_model.history)
+    x = tiny_corpus[0]
+    masked = single_unit_mask(x, 5, 3)
+    with np.errstate(over="ignore"):
+        assert np.isinf(model._net.forward(model._views, masked.series.values[None])[0]).all()
+        for caller in ("target", "reference", "parity"):
+            with pytest.raises(OracleError, match=f"{caller} oracle failed on series {x.id!r}: .*must be finite"):
+                _query(model, masked, caller)
 
 
 def test_parity_accepts_published_scale_gap(tiny_corpus):
