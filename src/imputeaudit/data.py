@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, NoReturn
+from typing import ClassVar, Iterator, NoReturn
 
 import numpy as np
 
@@ -159,9 +160,6 @@ def split_scenario2(data: list[TimeSeries], seed: int) -> ScenarioSplit:
     return _split(data, seed, (3 * n) // 5, n // 5)
 
 
-# A body record as numpy's C reader parses it. Its number grammar is numpy's:
-# on repr output it returns float()'s bits, but it rejects Python-only
-# spellings such as 1_0.
 _FIELDS = ["id", "t", "dim", "value"]
 _RECORD = np.dtype([("id", object), ("t", "<i8"), ("dim", "<i8"), ("value", "<f8")])
 
@@ -185,75 +183,32 @@ def save_csv(data: list[TimeSeries], path: str) -> None:
             fh.write("".join([f"{sid},{k // dims},{k % dims},{v!r}\r\n" for k, v in cells]))
 
 
-def _records(path: str, max_rows: int | None = None) -> np.ndarray | None:
-    """The first ``max_rows`` (default: all) body records at ``path``, or None when numpy's reader rejects one of them.
+def _numbers(line: int, row: list[str]) -> Iterator[int | float]:
+    """Yield the t, dim and value of ``row`` as numpy's reader reads them; CsvParseError names the first it rejects.
 
-    Blank lines are skipped and do not count toward ``max_rows``.
+    numpy strips what ``str.strip`` strips, then reads ASCII with no underscore as int() and float() do; an int must fit int64.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    for name, kind, text in zip(_FIELDS[1:], (int, int, float), row[1:]):
+        core = text.strip()
         try:
-            header = next(csv.reader(fh), None)
-            if header is not None and [h.strip() for h in header] == _FIELDS:
-                with warnings.catch_warnings():
-                    # loadtxt warns on an empty body, which load_csv rejects with its own
-                    # error, and on each blank line it does not count toward max_rows
-                    warnings.simplefilter("ignore", UserWarning)
-                    return np.loadtxt(fh, dtype=_RECORD, delimiter=",", quotechar='"', comments=None,
-                                      ndmin=1, max_rows=max_rows)
-        except UnicodeDecodeError as exc:
-            raise CsvParseError(f"{path} is not UTF-8 text: {exc}") from exc
+            number = kind(core)
+        except ValueError:
+            number = None
+        if number is None or not core.isascii() or "_" in core or (kind is int and not -(2**63) <= number < 2**63):
+            raise CsvParseError(f"line {line}: {name} must be {'an integer' if kind is int else 'a number'}, got {text!r}")
+        yield number
+
+
+def _records(fh) -> np.ndarray | None:
+    """The body records at ``fh``, or None when numpy's reader rejects one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body, which _series rejects
+        try:
+            return np.loadtxt(fh, dtype=_RECORD, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise
         except ValueError:
             return None
-    raise CsvParseError(f"line 1: expected header 'id,t,dim,value', got {header}")
-
-
-def _parsed_prefix(path: str) -> tuple[int, np.ndarray]:
-    """The index of the first record numpy's reader rejects, and the records before it.
-
-    Bisects on ``max_rows``, so every probe is one C parse of a prefix of the body.
-    """
-    good, rows, bad = 0, np.empty(0, _RECORD), 1
-    while (probe := _records(path, bad)) is not None and len(probe) == bad:
-        good, rows, bad = bad, probe, 2 * bad
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        probe = _records(path, mid)
-        if probe is None:
-            bad = mid
-        else:
-            good, rows = mid, probe
-    return good, rows
-
-
-def _locate(path: str, index: int) -> tuple[int, list[str]]:
-    """The physical line on which body record ``index`` starts, and its fields.
-
-    Blank lines are skipped, as numpy's reader skips them; a quoted field may
-    span lines. Only a rejected file is read this way.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if index == 0:
-                    return start, row
-                index -= 1
-            start = reader.line_num + 1
-
-
-def _unparsed_field(row: list[str]) -> str:
-    """Why numpy's reader rejects ``row``: its field count, else the first of t, dim and value it cannot parse."""
-    if len(row) != len(_FIELDS):
-        return f"expected {len(_FIELDS)} fields, got {len(row)}"
-    for name, text in zip(_FIELDS[1:3], row[1:3]):
-        try:
-            np.loadtxt(['"' + text.replace('"', '""') + '"'], dtype=_RECORD[name], delimiter=",",
-                       quotechar='"', comments=None)
-        except ValueError:
-            return f"{name} must be an integer, got {text!r}"
-    return f"value must be a number, got {row[3]!r}"
 
 
 def _number_series(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -276,75 +231,53 @@ def _number_series(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
     return names, series
 
 
-def _reject(path: str, rows: np.ndarray, unparsed: int | None, names: list[str], series: np.ndarray) -> NoReturn:
-    """Raise the error for the first bad record of ``rows``, else for record ``unparsed``, else for the first bad series.
+def _reject(path: str, reader, rows: np.ndarray | None) -> NoReturn:
+    """Raise the error for the first bad record at ``path``, read by ``reader`` from the top, else for its first bad series.
 
-    ``rows`` are the records before ``unparsed``, or all of them, and ``series``
-    numbers each record's id in ``names``.
+    ``rows``, numpy's parse of csv's non-blank rows in order, give each record's numbers; None when numpy rejected one.
     """
-    t, dim, value = rows["t"], rows["dim"], rows["value"]
-    # A repeated cell is every record after the first with its (series, t, dim);
-    # lexsort is stable, so those follow the first in file order.
-    order = np.lexsort((dim, t, series))
-    cells = series[order], t[order], dim[order]
-    repeat = np.zeros(len(rows), dtype=bool)
-    repeat[order[1:][np.logical_and.reduce([c[1:] == c[:-1] for c in cells])]] = True
-    negative = (t < 0) | (dim < 0)
-    infinite = ~np.isfinite(value)
-    flagged = np.flatnonzero(negative | infinite | repeat)
-    if flagged.size:
-        i = int(flagged[0])
-        line = _locate(path, i)[0]
-        if negative[i]:
+    parsed = None if rows is None else zip(rows["t"].tolist(), rows["dim"].tolist(), rows["value"].tolist())
+    cells, sid = {}, None  # per id, the line of its first record and its set of (t, dim) cells
+    next(reader)
+    start = reader.line_num + 1
+    for row in reader:
+        line, start = start, reader.line_num + 1
+        if not row:
+            continue
+        if len(row) != len(_FIELDS):
+            raise CsvParseError(f"line {line}: expected {len(_FIELDS)} fields, got {len(row)}")
+        t, dim, value = _numbers(line, row) if parsed is None else next(parsed)
+        if t < 0 or dim < 0:
             raise CsvParseError(f"line {line}: t and dim must be nonnegative")
-        if infinite[i]:
+        if not math.isfinite(value):
             raise CsvParseError(f"line {line}: value must be finite")
-        raise CsvSchemaError(f"line {line}: series {names[series[i]]!r}: duplicate entry for (t={t[i]}, dim={dim[i]})")
-    if unparsed is not None:
-        line, row = _locate(path, unparsed)
-        raise CsvParseError(f"line {line}: {_unparsed_field(row)}")
+        if row[0] != sid:  # a series' records are usually contiguous
+            sid, (_, seen) = row[0], cells.setdefault(row[0], (line, set()))
+        if (cell := (t, dim)) in seen:
+            raise CsvSchemaError(f"line {line}: series {sid!r}: duplicate entry for (t={t}, dim={dim})")
+        seen.add(cell)
 
-    # With no repeated cell, a series fills its grid iff it has one record per cell.
-    # The grid size is taken in float64 so that a huge t cannot wrap around.
-    last_t = np.zeros(len(names), dtype=np.int64)
-    np.maximum.at(last_t, series, t)
-    last_dim = np.zeros(len(names), dtype=np.int64)
-    np.maximum.at(last_dim, series, dim)
-    count = np.bincount(series, minlength=len(names))
-    incomplete = count != (last_t + 1.0) * (last_dim + 1.0)
-    i = int(np.flatnonzero(incomplete | (last_t != last_t[0]) | (last_dim != last_dim[0]))[0])
-    line = _locate(path, int(np.argmax(series == i)))[0]
-    steps, dims = int(last_t[i]) + 1, int(last_dim[i]) + 1
-    if incomplete[i]:
-        problem = f"expected {steps * dims} entries for shape ({steps}, {dims}), got {count[i]}"
-    else:
-        problem = f"shape ({steps}, {dims}) differs from ({int(last_t[0]) + 1}, {int(last_dim[0]) + 1})"
-    raise CsvSchemaError(f"series {names[i]!r}, starting at line {line}: {problem}")
+    first = None
+    for sid, (line, seen) in cells.items():
+        shape = tuple(1 + max(axis) for axis in zip(*seen))
+        where = f"series {sid!r}, starting at line {line}"
+        if len(seen) != shape[0] * shape[1]:
+            raise CsvSchemaError(f"{where}: expected {shape[0] * shape[1]} entries for shape {shape}, got {len(seen)}")
+        if shape != (first := first or shape):
+            raise CsvSchemaError(f"{where}: shape {shape} differs from {first}")
+    raise CsvParseError(f"{path}: the file was rejected, but a record-by-record read finds no bad record or series")
 
 
-def load_csv(path: str) -> list[TimeSeries]:
-    """Read a UTF-8 corpus saved by :func:`save_csv` (or matching its schema).
-
-    numpy's C reader parses the body in one call; series keep the order in
-    which their ids first appear. A rejected file raises CsvParseError or
-    CsvSchemaError naming the physical line of the first bad record in file
-    order. Within a record the checks run in this order: field count, t, dim,
-    value, the signs of t and dim, finiteness, and a repeated (id, t, dim)
-    cell. Then each series, in first-appearance order, must fill its grid of
-    (t, dim) cells and share the first series' shape; those errors name the
-    line on which the series starts.
-    """
-    rows, unparsed = _records(path), None
-    if rows is None:
-        unparsed, rows = _parsed_prefix(path)
-    elif len(rows) == 0:
+def _series(rows: np.ndarray) -> list[TimeSeries] | None:
+    """The series of ``rows``, or None when the records do not fill one (series, t, dim) grid with finite values."""
+    if len(rows) == 0:
         raise CsvSchemaError("file contains no data rows")
     names, series = _number_series(rows)
     t, dim, value = rows["t"], rows["dim"], rows["value"]
 
     # A good file has one record per cell of a (series, t, dim) grid: with
     # exactly as many cells as records, that holds iff no cell is hit twice.
-    if unparsed is None and (t >= 0).all() and (dim >= 0).all() and np.isfinite(value).all():
+    if (t >= 0).all() and (dim >= 0).all() and np.isfinite(value).all():
         steps, dims = int(t.max()) + 1, int(dim.max()) + 1
         if len(names) * steps * dims == len(rows):
             cell = (series * steps + t) * dims + dim
@@ -354,4 +287,31 @@ def load_csv(path: str) -> list[TimeSeries]:
                 values = np.empty(len(rows))
                 values[cell] = value
                 return [TimeSeries(sid, v) for sid, v in zip(names, values.reshape(len(names), steps, dims))]
-    _reject(path, rows, unparsed, names, series)
+    return None
+
+
+def load_csv(path: str) -> list[TimeSeries]:
+    """Read a UTF-8 corpus saved by :func:`save_csv` (or matching its schema).
+
+    numpy's C reader parses the body in one call; series keep the order in which
+    their ids first appear. A file it rejects, or whose records do not fill one
+    grid, is read again with ``csv.reader``, record by record, and raises
+    CsvParseError or CsvSchemaError naming the physical line of the first bad
+    record in file order. Within a record the checks run in this order: field
+    count, t, dim, value, the signs of t and dim, finiteness, and a repeated
+    (id, t, dim) cell. Then each series, in first-appearance order, must fill its
+    grid of (t, dim) cells and share the first series' shape; those errors name
+    the line on which the series starts.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+            if header is None or [h.strip() for h in header] != _FIELDS:
+                raise CsvParseError(f"line 1: expected header 'id,t,dim,value', got {header}")
+            rows = _records(fh)
+            if rows is not None and (series := _series(rows)) is not None:
+                return series
+            fh.seek(0)
+            _reject(path, csv.reader(fh), rows)
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -553,5 +553,8 @@ def load_model(path: str) -> TrainedImputer:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     file = _read(_ModelFile, doc, path)
-    params = np.frombuffer(base64.b64decode(file.params_b64), dtype="<f8").astype(np.float64)
-    return TrainedImputer(file.config, file.n_steps, file.n_dims, params, file.history)
+    try:
+        params = np.frombuffer(base64.b64decode(file.params_b64), dtype="<f8").astype(np.float64)
+        return TrainedImputer(file.config, file.n_steps, file.n_dims, params, file.history)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -229,6 +229,9 @@ def write_csv(path, text):
     ("c,-1,0,1.0\nd,0,0", CsvParseError, "line 6: t and dim must be nonnegative"),
     ("a,0,0,3.0\nd,x,0,1.0", CsvSchemaError, "line 6: series 'a': duplicate entry for (t=0, dim=0)"),
     ("d,x,0,1.0\na,0,0,3.0", CsvParseError, "line 6: t must be an integer, got 'x'"),
+    # a line of only whitespace, or only an empty quoted field, is a record of one field, not a blank line
+    ("   ", CsvParseError, "line 6: expected 4 fields, got 1"),
+    ('""', CsvParseError, "line 6: expected 4 fields, got 1"),
 ])
 def test_csv_rejection_names_the_physical_line(tmp_path, bad, error, message):
     path = write_csv(tmp_path / "bad.csv", CSV_PREFIX + bad + "\n")
@@ -242,10 +245,18 @@ def test_csv_rejection_names_the_physical_line(tmp_path, bad, error, message):
 
 @pytest.mark.parametrize("bad, message", [
     ("c,0,0,1_0", "line 6: value must be a number, got '1_0'"),
+    ("c,0,0,1_0.5", "line 6: value must be a number, got '1_0.5'"),
     ("c,1_0,0,1.0", "line 6: t must be an integer, got '1_0'"),
+    ("c,١,0,1.0", "line 6: t must be an integer, got '١'"),
+    ("c,0,１,1.0", "line 6: dim must be an integer, got '１'"),
+    ("c,0,0,١.٥", "line 6: value must be a number, got '١.٥'"),
+    ("c,9223372036854775808,0,1.0", "line 6: t must be an integer, got '9223372036854775808'"),
+    ("c,-9223372036854775809,0,1.0", "line 6: t must be an integer, got '-9223372036854775809'"),
+    ("c,0,9223372036854775808,1.0", "line 6: dim must be an integer, got '9223372036854775808'"),
+    ("c,0,-9223372036854775809,1.0", "line 6: dim must be an integer, got '-9223372036854775809'"),
 ])
 def test_csv_numbers_follow_numpys_grammar(tmp_path, bad, message):
-    """float() and int() read 1_0 as 10; numpy's reader rejects it."""
+    """int() and float() read underscores, non-ASCII digits and integers past int64; numpy's reader rejects them."""
     with pytest.raises(CsvParseError) as caught:
         load_csv(write_csv(tmp_path / "bad.csv", CSV_PREFIX + bad + "\n"))
     assert str(caught.value) == message
@@ -271,11 +282,40 @@ def test_csv_empty_body_is_a_schema_error_without_a_warning(tmp_path, body):
 
 
 def test_csv_that_is_not_utf8_names_the_file(tmp_path):
-    for name, raw in (("body.csv", b"id,t,dim,value\na,0,0,1.0\n\xff,1,0,2.0\n"), ("header.csv", b"\xffid,t,dim,value\n")):
+    for name, raw in (("body.csv", b"id,t,dim,value\na,0,0,1.0\n\xff,1,0,2.0\n"), ("header.csv", b"\xffid,t,dim,value\n"),
+                      ("after_a_bad_record.csv", b"id,t,dim,value\na,0,0,1.0\nb,x,0,1.0\n\xff,1,0,2.0\n")):
         path = tmp_path / name
         path.write_bytes(raw)
         with pytest.raises(CsvParseError, match=f"{name} is not UTF-8 text"):
             load_csv(str(path))
+
+
+# Spellings of t and dim, then of value: ASCII and Unicode whitespace, signs, leading zeros, int64's ends and
+# one past them, underscores, non-ASCII digits, hex, every inf and nan spelling, and a Fortran exponent.
+_INT_SPELLINGS = ["0", "7", "-3", "+4", "007", " 5", "5 ", "\t6\t", "\x0b1\x0c", "\x1c1\x1f", "\xa01", "1\u3000",
+                  "9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
+                  "1_0", "١", "１", "0x10", "1.0", "1e3", "", "+"]
+_FLOAT_SPELLINGS = ["1.5", "-0.0", "1.", ".5", "+.5e-3", " 2.5 ", "\x1c2.5", "\xa02.5", "5e-324", "1e400", "-1e400",
+                    "inf", "-Infinity", "+INF", "iNfInItY", "nan", "-NaN", "+nan", "NAN", "nan(123)", "0x1p3", "1d3",
+                    "1_0", "1_0.5", "١.٥", "１", "", ".", "1e"]
+
+
+@pytest.mark.parametrize("field, text", [(f, s) for f in ("t", "dim") for s in _INT_SPELLINGS]
+                         + [("value", s) for s in _FLOAT_SPELLINGS])
+def test_csv_record_by_record_read_rejects_what_numpys_reader_rejects(tmp_path, field, text):
+    fields = {"t": "0", "dim": "0", "value": "1.0"} | {field: text}
+    record = f"a,{fields['t']},{fields['dim']},{fields['value']}"
+    try:
+        np.loadtxt([record], dtype=[("id", object), ("t", "<i8"), ("dim", "<i8"), ("value", "<f8")], delimiter=",",
+                   quotechar='"', comments=None)
+        numpy_reads = True
+    except ValueError:
+        numpy_reads = False
+    # numpy's reader rejects the record after it, so the file is read again record by record
+    with pytest.raises(CsvParseError) as caught:
+        load_csv(write_csv(tmp_path / "g.csv", f"id,t,dim,value\n{record}\nb,x,0,1.0\n"))
+    what = "a number" if field == "value" else "an integer"
+    assert (str(caught.value) == f"line 2: {field} must be {what}, got {text!r}") is not numpy_reads
 
 
 _IDS = ["a", "b", "#h", '"q\nx"', '" s, ""z"""']

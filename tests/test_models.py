@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import replace
 
@@ -452,7 +453,15 @@ def test_load_rejects_an_unknown_config_key(tmp_path):
     (lambda d: d.update(history=[1, "2.5"]), "item 1 of 'history' in .* must be float, got '2.5'"),
     (lambda d: d.update(extra=1), "unknown key 'extra' in"),
     (lambda d: d.pop("history"), "missing key 'history' in"),
-], ids=["n_steps", "n_dims", "history_item", "unknown_key", "no_history"])
+    # the parameters are checked after the file is read, and those errors name it too
+    (lambda d: d.update(params_b64=d["params_b64"][:5]), r"model\.json: Invalid base64-encoded string"),
+    (lambda d: d.update(params_b64=base64.b64encode(bytes(7)).decode()),
+     r"model\.json: buffer size must be a multiple of element size"),
+    (lambda d: d.update(n_steps=64), r"model\.json: expected \d+ parameters for this config, got \d+"),
+    (lambda d: d.update(params_b64=base64.b64encode(np.frombuffer(base64.b64decode(d["params_b64"]), "<f8") * np.nan).decode()),
+     r"model\.json: parameters must be finite"),
+], ids=["n_steps", "n_dims", "history_item", "unknown_key", "no_history", "params_truncated", "params_7_bytes",
+        "params_wrong_count", "params_nan"])
 def test_load_rejects_mistyped_model_files_by_name(tmp_path, edit, match):
     # Each of these once loaded, cast by hand or ignored, and a left-out history raised KeyError.
     path = tmp_path / "model.json"
