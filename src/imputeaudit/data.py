@@ -6,7 +6,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NoReturn
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -231,10 +231,10 @@ def _number_series(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
     return names, series
 
 
-def _reject(path: str, reader, rows: np.ndarray | None) -> NoReturn:
-    """Raise the error for the first bad record at ``path``, read by ``reader`` from the top, else for its first bad series.
+def _check(reader, rows: np.ndarray | None) -> None:
+    """Raise the error for the first bad record ``reader`` reads from the top, else for the first bad series.
 
-    ``rows``, numpy's parse of csv's non-blank rows in order, give each record's numbers; None when numpy rejected one.
+    ``rows``, numpy's parse of csv's non-blank rows in order, give each record's numbers; with None, ``_numbers`` reads them.
     """
     parsed = None if rows is None else zip(rows["t"].tolist(), rows["dim"].tolist(), rows["value"].tolist())
     cells, sid = {}, None  # per id, the line of its first record and its set of (t, dim) cells
@@ -265,7 +265,6 @@ def _reject(path: str, reader, rows: np.ndarray | None) -> NoReturn:
             raise CsvSchemaError(f"{where}: expected {shape[0] * shape[1]} entries for shape {shape}, got {len(seen)}")
         if shape != (first := first or shape):
             raise CsvSchemaError(f"{where}: shape {shape} differs from {first}")
-    raise CsvParseError(f"{path}: the file was rejected, but a record-by-record read finds no bad record or series")
 
 
 def _series(rows: np.ndarray) -> list[TimeSeries] | None:
@@ -301,17 +300,29 @@ def load_csv(path: str) -> list[TimeSeries]:
     count, t, dim, value, the signs of t and dim, finiteness, and a repeated
     (id, t, dim) cell. Then each series, in first-appearance order, must fill its
     grid of (t, dim) cells and share the first series' shape; those errors name
-    the line on which the series starts.
+    the line on which the series starts. A record csv cannot read, such as a
+    field past ``csv.field_size_limit()``, raises CsvParseError naming the file
+    and the line csv stopped on. numpy's reader reads some non-ASCII characters
+    as digits, so a file that is not all ASCII is read record by record too,
+    each number by ``_numbers``' grammar, and loads only if that read passes.
     """
+    with open(path, "rb") as raw:
+        all_ascii = all(chunk.isascii() for chunk in iter(lambda: raw.read(1 << 16), b""))
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            header = next(csv.reader(fh), None)
+            header = next(reader := csv.reader(fh), None)
             if header is None or [h.strip() for h in header] != _FIELDS:
                 raise CsvParseError(f"line 1: expected header 'id,t,dim,value', got {header}")
             rows = _records(fh)
-            if rows is not None and (series := _series(rows)) is not None:
+            series = None if rows is None else _series(rows)
+            if series is not None and all_ascii:
                 return series
             fh.seek(0)
-            _reject(path, csv.reader(fh), rows)
+            _check(reader := csv.reader(fh), rows if all_ascii else None)
+            if series is None:
+                raise CsvParseError(f"{path}: the file was rejected, but a record-by-record read finds no bad record or series")
+            return series
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -176,79 +176,66 @@ class SelfAlignment:
     """The rows of ``original``'s self-alignment that its ``completions`` share.
 
     Give it to ``dtw_distance(completion, original, shared)`` for each
-    completion. The first such call computes, in one stacked pass, U, the
-    last nonzero-diagonal row and the first differing row of every
-    completion of the original's shape. It then sweeps the upper triangle of
-    the rows, once, down to the last row before any completion first differs
-    from the original, at one bound (``bound``), the largest U among the
-    completions that first differ below row 0. The whole row a pair resumes
-    from is rebuilt by symmetry once and shared by every pair that resumes
-    from it, which, like the stored rows, it only reads; a ``TimeSeries``
-    completion reads its numbers from the pass instead of computing them
-    again. A pair the rows do not serve gets the plain sweep: unequal
-    lengths, more than two dimensions, another original, or U above
-    ``bound``.
+    completion. The constructor computes U, the last nonzero-diagonal row
+    and the first differing row of every completion in one stacked pass, so
+    a completion must not change afterwards (a ``TimeSeries`` is frozen).
+    It then sweeps the upper triangle of the rows once, down to the last row
+    before any completion first differs from the original, at one bound
+    (``bound``), the largest U among the completions that first differ
+    below row 0. The row a pair resumes from is rebuilt whole by symmetry
+    once, and then only read, as are the stored rows. The original has one
+    or two dimensions and every completion its shape, or ValueError is raised.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
-        self.original = _values(original)
-        self.ys = _coordinates(self.original)
-        self.completions = completions
+        vb = _values(original)
+        n, dims = vb.shape
+        if dims > 2:
+            raise ValueError(f"a self-alignment takes 1 or 2 dimensions, got {dims}")
+        values = [_values(c) for c in completions]
+        if any(v.shape != vb.shape for v in values):
+            raise ValueError(f"every completion must have the original's shape {vb.shape}")
+        numbers = _near_diagonal(values, vb) if values else []
+        self.series = original
+        self.ys = _coordinates(vb)
+        # id of a completion -> the completion (held, so its id is not reused), its values, _near_diagonal's numbers.
+        self._pairs = {id(c): (c, v, pair) for c, v, pair in zip(completions, values, numbers)}
+        # A NaN U never resumes, nor does a pair that differs at row 0. Every shared row is swept at bound.
+        self.bound = max((u for u, _, equal, _ in numbers if equal and not math.isnan(u)), default=0.0)
         # Row i is rows[i - 1], filled from column i on (the upper triangle; the cells left of it are
         # infinite), with its first and last column at or below bound.
-        self.rows: list | None = None
-        self.bound = 0.0  # every shared row is swept at it
+        self.rows: list = []
+        self._origin = _origin(n)  # only read, by the sweeps here and by every pair that starts from row 0
+        depth = max((equal for _, _, equal, _ in numbers), default=0)
+        _sweep(self.ys, self.ys, None, self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
         # The running maximum of the rows' last columns at or below the bound: row
         # bisect_left(_reach, s) + 1 is the first to reach column s, and every row above it
         # holds nothing at or below the bound there.
-        self._reach: list[int] = []
-        self._pairs: dict = {}  # id of a TimeSeries completion -> (the completion, _near_diagonal's numbers)
+        self._reach = list(accumulate([last for _, _, last in self.rows], max))
         self._starts: dict = {}  # row number -> the whole row rebuilt, its first and last column at or below the bound
 
-    def _build(self) -> None:
-        vb = self.original
-        n = vb.shape[0]
-        same = [(c, v) for c in self.completions if (v := _values(c)).shape == vb.shape]
-        numbers = _near_diagonal([v for _, v in same], vb) if same else []
-        for (completion, _), pair in zip(same, numbers):
-            if isinstance(completion, TimeSeries):  # frozen values, so the numbers stay right
-                self._pairs[id(completion)] = (completion, pair)
-        # A NaN U never serves, and a pair that differs at row 0 resumes from no row.
-        self.bound = max((u for u, _, equal, _ in numbers if equal and not math.isnan(u)), default=0.0)
-        depth = max((equal for _, _, equal, _ in numbers), default=0)
-        self.rows = []
-        _sweep(self.ys, self.ys, None, self.bound, n + 1, _origin(n), 1, 0, range(1, depth + 1), self.rows)
-        self._reach = list(accumulate([last for _, _, last in self.rows], max))
-
-    def _pair(self, a: object, va: np.ndarray) -> tuple[float, int, int, int]:
-        """``_near_diagonal``'s four numbers for ``va`` against the original."""
-        if self.rows is None:
-            self._build()
-        known = self._pairs.get(id(a))
-        return known[1] if known is not None and known[0] is a else _near_diagonal([va], self.original)[0]
-
-    def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int] | None:
-        """The last shared row a pair can start from, rebuilt whole, its first
-        and last column at or below the pair's ``bound``, and its row number;
-        None if none serves. Each row is rebuilt once, as a new list that
-        every pair resuming from it only reads."""
-        start = min(equal, len(self.rows))
-        if start == 0 or not bound <= self.bound:
-            return None
-        if start not in self._starts:
-            stored, _, last = self.rows[start - 1]
-            # The stored row starts at the diagonal; D(start, j) = D(j, start) fills in the columns left of it.
-            first = bisect_left(self._reach, start) + 1
+    def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int]:
+        """The row a pair with U ``bound`` and ``equal`` leading rows equal to
+        the original starts below, its first and last column at or below
+        ``bound``, and its row number: shared row ``equal`` rebuilt whole, or
+        row 0, the origin, when the pair differs at row 0 or its U is NaN.
+        Each row is one list, rebuilt once, that every pair only reads."""
+        if equal == 0 or math.isnan(bound):
+            return self._origin, 1, 0, 0
+        if equal not in self._starts:
+            stored, _, last = self.rows[equal - 1]
+            # The stored row starts at the diagonal; D(equal, j) = D(j, equal) fills in the columns left of it.
+            first = bisect_left(self._reach, equal) + 1
             row = stored.copy()
-            row[first:start] = [above[start] for above, _, _ in self.rows[first - 1 : start - 1]]
-            self._starts[start] = row, first, last
-        row, first, last = self._starts[start]
-        # D(start, start) is 0.0 <= bound, so both scans stop inside [first, last].
+            row[first:equal] = [above[equal] for above, _, _ in self.rows[first - 1 : equal - 1]]
+            self._starts[equal] = row, first, last
+        row, first, last = self._starts[equal]
+        # D(equal, equal) is 0.0 <= bound, so both scans stop inside [first, last].
         while row[first] > bound:
             first += 1
         while row[last] > bound:
             last -= 1
-        return row, first, last, start
+        return row, first, last, equal
 
 
 def dtw_distance(
@@ -281,13 +268,14 @@ def dtw_distance(
     A NaN cell compares false, so it blocks the stop. A NaN or infinite cost
     is never 0.0, and unequal lengths never stop early.
 
-    With ``shared``, the self-alignment of ``b``, the sweep starts below the
-    rows where ``a`` equals ``b``. Those rows were swept once, at one bound
-    at least U (see the module docstring): every cell at or below U in
-    them is exact and every other cell is above U, so the first and last
-    columns at or below U, every later comparison with U and D(n, n) are
-    those of the pair's own sweep. ``shared`` changes the time, never the
-    bits; a pair it does not serve is swept in full.
+    Equal lengths of one or two dimensions go through a self-alignment of
+    ``b``: ``shared``, built for ``b`` with ``a`` among its completions (any
+    other pair raises ValueError), or else one built for this pair alone.
+    The sweep starts below the rows where ``a`` equals ``b``. Those rows
+    were swept once, at one bound at least U (see the module docstring):
+    every cell at or below U in them is exact and every other cell is above
+    U, so the first and last columns at or below U, every later comparison
+    with U and D(n, n) are those of the pair's own sweep.
 
     With one or two dimensions, point costs are computed for the visited
     cells only: summing at most two squares takes one addition, so the order
@@ -296,34 +284,30 @@ def dtw_distance(
     lengths where every cell is visited anyway, the costs come from the full
     matrix.
     """
-    va, vb = _values(a), _values(b)
-    if va.shape[1] != vb.shape[1]:
-        raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
-    n, m, dims = va.shape[0], vb.shape[0], va.shape[1]
-
-    costs, bound, synced, resumed = None, float("inf"), n + 1, None
-    if n != m or dims > 2:
-        matrix = _point_costs(va, vb)
-        costs = matrix.tolist()
-        if n == m:
-            (bound,), (synced,) = _diagonal_bounds(np.diagonal(matrix)[None])
-    elif shared is not None and (vb is shared.original or np.array_equal(vb, shared.original)):
-        bound, synced, equal, differ = shared._pair(a, va)
-        resumed = shared._resume(bound, equal)
-    else:
-        bound, synced, _, _ = _near_diagonal([va], vb)[0]
+    if shared is None:
+        va, vb = _values(a), _values(b)
+        if va.shape[1] != vb.shape[1]:
+            raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
+        n, m = va.shape[0], vb.shape[0]
+        if n != m or va.shape[1] > 2:
+            matrix = _point_costs(va, vb)
+            bound, synced = float("inf"), n + 1
+            if n == m:
+                (bound,), (synced,) = _diagonal_bounds(np.diagonal(matrix)[None])
+            return _sweep(_coordinates(va), _coordinates(vb), matrix.tolist(), bound, synced, _origin(m), 1, 0, range(1, n + 1))
+        shared, a, b = SelfAlignment(vb, [va]), va, vb
+    pair = shared._pairs.get(id(a)) if b is shared.series else None
+    if pair is None:
+        raise ValueError("shared aligns only its own original with the completions it was built from")
+    _, va, (bound, synced, equal, differ) = pair
     # The row the sweep starts below, its first and last column at or below the bound, and its number.
-    if resumed is None:
-        prev, first, last, start = _origin(m), 1, 0, 0
-        xs, ys = _coordinates(va), _coordinates(vb)
-    else:
-        prev, first, last, start = resumed
-        # Outside its differing rows ``a`` equals the original, so its coordinates are a copy of the
-        # original's with those rows written in; a zero of either sign squares to the same cost. The
-        # zero column of one dimension is never written, so both share it.
-        ys = shared.ys
-        xs = [y.copy() for y in ys[:dims]] + ys[dims:]
-        stop = max(differ, start)
-        for x, column in zip(xs, va[start:stop].T.tolist()):
-            x[start + 1 : stop + 1] = column
-    return _sweep(xs, ys, costs, bound, synced, prev, first, last, range(start + 1, n + 1))
+    prev, first, last, start = shared._resume(bound, equal)
+    # Outside its differing rows ``a`` equals the original, so its coordinates are a copy of the
+    # original's with those rows written in; a zero of either sign squares to the same cost. The
+    # zero column of one dimension is never written, so both share it.
+    ys, dims = shared.ys, va.shape[1]
+    xs = [y.copy() for y in ys[:dims]] + ys[dims:]
+    stop = max(differ, start)
+    for x, column in zip(xs, va[start:stop].T.tolist()):
+        x[start + 1 : stop + 1] = column
+    return _sweep(xs, ys, None, bound, synced, prev, first, last, range(start + 1, va.shape[0] + 1))

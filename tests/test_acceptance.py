@@ -202,7 +202,7 @@ def test_criterion_7_split_fidelity():
 
 
 def test_criterion_8_full_run_determinism(scenario2_outcome, tmp_path):
-    with criterion(8, "two identical scenario runs produce byte-identical report.json"):
+    with criterion(8, "two identical scenario runs give byte-identical report.json and scores.json, matching benchmarks/pins.json"):
         first, _ = scenario2_outcome
         cfg = config_from_file(str(CONFIG_DIR / "scenario2_fixture.json"))
         second = run_experiment(cfg)

@@ -290,6 +290,30 @@ def test_csv_that_is_not_utf8_names_the_file(tmp_path):
             load_csv(str(path))
 
 
+def test_csv_field_past_csvs_limit_names_the_file_and_line(tmp_path):
+    # numpy's reader takes a field of any size; csv.reader stops at csv.field_size_limit() (131072).
+    long_id = "x" * 200_000
+    for name, text, line in (("header.csv", long_id + ",t,dim,value\n", 1),
+                             ("body.csv", f"id,t,dim,value\na,0,0,1.0\n{long_id},0,0,2.0\nb,x,0,1.0\n", 3)):
+        path = write_csv(tmp_path / name, text)
+        with pytest.raises(CsvParseError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: line {line}: field larger than field limit (131072)"
+    loaded = load_csv(write_csv(tmp_path / "good.csv", f"id,t,dim,value\n{long_id},0,0,2.0\n"))
+    assert [(s.id, s.values.tolist()) for s in loaded] == [(long_id, [[2.0]])]
+
+
+def test_csv_non_ascii_digits_are_not_read_as_numbers(tmp_path):
+    # numpy's reader reads U+01FE as 462, which would complete this series as its last step.
+    records = "".join(f"s,{t},0,{t}.0\n" for t in range(462))
+    with pytest.raises(CsvParseError) as caught:
+        load_csv(write_csv(tmp_path / "digit.csv", "id,t,dim,value\n" + records + "s,\u01fe,0,99.0\n"))
+    assert str(caught.value) == "line 464: t must be an integer, got '\u01fe'"
+    # Non-ASCII text that numpy's grammar allows still loads: in an id, and as a no-break space around a number.
+    loaded = load_csv(write_csv(tmp_path / "text.csv", "id,t,dim,value\n\u01fe,0,0,\xa01.5\n\u01fe,\u30001,0,2.0\n"))
+    assert [(s.id, s.values.tolist()) for s in loaded] == [("\u01fe", [[1.5], [2.0]])]
+
+
 # Spellings of t and dim, then of value: ASCII and Unicode whitespace, signs, leading zeros, int64's ends and
 # one past them, underscores, non-ASCII digits, hex, every inf and nan spelling, and a Fortran exponent.
 _INT_SPELLINGS = ["0", "7", "-3", "+4", "007", " 5", "5 ", "\t6\t", "\x0b1\x0c", "\x1c1\x1f", "\xa01", "1\u3000",

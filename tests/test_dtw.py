@@ -241,7 +241,7 @@ def test_sweep_stops_at_the_first_row_whose_minimum_is_its_diagonal_cell(monkeyp
     swept = _spy_on_sweep(monkeypatch)
     for shared in (None, SelfAlignment(b, [a])):
         assert dtw_distance(a, b, shared) == dtw_reference(a, b)
-        assert swept[-1] == ([1, 2, 3] if shared is None else [2, 3])  # a shared pair resumes below row 1
+        assert swept[-1] == [2, 3]  # the pair's own sweep resumes below row 1, with or without shared
 
 
 def test_nan_cell_blocks_the_stop(monkeypatch):
@@ -253,7 +253,7 @@ def test_nan_cell_blocks_the_stop(monkeypatch):
         assert math.isnan(dtw_reference_rows(a, b)[2][1])
         swept = _spy_on_sweep(monkeypatch)
         assert dtw_distance(a, b) == dtw_reference(a, b)
-    assert swept == [[1, 2, 3]]
+    assert swept[-1] == [1, 2, 3]  # the pair differs at row 0, so it starts from the origin
 
 
 # The shared self-alignment (SelfAlignment): pairs resume from rows swept once
@@ -306,21 +306,6 @@ def test_shared_self_alignment_matches_full_sweep(case):
     assert [differ for _, _, _, differ in numbers] == [_last_differing_row(c, original) for c in completions]
 
 
-@EXACT
-@given(completion_sets(), st.data())
-def test_self_alignment_that_does_not_serve_falls_back(case, data):
-    original, completions = case
-    other = original + 1.0
-    narrow = SelfAlignment(original, [original])  # B = 0, below every pair with a nonzero diagonal
-    elsewhere = SelfAlignment(other, completions)
-    subset = SelfAlignment(original, data.draw(st.lists(st.sampled_from(completions), max_size=2)))
-    for completion in completions:
-        expected = dtw_reference(completion, original)
-        for shared in (narrow, elsewhere, subset):
-            assert dtw_distance(completion, original, shared) == expected
-    assert elsewhere.rows is None  # another original never builds its rows
-
-
 def test_self_alignment_rows_are_only_read():
     rng = np.random.default_rng(3)
     original = rng.normal(size=(32, 2))
@@ -366,15 +351,34 @@ def test_a_difference_that_squares_to_zero_still_differs(dims, dim):
         assert dtw_distance(completion, original, shared) == dtw_reference(completion, original)
 
 
-@pytest.mark.parametrize("steps, dims", [(8, 3), (6, 1)], ids=["three-dims", "unequal-length"])
-def test_self_alignment_skips_pairs_it_cannot_serve(steps, dims):
-    rng = np.random.default_rng(4)
-    original = rng.normal(size=(8, dims))
-    completion = original[:steps].copy()
-    completion[-1] += 1.0
+@pytest.mark.parametrize("case", ["another-original", "not-built-from", "bare-values", "unequal-length", "three-dims"])
+def test_self_alignment_rejects_pairs_it_was_not_built_for(case):
+    # A self-alignment serves its own original, as the same object, and the completions it was built from.
+    original = TimeSeries("x", np.random.default_rng(4).normal(size=(8, 2)))
+    values = original.values.copy()
+    values[3:5, 1] += 1.0
+    completion = TimeSeries("c", values)
     shared = SelfAlignment(original, [completion])
-    assert dtw_distance(completion, original, shared) == dtw_reference(completion, original)
-    assert shared.rows is None
+    a, b = {
+        "another-original": (completion, TimeSeries("x", original.values)),
+        "not-built-from": (TimeSeries("c", completion.values), original),
+        "bare-values": (completion.values, original),
+        "unequal-length": (completion.values[:6], original),
+        "three-dims": (np.ones((8, 3)), np.ones((8, 3))),
+    }[case]
+    with pytest.raises(ValueError, match="aligns only its own original"):
+        dtw_distance(a, b, shared)
+    assert dtw_distance(completion, original, shared) == dtw_reference(completion.values, original.values)
+
+
+@pytest.mark.parametrize("original, completion, match", [
+    (np.ones((8, 3)), np.ones((8, 3)), "1 or 2 dimensions"),
+    (np.ones((8, 1)), np.ones((6, 1)), "original's shape"),
+    (np.ones((8, 2)), np.ones((8, 1)), "original's shape"),
+], ids=["three-dims", "unequal-length", "other-dims"])
+def test_self_alignment_rejects_series_it_cannot_align(original, completion, match):
+    with pytest.raises(ValueError, match=match):
+        SelfAlignment(original, [completion])
 
 
 @EXACT
@@ -425,6 +429,18 @@ def test_sloped_completions_match_full_sweep(case):
     diagonal, _ = _diagonal_bounds(np.sqrt(((np.stack([c.values for c in completions]) - original) ** 2).sum(axis=2)))
     resuming = [u for u, c in zip(diagonal, completions) if _equal_rows(c.values, original) >= 1]
     assert shared.bound == max(resuming, default=0.0)
+    # A pair resumes from a row that is the full sweep's at or below its own U.
+    self_rows = dtw_reference_rows(original, original)
+    for completion in completions:
+        bound, _, equal, _ = _near_diagonal([completion.values], original)[0]
+        row, first, last, start = shared._resume(bound, equal)
+        assert start == equal
+        if start:
+            inside = [j for j, cell in enumerate(self_rows[start]) if cell <= bound]
+            assert (first, last) == (inside[0], inside[-1])
+            assert [row[j] for j in inside] == [self_rows[start][j] for j in inside]
+        else:  # the origin
+            assert (row, first, last) == (self_rows[0], 1, 0)
 
 
 @EXACT
@@ -435,7 +451,6 @@ def test_shared_rows_are_exact_at_or_below_their_bound(case):
     # hold the upper triangle; a pair resumes from the whole row rebuilt from it.
     original, completions = case
     shared = SelfAlignment(original, completions)
-    dtw_distance(completions[0], original, shared)
     full = dtw_reference_rows(original, original)
     bound = shared.bound
     for r, (stored, _, _) in enumerate(shared.rows, 1):
@@ -447,28 +462,6 @@ def test_shared_rows_are_exact_at_or_below_their_bound(case):
             assert got == want if want <= bound else got > bound
         inside = [j for j, want in enumerate(full[r]) if want <= bound]
         assert (first, last) == (inside[0], inside[-1])
-
-
-@SHARED
-@given(sloped_completion_sets(), st.data())
-def test_a_completion_the_rows_were_not_built_from_matches_full_sweep(case, data):
-    original, completions = case
-    built = data.draw(st.lists(st.sampled_from(completions), min_size=1, max_size=3))
-    shared = SelfAlignment(original, built)
-    for completion in completions:  # as the same objects, as copies, and as bare arrays
-        expected = dtw_reference(completion.values, original)
-        for a in (completion, TimeSeries(completion.id, completion.values), completion.values.copy()):
-            assert dtw_distance(a, original, shared) == expected
-    # A pair only resumes from a row that is the full sweep's at or below its U.
-    self_rows = dtw_reference_rows(original, original)
-    for completion in completions:
-        bound, _, equal, _ = _near_diagonal([completion.values], original)[0]
-        resumed = shared._resume(bound, equal)
-        if resumed is not None:
-            row, first, last, start = resumed
-            inside = [j for j, cell in enumerate(self_rows[start]) if cell <= bound]
-            assert (first, last) == (inside[0], inside[-1])
-            assert [row[j] for j in inside] == [self_rows[start][j] for j in inside]
 
 
 @EXACT
