@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import typing
 from contextlib import contextmanager
@@ -319,7 +320,8 @@ def _read(kind, value, where: str):
     length or ``tuple[X, ...]``, or bool, int, float, str or dict. An object's
     keys must be fields of its class (or its own tag), a key left out takes
     the field's default, and a field without one must be given. A float reads
-    from any number, while any other kind reads only from itself; null reads
+    from any finite number (not JSON's Infinity or NaN, nor a number past
+    float's range), while any other kind reads only from itself; null reads
     only where None is allowed. Anything else raises ValueError naming the key
     and the block it is in, or the item's index in its list.
     """
@@ -356,7 +358,15 @@ def _read(kind, value, where: str):
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ValueError(f"missing key {key!r} in {where}")
         return cls(**parsed)
-    if type(value) is kind or kind is float and type(value) is int:
+    if kind is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past float's range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{where} must be a finite float, got {value!r}")
+        return number
+    if type(value) is kind:
         return kind(value)
     raise ValueError(f"{where} must be {kind.__name__}, got {value!r}")
 

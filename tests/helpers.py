@@ -1,4 +1,4 @@
-"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the attention step, CSV writing and loading) shared across the test suite.
+"""Stub oracles and the brute-force and reference oracles (statistics, DTW, training, the autoencoder and attention steps, CSV writing and loading) shared across the test suite.
 
 The stubs here deliberately bypass the production model code so that attack
 and metric tests check the pipeline against arithmetic, not against the
@@ -208,6 +208,44 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
             n_terms += count
         history.append(abs_err / n_terms)
     return params, tuple(history)
+
+
+def autoencoder_forward_reference(p: dict[str, np.ndarray], x: np.ndarray):
+    """The autoencoder forward pass through the ``@`` gufunc, a new array for every tensor.
+
+    ``_Autoencoder.forward`` multiplies with ``ndarray.dot`` and adds the bias
+    and applies tanh in place; it must return exactly these bits.
+    """
+    b, t, d = x.shape
+    a0 = x.reshape(b, t * d)
+    h1 = np.tanh(a0 @ p["W1"] + p["b1"])
+    z = np.tanh(h1 @ p["W2"] + p["b2"])
+    h2 = np.tanh(z @ p["W3"] + p["b3"])
+    y = h2 @ p["W4"] + p["b4"]
+    return y.reshape(b, t, d), (a0, h1, z, h2)
+
+
+def autoencoder_backward_reference(p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray]) -> None:
+    """The autoencoder backward pass through ``@``, each gradient copied into its view.
+
+    ``_Autoencoder.backward`` writes each gradient straight into its view with
+    ``ndarray.dot`` and ``np.add.reduce`` (``out=``); it must write exactly these bits.
+    """
+    a0, h1, z, h2 = cache
+    b = dy.shape[0]
+    dyf = dy.reshape(b, -1)
+
+    g["W4"][...] = h2.T @ dyf
+    g["b4"][...] = dyf.sum(axis=0)
+    dh2 = (dyf @ p["W4"].T) * (1.0 - h2 * h2)
+    g["W3"][...] = z.T @ dh2
+    g["b3"][...] = dh2.sum(axis=0)
+    dz = (dh2 @ p["W3"].T) * (1.0 - z * z)
+    g["W2"][...] = h1.T @ dz
+    g["b2"][...] = dz.sum(axis=0)
+    dh1 = (dz @ p["W2"].T) * (1.0 - h1 * h1)
+    g["W1"][...] = a0.T @ dh1
+    g["b1"][...] = dh1.sum(axis=0)
 
 
 def _split_heads(net, x: np.ndarray) -> np.ndarray:

@@ -244,9 +244,16 @@ def test_config_rejects_unknown_keys_in_nested_blocks_by_name(block, where, key)
     (["data", "components"], 3, "'components' in the synthetic data block"),
     (["attack"], None, "the attack block"),
     (["attack", "theta_rule", "percnt"], 10, "unknown key 'percnt' in the top_percent theta_rule block"),
+    (["parity_tolerance"], json.loads("Infinity"), "'parity_tolerance' in the experiment config must be a finite float"),
+    (["parity_tolerance"], json.loads("1e400"), "'parity_tolerance' in the experiment config must be a finite float"),
+    (["parity_tolerance"], json.loads("NaN"), "'parity_tolerance' in the experiment config must be a finite float"),
+    (["target_model", "learning_rate"], json.loads("NaN"), "'learning_rate' in the target_model block of the experiment config must be a finite float"),
+    pytest.param(["fine_tune", "momentum"], 10**400, "'momentum' in the fine_tune block of the experiment config must be a finite float",
+                 id="int_past_float"),
 ])
 def test_config_rejects_mistyped_values_by_name(path, value, match):
-    # Each of these once parsed to a different audit: "false" as True, 7.9 as 7, true as 1, and so on.
+    # Each of these once parsed to a different audit: "false" as True, 7.9 as 7, true as 1, an infinite
+    # tolerance as a parity gate that always passes, and so on; an integer past float's range raised OverflowError.
     root = Path(__file__).resolve().parent.parent
     doc = json.loads((root / "configs/scenario2_fixture.json").read_text())
     block = doc

@@ -12,6 +12,8 @@ from helpers import (
     ZeroFillOracle,
     attention_backward_reference,
     attention_forward_reference,
+    autoencoder_backward_reference,
+    autoencoder_forward_reference,
     descend_reference,
 )
 
@@ -151,6 +153,50 @@ def test_attention_steps_through_one_workspace_match_fresh_steps(blocks):
         if seed == 1:
             buffers = {key: id(buf) for key, buf in ws.items()}
     assert {key: id(buf) for key, buf in ws.items()} == buffers
+
+
+# The s2-fixture benchmark's network; audit-long's is the same at 128 steps x 2 dims.
+AE_BENCH = ImputerConfig(architecture="autoencoder", hidden=48, latent=24)
+
+
+def autoencoder_case(steps, dims, batch, seed):
+    net = _build_net(steps, dims, AE_BENCH)
+    rng = np.random.default_rng(seed)
+    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
+    shape = (batch, steps, dims)
+    return net, params, rng.normal(size=shape), rng.normal(size=shape) / (batch * steps * dims)
+
+
+@pytest.mark.parametrize("steps, dims", [(64, 1), (128, 2)])
+# a full batch, a fine-tune batch, an epoch's short last batches, one query
+@pytest.mark.parametrize("batch", [16, 8, 6, 2, 1])
+def test_autoencoder_step_matches_reference_bit_for_bit(steps, dims, batch):
+    net, params, x, dy = autoencoder_case(steps, dims, batch, seed=100 * batch + steps + dims)
+    p = _unpack(params, net.layout)
+    g_expected = _unpack(np.full(net.n_params, np.nan), net.layout)
+    y_expected, cache_expected = autoencoder_forward_reference(p, x)
+    autoencoder_backward_reference(p, cache_expected, dy, g_expected)
+    g = _unpack(np.full(net.n_params, np.nan), net.layout)
+    y, cache = net.forward(p, x)
+    net.backward(p, cache, dy, g)
+    assert_same_step((y, g), (y_expected, g_expected))
+    for got, expected in zip(cache, cache_expected, strict=True):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("batch", [16, 1])
+def test_autoencoder_step_writes_in_place_only_to_arrays_it_made(batch):
+    net, params, x, dy = autoencoder_case(64, 1, batch, seed=batch)
+    given = params.copy(), x.copy(), dy.copy()
+    p = _unpack(params, net.layout)
+    y, cache = net.forward(p, x)
+    y_before, cache_before = y.copy(), [a.copy() for a in cache]
+    net.backward(p, cache, dy, _unpack(np.empty(net.n_params), net.layout))
+    for now, before in zip((params, x, dy), given):
+        assert np.array_equal(now, before)
+    assert np.array_equal(y, y_before)
+    for now, before in zip(cache, cache_before, strict=True):  # a0, h1, z, h2
+        assert np.array_equal(now, before)
 
 
 def small_corpus(seed=0, n=8, steps=16, dims=1):
@@ -460,10 +506,14 @@ def test_load_rejects_an_unknown_config_key(tmp_path):
     (lambda d: d.update(n_steps=64), r"model\.json: expected \d+ parameters for this config, got \d+"),
     (lambda d: d.update(params_b64=base64.b64encode(np.frombuffer(base64.b64decode(d["params_b64"]), "<f8") * np.nan).decode()),
      r"model\.json: parameters must be finite"),
+    (lambda d: d["config"].update(learning_rate=float("nan")), "'learning_rate' in the config block of .* must be a finite float"),
+    (lambda d: d["config"].update(momentum=10**400), "'momentum' in the config block of .* must be a finite float"),
+    (lambda d: d.update(history=[0.5, float("inf")]), "item 1 of 'history' in .* must be a finite float, got inf"),
 ], ids=["n_steps", "n_dims", "history_item", "unknown_key", "no_history", "params_truncated", "params_7_bytes",
-        "params_wrong_count", "params_nan"])
+        "params_wrong_count", "params_nan", "learning_rate_nan", "momentum_past_float", "history_inf"])
 def test_load_rejects_mistyped_model_files_by_name(tmp_path, edit, match):
-    # Each of these once loaded, cast by hand or ignored, and a left-out history raised KeyError.
+    # Each of these once loaded, cast by hand or ignored, a left-out history raised KeyError, and an
+    # integer past float's range raised OverflowError.
     path = tmp_path / "model.json"
     save_model(train(small_corpus(steps=6), replace(AE_TINY, epochs=1)), str(path))
     doc = json.loads(path.read_text())
