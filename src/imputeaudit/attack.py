@@ -12,6 +12,7 @@ fair benchmark on this exact series = memorization).
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -51,6 +52,10 @@ class StdRule:
 
     n: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.n):
+            raise ValueError(f"n must be finite, got {self.n}")
+
 
 @dataclass(frozen=True)
 class TopPercentRule:
@@ -70,6 +75,10 @@ class FixedTheta:
     TAG: ClassVar[tuple[str, str]] = ("kind", "fixed")
 
     theta: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
 
 # The wire form of a rule is its TAG plus its fields.
@@ -95,8 +104,8 @@ class AttackConfig:
             raise ValueError("repeats must be >= 1")
         if self.placement not in ("even", "random"):
             raise ValueError(f"placement must be 'even' or 'random', got {self.placement!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,11 @@ class SyntheticConfig:
         if not 1 <= lo <= hi:
             raise ValueError(f"components range must satisfy 1 <= lo <= hi, got {self.components}")
         a_lo, a_hi = self.amplitude_range
-        if not 0 < a_lo <= a_hi:
-            raise ValueError(f"amplitude range must satisfy 0 < lo <= hi, got {self.amplitude_range}")
-        if self.noise_scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+        # NaN fails each check too.
+        if not 0 < a_lo <= a_hi < math.inf:
+            raise ValueError(f"amplitude_range must satisfy 0 < lo <= hi < inf, got {self.amplitude_range}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
         if not 0 <= self.ar_coeff < 1:
             raise ValueError("AR coefficient must be in [0, 1)")
 

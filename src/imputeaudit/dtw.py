@@ -6,26 +6,29 @@ diagonal of exact zeros and a row's minimum is its diagonal cell, and
 bit-identical to the full sweep. The oracles it is tested against, the full
 sweep and an enumeration of every alignment path, live in the test suite.
 
-The audit aligns many completions with one original, and a completion
-equals the original up to its masked block. The rows of the program above
-that block see only the original, so they are the rows of the original's
-self-alignment. A ``SelfAlignment`` computes every completion's
-diagonal-path cost U, last nonzero-diagonal row and first differing row in
-one stacked pass, then sweeps the upper triangle of the shared rows once
-per original, at one bound B, the largest U among the completions that
-first differ below row 0. Every pair resumes from them at its own first
-differing row, from the whole row rebuilt by symmetry.
+Every equal-length pair, of any width, goes through a self-alignment; only
+unequal lengths sweep the full cost matrix. The audit aligns many
+completions with one original, and a completion equals the original up to
+its masked block. The rows of the program above that block see only the
+original, so they are the rows of the original's self-alignment. A
+``SelfAlignment`` computes every completion's diagonal-path cost U, last
+nonzero-diagonal row and first differing row in one stacked pass, then
+sweeps the upper triangle of the shared rows once per original, at one
+bound B, the largest U among the completions that first differ below row 0.
+Every pair resumes from them at its own first differing row, from the whole
+row rebuilt by symmetry.
 
 Why the upper triangle is enough: the point cost c(i, j) of a series with
-itself equals c(j, i) bit for bit, since fl(a - b) = -fl(b - a) and a
-square drops the sign. Each cell is its cost plus the minimum of its three
-predecessors, and the predecessors of (j, i) are those of (i, j) with up
-and left swapped. The sweep's minimum starts from the diagonal one and
-takes a strictly smaller up or left, so with no -0.0 among the cells the
-swap leaves it unchanged, and D(i, j) = D(j, i) by induction. A cell with
-j > i has all three predecessors on or above the diagonal, and D(i, i) is
-+0.0 plus its diagonal predecessor whatever the cell left of it holds, so
-the cells on and above the diagonal are a pruned program of their own.
+itself equals c(j, i) bit for bit, since fl(a - b) = -fl(b - a), a square
+drops the sign and the squares are summed in one order. Each cell is its
+cost plus the minimum of its three predecessors, and the predecessors of
+(j, i) are those of (i, j) with up and left swapped. The sweep's minimum
+starts from the diagonal one and takes a strictly smaller up or left, so
+with no -0.0 among the cells the swap leaves it unchanged, and D(i, j) =
+D(j, i) by induction. A cell with j > i has all three predecessors on or
+above the diagonal, and D(i, i) is +0.0 plus its diagonal predecessor
+whatever the cell left of it holds, so the cells on and above the diagonal
+are a pruned program of their own.
 
 Why the bits do not change: the shared rows are the pruned sweep at B, so by
 the argument ``dtw_distance`` gives for U, every cell of them whose
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -62,6 +66,10 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Euclidean distance between D-dim points; |a_i - b_j| when D == 1.
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _cost_rows(a: np.ndarray, b: np.ndarray) -> list | None:
+    return _point_costs(a, b).tolist() if a.shape[1] > 2 else None  # up to two dims, the sweep computes each cost
 
 
 def _coordinates(v: np.ndarray) -> list[list]:
@@ -96,19 +104,21 @@ def _diagonal_bounds(diagonals: np.ndarray) -> tuple[list[float], list[int]]:
 def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float, int, int, int]]:
     """U, the last nonzero-diagonal row, the number of leading rows equal to
     ``vb`` and the last row that differs from it (0 if none), for each of
-    ``series`` against ``vb``, all of one shape (n, dims) with 1 or 2 dims.
+    ``series`` against ``vb``, all of one shape (n, dims).
 
     Two finite floats differ exactly when their difference is nonzero, and a
     NaN difference counts as nonzero, so the equal rows are those with an
-    all-zero ``diff`` row, even where a difference squares to zero. With one
-    dimension, its first and last columns are the same one.
+    all-zero ``diff`` row, even where a difference squares to zero. U sums
+    squares as ``_point_costs`` does (``np.sum``, pairwise from 8 terms on);
+    for two, one addition has those bits without a short-axis reduction.
     """
-    n = vb.shape[0]
+    n, columns = vb.shape[0], range(vb.shape[1])
     diff = np.stack(series) - vb
     square = diff * diff
-    bounds, synced = _diagonal_bounds(np.sqrt(square[..., 0] + square[..., 1] if vb.shape[1] == 2 else square[..., 0]))
+    total = np.sum(square, axis=2) if len(columns) > 2 else reduce(np.add, [square[..., d] for d in columns])
+    bounds, synced = _diagonal_bounds(np.sqrt(total))
     nonzero = diff != 0.0
-    changed = nonzero[..., 0] | nonzero[..., -1]
+    changed = reduce(np.logical_or, [nonzero[..., d] for d in columns])
     some = changed.any(axis=1)
     equal = np.where(some, changed.argmax(axis=1), n)
     differ = np.where(some, n - changed[:, ::-1].argmax(axis=1), 0)
@@ -176,27 +186,25 @@ class SelfAlignment:
     """The rows of ``original``'s self-alignment that its ``completions`` share.
 
     Give it to ``dtw_distance(completion, original, shared)`` for each
-    completion. The constructor computes U, the last nonzero-diagonal row
-    and the first differing row of every completion in one stacked pass, so
-    a completion must not change afterwards (a ``TimeSeries`` is frozen).
-    It then sweeps the upper triangle of the rows once, down to the last row
-    before any completion first differs from the original, at one bound
-    (``bound``), the largest U among the completions that first differ
-    below row 0. The row a pair resumes from is rebuilt whole by symmetry
-    once, and then only read, as are the stored rows. The original has one
-    or two dimensions and every completion its shape, or ValueError is raised.
+    completion. The original may have any width, and a completion of another
+    shape raises ValueError. The constructor computes U, the last
+    nonzero-diagonal row and the first differing row of every completion in
+    one stacked pass, so a completion must not change afterwards (a
+    ``TimeSeries`` is frozen). It then sweeps the upper triangle of the rows
+    once, down to the last row before any completion first differs from the
+    original, at one bound (``bound``), the largest U among the completions
+    that first differ below row 0. The row a pair resumes from is rebuilt
+    whole by symmetry once, and then only read, as are the stored rows.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
         vb = _values(original)
-        n, dims = vb.shape
-        if dims > 2:
-            raise ValueError(f"a self-alignment takes 1 or 2 dimensions, got {dims}")
+        n = vb.shape[0]
         values = [_values(c) for c in completions]
         if any(v.shape != vb.shape for v in values):
             raise ValueError(f"every completion must have the original's shape {vb.shape}")
         numbers = _near_diagonal(values, vb) if values else []
-        self.series = original
+        self.series, self.values = original, vb
         self.ys = _coordinates(vb)
         # id of a completion -> the completion (held, so its id is not reused), its values, _near_diagonal's numbers.
         self._pairs = {id(c): (c, v, pair) for c, v, pair in zip(completions, values, numbers)}
@@ -207,7 +215,7 @@ class SelfAlignment:
         self.rows: list = []
         self._origin = _origin(n)  # only read, by the sweeps here and by every pair that starts from row 0
         depth = max((equal for _, _, equal, _ in numbers), default=0)
-        _sweep(self.ys, self.ys, None, self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
+        _sweep(self.ys, self.ys, _cost_rows(vb, vb), self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
         # The running maximum of the rows' last columns at or below the bound: row
         # bisect_left(_reach, s) + 1 is the first to reach column s, and every row above it
         # holds nothing at or below the bound there.
@@ -256,7 +264,7 @@ def dtw_distance(
     below U, and stops past that row's last such cell at the first cell above
     U. An audit pair differs only inside the masked block, so U is tight
     and only a narrow strip around the diagonal is computed. Unequal lengths
-    have no diagonal: U is infinite and every cell is computed.
+    have no diagonal: U is infinite and the full cost matrix is swept.
 
     The sweep also stops early. From ``synced``, the last row with a
     nonzero diagonal point cost (the masked block's end in an audit pair),
@@ -268,33 +276,28 @@ def dtw_distance(
     A NaN cell compares false, so it blocks the stop. A NaN or infinite cost
     is never 0.0, and unequal lengths never stop early.
 
-    Equal lengths of one or two dimensions go through a self-alignment of
-    ``b``: ``shared``, built for ``b`` with ``a`` among its completions (any
-    other pair raises ValueError), or else one built for this pair alone.
-    The sweep starts below the rows where ``a`` equals ``b``. Those rows
-    were swept once, at one bound at least U (see the module docstring):
-    every cell at or below U in them is exact and every other cell is above
-    U, so the first and last columns at or below U, every later comparison
-    with U and D(n, n) are those of the pair's own sweep.
+    Equal lengths go through a self-alignment of ``b``: ``shared``, built
+    for ``b`` with ``a`` among its completions (any other pair raises
+    ValueError), or else one built for this pair alone. The sweep starts
+    below the rows where ``a`` equals ``b``. Those rows were swept once, at
+    one bound at least U (see the module docstring): every cell at or below
+    U in them is exact and every other cell is above U, so the first and
+    last columns at or below U, every later comparison with U and D(n, n)
+    are those of the pair's own sweep.
 
-    With one or two dimensions, point costs are computed for the visited
-    cells only: summing at most two squares takes one addition, so the order
-    numpy sums in cannot change the bits, and one dimension adds a square of
-    +0.0, which leaves them as they are. With more dimensions, or unequal
-    lengths where every cell is visited anyway, the costs come from the full
-    matrix.
+    Up to two dimensions, point costs are computed for the visited cells
+    only: summing at most two squares takes one addition, so the order numpy
+    sums in cannot change the bits, and one dimension adds a square of +0.0,
+    which leaves them as they are. Wider points read the cost matrix's rows.
     """
     if shared is None:
         va, vb = _values(a), _values(b)
         if va.shape[1] != vb.shape[1]:
             raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
         n, m = va.shape[0], vb.shape[0]
-        if n != m or va.shape[1] > 2:
-            matrix = _point_costs(va, vb)
-            bound, synced = float("inf"), n + 1
-            if n == m:
-                (bound,), (synced,) = _diagonal_bounds(np.diagonal(matrix)[None])
-            return _sweep(_coordinates(va), _coordinates(vb), matrix.tolist(), bound, synced, _origin(m), 1, 0, range(1, n + 1))
+        if n != m:
+            costs = _point_costs(va, vb).tolist()
+            return _sweep(_coordinates(va), _coordinates(vb), costs, math.inf, n + 1, _origin(m), 1, 0, range(1, n + 1))
         shared, a, b = SelfAlignment(vb, [va]), va, vb
     pair = shared._pairs.get(id(a)) if b is shared.series else None
     if pair is None:
@@ -310,4 +313,4 @@ def dtw_distance(
     stop = max(differ, start)
     for x, column in zip(xs, va[start:stop].T.tolist()):
         x[start + 1 : stop + 1] = column
-    return _sweep(xs, ys, None, bound, synced, prev, first, last, range(start + 1, va.shape[0] + 1))
+    return _sweep(xs, ys, _cost_rows(va, shared.values), bound, synced, prev, first, last, range(start + 1, va.shape[0] + 1))

@@ -9,6 +9,7 @@ derived from the master seed, so report.json is a pure function of
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -83,17 +84,21 @@ class ExperimentConfig:
                 "scenario 2 fine-tunes the reference base into the target, so target_model must equal "
                 "reference_model in every field but seed"
             )
-        if self.parity_tolerance <= 0:
-            raise ValueError("parity_tolerance must be positive")
+        if not 0 < self.parity_tolerance < math.inf:  # NaN fails too
+            raise ValueError(f"parity_tolerance must be finite and positive, got {self.parity_tolerance}")
         if not 0.0 < self.parity_fraction < 1.0:
             raise ValueError("parity_fraction must be in (0, 1)")
-        # The parity mask hides round(fraction * steps * dims) entries (core.random_missing_mask). A
-        # synthetic series' shape is known here; a CSV source is checked when evaluate_mae masks it.
-        if isinstance(self.data, SyntheticConfig) and round(self.parity_fraction * self.data.length * self.data.dims) == 0:
-            raise ValueError(
-                f"parity_fraction {self.parity_fraction} hides no entry of a {self.data.length}x{self.data.dims} "
-                "synthetic series"
-            )
+        # A synthetic series' shape is known here, so what needs it is checked before training; a CSV
+        # source is checked when evaluate_mae and the attack mask it.
+        if isinstance(self.data, SyntheticConfig):
+            shape = f"a {self.data.length}x{self.data.dims} synthetic series"
+            # The parity mask hides round(fraction * steps * dims) entries (core.random_missing_mask).
+            if round(self.parity_fraction * self.data.length * self.data.dims) == 0:
+                raise ValueError(f"parity_fraction {self.parity_fraction} hides no entry of {shape}")
+            if self.attack.dim >= self.data.dims:
+                raise ValueError(f"attack.dim {self.attack.dim} is not a dimension of {shape}")
+            if self.attack.block_length >= self.data.length:
+                raise ValueError(f"attack.block_length {self.attack.block_length} covers all of {shape}")
 
 
 @dataclass(frozen=True, eq=False)

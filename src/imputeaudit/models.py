@@ -26,6 +26,7 @@ Models operate in normalized space: callers are expected to z-score series
 from __future__ import annotations
 
 import base64
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -81,8 +82,11 @@ class ImputerConfig:
             raise ValueError(f"model_dim {self.model_dim} must be divisible by heads {self.heads}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate < 0 or self.momentum < 0:
-            raise ValueError("learning rate and momentum must be nonnegative")
+        # NaN fails each check too.
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
+        if not 0 <= self.momentum < math.inf:
+            raise ValueError(f"momentum must be finite and nonnegative, got {self.momentum}")
         if not 0.0 < self.mask_fraction < 1.0:
             raise ValueError(f"mask_fraction must be in (0, 1), got {self.mask_fraction}")
 

@@ -364,6 +364,18 @@ def test_attack_config_validation():
         TopPercentRule(0.0)
 
 
+@pytest.mark.parametrize("dims", [3, 8])
+def test_wide_candidates_score_the_full_sweeps_bits(dims):
+    # A candidate of any width shares one self-alignment; each mean has the full sweep's bits.
+    x = TimeSeries("wide", np.random.default_rng(dims).normal(size=(24, dims)))
+    target, reference = OffsetOracle(0.3, [x]), ZeroFillOracle()
+    cfg = AttackConfig(repeats=5, block_length=3, dim=dims - 1)
+    views = [single_unit_mask(x, start, 3, dims - 1) for start in mask_schedule(24, 3, 5)]
+    score = lbrm_score(target, reference, x, cfg)
+    assert score.l_t == float(np.mean([dtw_reference(target.impute(v).values, x.values) for v in views]))
+    assert score.l_r == float(np.mean([dtw_reference(reference.impute(v).values, x.values) for v in views]))
+
+
 def _full_sweep_score(target, reference, x, cfg):
     """lbrm_score recomposed view by view, with the unpruned DTW sweep and no shared rows."""
     l_t, l_r = [], []

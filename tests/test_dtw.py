@@ -199,14 +199,12 @@ def test_nan_in_either_series_matches_full_sweep(case, data):
     target[data.draw(st.integers(0, target.shape[0] - 1)), data.draw(st.integers(0, target.shape[1] - 1))] = math.nan
     for a, b in ((completion, original), (original, completion)):
         assert _same(dtw_distance(a, b), dtw_reference(a, b))
-    if original.shape[1] <= 2:
-        assert _same(dtw_distance(completion, original, SelfAlignment(original, [completion])),
-                     dtw_reference(completion, original))
+    assert _same(dtw_distance(completion, original, SelfAlignment(original, [completion])),
+                 dtw_reference(completion, original))
 
 
 @EXACT
-@given(st.sampled_from([1, 2]).flatmap(
-    lambda dims: arrays(np.float64, st.tuples(st.integers(1, 24), st.just(dims)), elements=VALUES)))
+@given(DIMS.flatmap(lambda dims: arrays(np.float64, st.tuples(st.integers(1, 24), st.just(dims)), elements=VALUES)))
 def test_self_alignment_is_symmetric_bit_for_bit(x):
     # D(i, j) = D(j, i): the shared rows store only the upper triangle and mirror the rest.
     rows = np.array(dtw_reference_rows(x, x))[1:, 1:]
@@ -263,8 +261,8 @@ BLOCK_KINDS = st.sampled_from(["anywhere", "first-row", "last-row", "all-but-one
 
 @st.composite
 def completion_sets(draw):
-    """An original of 1 or 2 dims and completions that each differ from it in one masked block."""
-    dims, n = draw(st.sampled_from([1, 2])), draw(st.integers(2, 24))
+    """An original of any width and completions that each differ from it in one masked block."""
+    dims, n = draw(DIMS), draw(st.integers(2, 24))
     original = _matrix(draw, n, dims)
     completions = []
     for kind in draw(st.lists(BLOCK_KINDS, min_size=1, max_size=6)):
@@ -372,10 +370,9 @@ def test_self_alignment_rejects_pairs_it_was_not_built_for(case):
 
 
 @pytest.mark.parametrize("original, completion, match", [
-    (np.ones((8, 3)), np.ones((8, 3)), "1 or 2 dimensions"),
     (np.ones((8, 1)), np.ones((6, 1)), "original's shape"),
     (np.ones((8, 2)), np.ones((8, 1)), "original's shape"),
-], ids=["three-dims", "unequal-length", "other-dims"])
+], ids=["unequal-length", "other-dims"])
 def test_self_alignment_rejects_series_it_cannot_align(original, completion, match):
     with pytest.raises(ValueError, match=match):
         SelfAlignment(original, [completion])
@@ -401,7 +398,7 @@ SHARED = settings(max_examples=100, deadline=None)
 def sloped_completion_sets(draw):
     """An original and TimeSeries completions whose blocks move down the series
     while their error, hence U, falls or rises strictly with the block's start."""
-    dims, n = draw(st.sampled_from([1, 2])), draw(st.integers(4, 32))
+    dims, n = draw(DIMS), draw(st.integers(4, 32))
     # Point costs between original steps on the scale of the errors, so the rows
     # have off-diagonal cells between one completion's U and another's.
     original = draw(arrays(np.float64, (n, dims), elements=st.floats(-2.0, 2.0)))

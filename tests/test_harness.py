@@ -294,6 +294,57 @@ def test_parity_fraction_that_hides_no_entry_is_rejected_before_training(monkeyp
     assert config_from_dict({**doc, "parity_fraction": 0.5 / 64 + 1e-9}).parity_fraction > 0.5 / 64
 
 
+@pytest.mark.parametrize("attack, match", [
+    (AttackConfig(dim=1), "attack.dim 1 is not a dimension of a 32x1 synthetic series"),
+    (AttackConfig(block_length=32), "attack.block_length 32 covers all of a 32x1 synthetic series"),
+], ids=["dim", "block_length"])
+def test_attack_block_outside_a_synthetic_series_is_rejected_before_training(monkeypatch, attack, match):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the config was checked")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    with pytest.raises(ValueError, match=match):
+        harness.run_experiment(mini_config(1, attack=attack))
+    # The largest block and dim that fit pass; a CSV source's shape is known only once it is loaded.
+    assert mini_config(1, attack=AttackConfig(dim=0, block_length=31)).attack.block_length == 31
+    assert mini_config(1, data=CsvSource("corpus.csv"), attack=attack).attack == attack
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def scenario1(**fields):
+    return mini_config(1, **fields)
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (ImputerConfig, "learning_rate", NAN),
+    (ImputerConfig, "momentum", INF),
+    (ImputerConfig, "momentum", NAN),
+    (scenario1, "parity_tolerance", NAN),
+    (scenario1, "parity_tolerance", INF),
+    (AttackConfig, "epsilon", NAN),
+    (AttackConfig, "epsilon", INF),
+    (StdRule, "n", NAN),
+    (FixedTheta, "theta", NAN),
+    (FixedTheta, "theta", INF),
+    (SyntheticConfig, "noise_scale", NAN),
+    (SyntheticConfig, "noise_scale", INF),
+    (SyntheticConfig, "amplitude_range", (0.5, INF)),
+])
+def test_configs_built_in_python_reject_nan_and_infinity(build, field, value):
+    # core._read rejects these in JSON; a config built in Python must name the field as well.
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        build(**{field: value})
+
+
+def test_a_three_dim_scenario1_run_completes():
+    # Every width of candidate goes through one DTW path, so a multivariate audit runs to its report.
+    report = run_experiment(mini_config(1, data=replace(MINI_DATA, dims=3)))
+    scores = report.attack_report.scores
+    assert len(scores) == 24 and all(np.isfinite(s.r) for s in scores)
+
+
 def test_config_rejects_unknown_source():
     with pytest.raises(ValueError):
         config_from_dict({"scenario": 1, "data": {"source": "parquet"},
