@@ -172,6 +172,8 @@ def loss_ratio(l_t: float, l_r: float, epsilon: float = 1e-12) -> tuple[float, b
     Both losses below epsilon means both models reproduce the candidate
     trivially well — no evidence either way — so the ratio pins to 1.
     """
+    if not 0 < epsilon < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if l_t < epsilon and l_r < epsilon:
         return 1.0, True
     return l_t / max(l_r, epsilon), False
@@ -207,6 +209,8 @@ def calibrate_theta_std(nonmember_scores: list[float], n: float) -> float:
     """theta = mean + n * population std over scores from known nonmembers."""
     if len(nonmember_scores) < 2:
         raise ValueError(f"need at least 2 nonmember scores, got {len(nonmember_scores)}")
+    if not math.isfinite(n):
+        raise ValueError(f"n must be finite, got {n}")
     arr = np.asarray(nonmember_scores, dtype=np.float64)
     return float(arr.mean() + n * arr.std())
 

@@ -44,9 +44,7 @@ D(n, n), which is at most U, is the same as in the pair's own sweep.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -66,10 +64,6 @@ def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Euclidean distance between D-dim points; |a_i - b_j| when D == 1.
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
-
-
-def _cost_rows(a: np.ndarray, b: np.ndarray) -> list | None:
-    return _point_costs(a, b).tolist() if a.shape[1] > 2 else None  # up to two dims, the sweep computes each cost
 
 
 def _coordinates(v: np.ndarray) -> list[list]:
@@ -186,15 +180,17 @@ class SelfAlignment:
     """The rows of ``original``'s self-alignment that its ``completions`` share.
 
     Give it to ``dtw_distance(completion, original, shared)`` for each
-    completion. The original may have any width, and a completion of another
-    shape raises ValueError. The constructor computes U, the last
-    nonzero-diagonal row and the first differing row of every completion in
-    one stacked pass, so a completion must not change afterwards (a
-    ``TimeSeries`` is frozen). It then sweeps the upper triangle of the rows
-    once, down to the last row before any completion first differs from the
-    original, at one bound (``bound``), the largest U among the completions
-    that first differ below row 0. The row a pair resumes from is rebuilt
-    whole by symmetry once, and then only read, as are the stored rows.
+    completion. The original may have any width: a pair copies its
+    coordinates (``ys``), or wider than two dims its cost rows (``costs``),
+    and writes in its differing rows. A completion of another shape raises
+    ValueError. The constructor computes U, the last nonzero-diagonal row and
+    the first differing row of every completion in one stacked pass, so a
+    completion must not change afterwards (a ``TimeSeries`` is frozen). It
+    then sweeps the upper triangle of the rows once, down to the last row
+    before any completion first differs from the original, at one bound
+    (``bound``), the largest U among the completions that first differ below
+    row 0. The row a pair resumes from is rebuilt whole by symmetry once, and
+    then only read, as are the stored rows.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
@@ -206,6 +202,7 @@ class SelfAlignment:
         numbers = _near_diagonal(values, vb) if values else []
         self.series, self.values = original, vb
         self.ys = _coordinates(vb)
+        self.costs = _point_costs(vb, vb).tolist() if vb.shape[1] > 2 else None
         # id of a completion -> the completion (held, so its id is not reused), its values, _near_diagonal's numbers.
         self._pairs = {id(c): (c, v, pair) for c, v, pair in zip(completions, values, numbers)}
         # A NaN U never resumes, nor does a pair that differs at row 0. Every shared row is swept at bound.
@@ -215,11 +212,7 @@ class SelfAlignment:
         self.rows: list = []
         self._origin = _origin(n)  # only read, by the sweeps here and by every pair that starts from row 0
         depth = max((equal for _, _, equal, _ in numbers), default=0)
-        _sweep(self.ys, self.ys, _cost_rows(vb, vb), self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
-        # The running maximum of the rows' last columns at or below the bound: row
-        # bisect_left(_reach, s) + 1 is the first to reach column s, and every row above it
-        # holds nothing at or below the bound there.
-        self._reach = list(accumulate([last for _, _, last in self.rows], max))
+        _sweep(self.ys, self.ys, self.costs, self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
         self._starts: dict = {}  # row number -> the whole row rebuilt, its first and last column at or below the bound
 
     def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int]:
@@ -233,9 +226,10 @@ class SelfAlignment:
         if equal not in self._starts:
             stored, _, last = self.rows[equal - 1]
             # The stored row starts at the diagonal; D(equal, j) = D(j, equal) fills in the columns left of it.
-            first = bisect_left(self._reach, equal) + 1
-            row = stored.copy()
-            row[first:equal] = [above[equal] for above, _, _ in self.rows[first - 1 : equal - 1]]
+            row = stored[:1] + [above[equal] for above, _, _ in self.rows[: equal - 1]] + stored[equal:]
+            first = 1  # left of the first column at or below the shared bound, cells are above every pair's U
+            while row[first] > self.bound:
+                first += 1
             self._starts[equal] = row, first, last
         row, first, last = self._starts[equal]
         # D(equal, equal) is 0.0 <= bound, so both scans stop inside [first, last].
@@ -288,7 +282,9 @@ def dtw_distance(
     Up to two dimensions, point costs are computed for the visited cells
     only: summing at most two squares takes one addition, so the order numpy
     sums in cannot change the bits, and one dimension adds a square of +0.0,
-    which leaves them as they are. Wider points read the cost matrix's rows.
+    which leaves them as they are. Wider points read the self-alignment's
+    cost rows, the pair's differing rows computed anew: numpy sums a point's
+    squares in one order whatever the number of rows, so the bits match.
     """
     if shared is None:
         va, vb = _values(a), _values(b)
@@ -305,12 +301,14 @@ def dtw_distance(
     _, va, (bound, synced, equal, differ) = pair
     # The row the sweep starts below, its first and last column at or below the bound, and its number.
     prev, first, last, start = shared._resume(bound, equal)
-    # Outside its differing rows ``a`` equals the original, so its coordinates are a copy of the
-    # original's with those rows written in; a zero of either sign squares to the same cost. The
-    # zero column of one dimension is never written, so both share it.
-    ys, dims = shared.ys, va.shape[1]
-    xs = [y.copy() for y in ys[:dims]] + ys[dims:]
-    stop = max(differ, start)
-    for x, column in zip(xs, va[start:stop].T.tolist()):
-        x[start + 1 : stop + 1] = column
-    return _sweep(xs, ys, _cost_rows(va, shared.values), bound, synced, prev, first, last, range(start + 1, va.shape[0] + 1))
+    # Outside its differing rows ``a`` equals the original (a zero of either sign squares to the same cost), so it
+    # copies the original's coordinates (up to two dims; one dim's zero column is shared) or cost rows, writing in those.
+    ys, costs, stop = shared.ys, shared.costs, max(differ, start)
+    if costs is None:
+        xs = [y.copy() for y in ys[: va.shape[1]]] + ys[va.shape[1] :]
+        for x, column in zip(xs, va[start:stop].T.tolist()):
+            x[start + 1 : stop + 1] = column
+    else:
+        xs, costs = ys, costs.copy()
+        costs[start:stop] = _point_costs(va[start:stop], shared.values).tolist()
+    return _sweep(xs, ys, costs, bound, synced, prev, first, last, range(start + 1, va.shape[0] + 1))

@@ -88,17 +88,6 @@ class ExperimentConfig:
             raise ValueError(f"parity_tolerance must be finite and positive, got {self.parity_tolerance}")
         if not 0.0 < self.parity_fraction < 1.0:
             raise ValueError("parity_fraction must be in (0, 1)")
-        # A synthetic series' shape is known here, so what needs it is checked before training; a CSV
-        # source is checked when evaluate_mae and the attack mask it.
-        if isinstance(self.data, SyntheticConfig):
-            shape = f"a {self.data.length}x{self.data.dims} synthetic series"
-            # The parity mask hides round(fraction * steps * dims) entries (core.random_missing_mask).
-            if round(self.parity_fraction * self.data.length * self.data.dims) == 0:
-                raise ValueError(f"parity_fraction {self.parity_fraction} hides no entry of {shape}")
-            if self.attack.dim >= self.data.dims:
-                raise ValueError(f"attack.dim {self.attack.dim} is not a dimension of {shape}")
-            if self.attack.block_length >= self.data.length:
-                raise ValueError(f"attack.block_length {self.attack.block_length} covers all of {shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +128,15 @@ def _load_corpus(cfg: ExperimentConfig) -> list[TimeSeries]:
         corpus = generate_synthetic(replace(cfg.data, seed=derive_seed(cfg.master_seed, "data")))
     else:
         corpus = load_csv(cfg.data.path)
+    steps, dims = corpus[0].shape  # every series of a corpus has one shape
+    shape = f"a {steps}x{dims} series"
+    # The parity mask hides round(fraction * steps * dims) entries (core.random_missing_mask).
+    if round(cfg.parity_fraction * steps * dims) == 0:
+        raise ValueError(f"parity_fraction {cfg.parity_fraction} hides no entry of {shape}")
+    if cfg.attack.dim >= dims:
+        raise ValueError(f"attack.dim {cfg.attack.dim} is not a dimension of {shape}")
+    if cfg.attack.block_length >= steps:
+        raise ValueError(f"attack.block_length {cfg.attack.block_length} covers all of {shape}")
     return [zscore_normalize(s)[0] for s in corpus]
 
 

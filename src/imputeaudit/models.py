@@ -527,8 +527,8 @@ def parity_check(
     The harness refuses to run headline experiments when this fails; a
     reference model of different skill makes the loss ratio meaningless.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     mae_t = evaluate_mae(target, list(test), fraction, seed)
     mae_r = evaluate_mae(reference, list(test), fraction, seed)
     return ParityReport(

@@ -13,7 +13,6 @@ import numpy as np
 
 from imputeaudit.core import MaskedSeries, TimeSeries
 from imputeaudit.data import CsvParseError, CsvSchemaError, _draw_components, _render_components
-from imputeaudit.dtw import _point_costs, _values
 from imputeaudit.models import _batch_observed, _unpack
 
 # n*m above this and exhaustive path enumeration stops being a test oracle
@@ -146,21 +145,23 @@ def dtw_brute_force(a, b) -> float:
 
     Refuses inputs with n*m > BRUTE_FORCE_CELL_LIMIT; enumeration is
     exponential and only meant to cross-check ``dtw_distance`` on tiny
-    series.
+    series. It reads its input and computes its point costs (``math.fsum`` of
+    the squared differences) without ``imputeaudit.dtw``.
     """
-    va, vb = _values(a), _values(b)
+    va, vb = (np.asarray(getattr(x, "values", x), dtype=np.float64) for x in (a, b))
+    va, vb = va.reshape(len(va), -1), vb.reshape(len(vb), -1)
     if va.shape[1] != vb.shape[1]:
         raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
     n, m = va.shape[0], vb.shape[0]
     if n * m > BRUTE_FORCE_CELL_LIMIT:
         raise ValueError(f"refusing exhaustive enumeration for {n}x{m} > {BRUTE_FORCE_CELL_LIMIT} cells")
 
-    costs = _point_costs(va, vb)
+    costs = [[math.sqrt(math.fsum((p - q) ** 2 for p, q in zip(x, y))) for y in vb.tolist()] for x in va.tolist()]
     best = float("inf")
 
     def walk(i: int, j: int, acc: float) -> None:
         nonlocal best
-        acc += costs[i, j]
+        acc += costs[i][j]
         if i == n - 1 and j == m - 1:
             if acc < best:
                 best = acc

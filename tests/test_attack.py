@@ -15,7 +15,7 @@ from helpers import (
     dtw_reference,
 )
 
-from imputeaudit import attack
+from imputeaudit import attack, dtw
 from imputeaudit.attack import (
     AttackConfig,
     Calibration,
@@ -184,6 +184,18 @@ def test_calibrate_theta_std_examples():
     assert calibrate_theta_std(scores, n=0.0) == pytest.approx(np.mean(scores))
     with pytest.raises(ValueError):
         calibrate_theta_std([1.0], n=1.0)
+
+
+@pytest.mark.parametrize("l_t, l_r, epsilon", [(0.0, 0.0, float("nan")), (1.0, 0.0, float("inf"))], ids=["nan", "inf"])
+def test_loss_ratio_rejects_an_epsilon_that_is_not_finite(l_t, l_r, epsilon):
+    # NaN gave ZeroDivisionError and inf a ratio of l_t / inf pinned by nothing.
+    with pytest.raises(ValueError, match="^epsilon must be finite and positive"):
+        loss_ratio(l_t, l_r, epsilon=epsilon)
+
+
+def test_calibrate_theta_std_rejects_a_nan_n():
+    with pytest.raises(ValueError, match="^n must be finite"):
+        calibrate_theta_std([1.0, 2.0], float("nan"))
 
 
 def test_calibrate_theta_topk_examples():
@@ -374,6 +386,31 @@ def test_wide_candidates_score_the_full_sweeps_bits(dims):
     score = lbrm_score(target, reference, x, cfg)
     assert score.l_t == float(np.mean([dtw_reference(target.impute(v).values, x.values) for v in views]))
     assert score.l_r == float(np.mean([dtw_reference(reference.impute(v).values, x.values) for v in views]))
+
+
+def test_wide_pairs_compute_only_their_differing_cost_rows(monkeypatch):
+    # The self-alignment computes the original's cost matrix once; each pair copies its rows and
+    # computes only the rows where its completion differs from the original.
+    x = TimeSeries("wide", np.random.default_rng(5).normal(size=(24, 3)))
+    target, reference = OffsetOracle(0.3, [x]), ZeroFillOracle()
+    cfg = AttackConfig(repeats=5, block_length=3, dim=1)
+    calls, point_costs = [], dtw._point_costs
+
+    def spy(a, b):
+        calls.append((a.copy(), b.copy()))
+        return point_costs(a, b)
+
+    monkeypatch.setattr(dtw, "_point_costs", spy)
+    lbrm_score(target, reference, x, cfg)
+    (rows, columns), *pairs = calls
+    assert np.array_equal(rows, x.values) and np.array_equal(columns, x.values)
+    expected = []
+    for start in mask_schedule(24, 3, 5):
+        masked = single_unit_mask(x, start, 3, 1)
+        expected += [oracle.impute(masked).values[start : start + 3] for oracle in (target, reference)]
+    assert len(pairs) == len(expected) == 10
+    for (rows, columns), differing in zip(pairs, expected):
+        assert np.array_equal(rows, differing) and np.array_equal(columns, x.values)
 
 
 def _full_sweep_score(target, reference, x, cfg):

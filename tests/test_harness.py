@@ -10,7 +10,8 @@ from helpers import CountingOracle
 
 from imputeaudit.attack import AttackConfig, FixedTheta, StdRule, TopPercentRule, report_from_dict, run_attack
 from imputeaudit import harness
-from imputeaudit.data import SyntheticConfig
+from imputeaudit.core import derive_seed
+from imputeaudit.data import SyntheticConfig, generate_synthetic, save_csv
 from imputeaudit.harness import (
     CsvSource,
     ExperimentConfig,
@@ -281,33 +282,60 @@ def test_shipped_configs_parse_to_what_they_say(path):
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
-def test_parity_fraction_that_hides_no_entry_is_rejected_before_training(monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before the config was checked")
+def no_training(*args, **kwargs):
+    raise AssertionError("trained before the config was checked")
 
+
+def test_parity_fraction_that_hides_no_entry_is_rejected_before_training(monkeypatch):
     monkeypatch.setattr(harness, "train", no_training)
     doc = json.loads((Path(__file__).resolve().parent.parent / "configs/scenario2_fixture.json").read_text())
     # 0.005 * 64 steps * 1 dim rounds to no hidden entry.
     with pytest.raises(ValueError, match="parity_fraction"):
         harness.run_experiment(config_from_dict({**doc, "parity_fraction": 0.005}))
-    # The smallest fraction that hides one entry passes.
-    assert config_from_dict({**doc, "parity_fraction": 0.5 / 64 + 1e-9}).parity_fraction > 0.5 / 64
+    # The smallest fraction that hides one entry passes the check and reaches training.
+    with pytest.raises(AssertionError, match="trained before"):
+        harness.run_experiment(config_from_dict({**doc, "parity_fraction": 0.5 / 64 + 1e-9}))
 
 
 @pytest.mark.parametrize("attack, match", [
-    (AttackConfig(dim=1), "attack.dim 1 is not a dimension of a 32x1 synthetic series"),
-    (AttackConfig(block_length=32), "attack.block_length 32 covers all of a 32x1 synthetic series"),
+    (AttackConfig(dim=1), "attack.dim 1 is not a dimension of a 32x1 series"),
+    (AttackConfig(block_length=32), "attack.block_length 32 covers all of a 32x1 series"),
 ], ids=["dim", "block_length"])
 def test_attack_block_outside_a_synthetic_series_is_rejected_before_training(monkeypatch, attack, match):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before the config was checked")
-
     monkeypatch.setattr(harness, "train", no_training)
     with pytest.raises(ValueError, match=match):
         harness.run_experiment(mini_config(1, attack=attack))
-    # The largest block and dim that fit pass; a CSV source's shape is known only once it is loaded.
-    assert mini_config(1, attack=AttackConfig(dim=0, block_length=31)).attack.block_length == 31
+    # The largest block and dim that fit pass the check and reach training; the config itself
+    # is checked against the corpus only once the run has loaded it, whatever its source.
+    with pytest.raises(AssertionError, match="trained before"):
+        harness.run_experiment(mini_config(1, attack=AttackConfig(dim=0, block_length=31)))
     assert mini_config(1, data=CsvSource("corpus.csv"), attack=attack).attack == attack
+
+
+def _mini_corpus_csv(tmp_path) -> CsvSource:
+    """The mini synthetic corpus, saved with the seed a run derives for its data."""
+    path = str(tmp_path / "mini.csv")
+    save_csv(generate_synthetic(replace(MINI_DATA, seed=derive_seed(mini_config(1).master_seed, "data"))), path)
+    return CsvSource(path)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"attack": AttackConfig(dim=1)}, "attack.dim 1 is not a dimension of a 32x1 series"),
+    ({"attack": AttackConfig(block_length=32)}, "attack.block_length 32 covers all of a 32x1 series"),
+    ({"parity_fraction": 0.0004}, "parity_fraction 0.0004 hides no entry of a 32x1 series"),
+], ids=["dim", "block_length", "parity_fraction"])
+def test_a_csv_config_that_misfits_its_corpus_is_rejected_before_training(monkeypatch, tmp_path, fields, match):
+    monkeypatch.setattr(harness, "train", no_training)
+    with pytest.raises(ValueError, match=match):
+        harness.run_experiment(mini_config(1, data=_mini_corpus_csv(tmp_path), **fields))
+
+
+def test_a_csv_source_run_scores_the_bytes_of_its_synthetic_run(tmp_path):
+    # The same corpus, read from a file, gives the same scores.json byte for byte.
+    runs = {"csv": mini_config(1, data=_mini_corpus_csv(tmp_path)), "synthetic": mini_config(1)}
+    scores = {name: Path(write_experiment_outputs(run_experiment(cfg), str(tmp_path / name)), "scores.json").read_bytes()
+              for name, cfg in runs.items()}
+    assert scores["csv"] == scores["synthetic"]
 
 
 NAN, INF = float("nan"), float("inf")

@@ -369,6 +369,17 @@ def test_parity_fraction_that_hides_no_entry_raises_before_that_series_is_querie
     assert [view.series.id for view in oracle.seen] == ["long"]
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_parity_check_rejects_a_tolerance_that_is_not_finite(tolerance):
+    # NaN failed every pair of models and inf passed every one.
+    from helpers import RecordingOracle
+
+    oracle = RecordingOracle()
+    with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+        parity_check(oracle, oracle, [TimeSeries("s0", np.zeros((64, 1)))], tolerance=tolerance)
+    assert oracle.seen == []
+
+
 def test_overfit_autoencoder_memorizes(tiny_corpus, overfit_model, fresh_model):
     assert overfit_model.history[-1] < 0.05
 
