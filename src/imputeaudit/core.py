@@ -357,7 +357,10 @@ def _read(kind, value, where: str):
                 parsed[key] = _read(hints[key], value[key], nested)
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ValueError(f"missing key {key!r} in {where}")
-        return cls(**parsed)
+        try:
+            return cls(**parsed)
+        except ValueError as exc:  # a value out of range, named by the class's own check
+            raise ValueError(f"{where}: {exc}") from exc
     if kind is float and type(value) in (int, float):
         try:
             number = float(value)

@@ -15,8 +15,8 @@ original, so they are the rows of the original's self-alignment. A
 nonzero-diagonal row and first differing row in one stacked pass, then
 sweeps the upper triangle of the shared rows once per original, at one
 bound B, the largest U among the completions that first differ below row 0.
-Every pair resumes from them at its own first differing row, from the whole
-row rebuilt by symmetry.
+Every pair resumes from them at its own first differing row, from that row
+rebuilt by symmetry from its first cell at or below B.
 
 Why the upper triangle is enough: the point cost c(i, j) of a series with
 itself equals c(j, i) bit for bit, since fl(a - b) = -fl(b - a), a square
@@ -189,8 +189,8 @@ class SelfAlignment:
     then sweeps the upper triangle of the rows once, down to the last row
     before any completion first differs from the original, at one bound
     (``bound``), the largest U among the completions that first differ below
-    row 0. The row a pair resumes from is rebuilt whole by symmetry once, and
-    then only read, as are the stored rows.
+    row 0. A row a pair resumes from is rebuilt by symmetry once, from its
+    first cell at or below that bound, then only read, as are the stored rows.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
@@ -213,24 +213,30 @@ class SelfAlignment:
         self._origin = _origin(n)  # only read, by the sweeps here and by every pair that starts from row 0
         depth = max((equal for _, _, equal, _ in numbers), default=0)
         _sweep(self.ys, self.ys, self.costs, self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
-        self._starts: dict = {}  # row number -> the whole row rebuilt, its first and last column at or below the bound
+        self._starts: dict = {}  # row number -> the row rebuilt, its first and last column at or below the bound
+        self._rebuilt = 0, 1  # the last row rebuilt and its first column at or below the bound
 
     def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int]:
         """The row a pair with U ``bound`` and ``equal`` leading rows equal to
         the original starts below, its first and last column at or below
-        ``bound``, and its row number: shared row ``equal`` rebuilt whole, or
-        row 0, the origin, when the pair differs at row 0 or its U is NaN.
-        Each row is one list, rebuilt once, that every pair only reads."""
+        ``bound``, and its row number: shared row ``equal`` rebuilt, or row 0,
+        the origin, when the pair differs at row 0 or its U is NaN. Each row
+        is one list, rebuilt once, that every pair only reads. A row's first
+        column at or below the shared bound is never left of the row above's
+        (a cell costs at least its least predecessor, at that column not its
+        left one), so the scan starts at the last rebuilt row's if that is above."""
         if equal == 0 or math.isnan(bound):
             return self._origin, 1, 0, 0
         if equal not in self._starts:
             stored, _, last = self.rows[equal - 1]
-            # The stored row starts at the diagonal; D(equal, j) = D(j, equal) fills in the columns left of it.
-            row = stored[:1] + [above[equal] for above, _, _ in self.rows[: equal - 1]] + stored[equal:]
-            first = 1  # left of the first column at or below the shared bound, cells are above every pair's U
-            while row[first] > self.bound:
+            first = self._rebuilt[1] if self._rebuilt[0] < equal else 1
+            while first < equal and self.rows[first - 1][0][equal] > self.bound:
                 first += 1
+            # D(equal, j) = D(j, equal) fills in from first to the stored row's diagonal; cells left of first are
+            # above every pair's U, and stay infinite.
+            row = [math.inf] * first + [above[equal] for above, _, _ in self.rows[first - 1 : equal - 1]] + stored[equal:]
             self._starts[equal] = row, first, last
+            self._rebuilt = equal, first
         row, first, last = self._starts[equal]
         # D(equal, equal) is 0.0 <= bound, so both scans stop inside [first, last].
         while row[first] > bound:

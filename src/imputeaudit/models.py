@@ -9,9 +9,9 @@ finite differences.
 A training run allocates its parameter, gradient and velocity buffers once
 and names their blocks through views built once; ``forward`` reads the
 parameter views and ``backward`` overwrites every gradient view. The run also
-owns one workspace that both passes write every per-step tensor into (see
-``_buffer``); ``TrainedImputer.impute`` passes none, so a trained model holds
-no mutable state.
+owns one workspace that both passes write every per-step tensor into, one
+array for all batch sizes (see ``_buffer``); ``TrainedImputer.impute`` passes
+none, so a trained model holds no mutable state.
 
 Each epoch draws all of its masks in one ``(n, steps * dims)`` call and
 gathers the shuffled data once, and each batch slices both. That is the same
@@ -125,19 +125,19 @@ def _fan_in_init(rng: np.random.Generator, layout: _Layout) -> np.ndarray:
 
 def _buffer(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array of ``shape``: a new one without a
-    workspace, else the one ``ws`` holds under (name, shape), made on first use.
+    workspace, else the leading rows of the one ``ws`` holds under (name,
+    shape[1:]), made on first use and remade only for more rows.
 
     A training run passes one workspace to every step, so a step's tensors
     reuse the memory of the step before instead of being freed and mapped
-    again; there is one set per batch size, as an epoch's short last batch
-    has its own shapes.
+    again, and a short batch's are contiguous leading rows of a full batch's.
     """
     if ws is None:
         return np.empty(shape)
-    buf = ws.get((name, shape))
-    if buf is None:
-        buf = ws[(name, shape)] = np.empty(shape)
-    return buf
+    buf = ws.get((name, shape[1:]))
+    if buf is None or buf.shape[0] < shape[0]:
+        buf = ws[(name, shape[1:])] = np.empty(shape)
+    return buf[: shape[0]]
 
 
 class _Autoencoder:
@@ -310,9 +310,9 @@ class _SelfAttentionImputer:
         # dq, dk and dv side by side, so one contraction and one sum give their weight and bias gradients.
         dqkv = _buffer(ws, "dqkv", (b, t, 3 * dm))
         dq, dkey, dv = (self._split_heads(dqkv[..., i * dm : (i + 1) * dm]) for i in range(3))
-        dweights = _buffer(ws, "dweights", (b, self.heads, t, t))
-        dlogits = _buffer(ws, "dlogits", (b, self.heads, t, t))
-        row = _buffer(ws, "row", (b, self.heads, t, 1))
+        dweights = _buffer(ws, "dweights", (b, t, t))
+        dlogits = _buffer(ws, "dlogits", (b, t, t))
+        row = _buffer(ws, "row", (b, t, 1))
         dpre = _buffer(ws, "dpre", (b, t, self.ff_dim))
         slope = _buffer(ws, "slope", (b, t, self.ff_dim))
 
@@ -333,15 +333,16 @@ class _SelfAttentionImputer:
             g[f"bo{k}"][...] = dh.sum(axis=(0, 1))
             np.matmul(dh, p[f"Wo{k}"].T, out=dmixed)
             dmixed_heads = self._split_heads(dmixed)
-            np.matmul(dmixed_heads, v.transpose(0, 1, 3, 2), out=dweights)
             np.matmul(weights.transpose(0, 1, 3, 2), dmixed_heads, out=dv)
-            # dlogits = weights * (dweights - rowsum(dweights * weights))
-            np.multiply(dweights, weights, out=dlogits)
-            dweights -= dlogits.sum(axis=-1, keepdims=True, out=row)
-            np.multiply(weights, dweights, out=dlogits)
-            np.matmul(dlogits, key, out=dq)
+            for j in range(self.heads):
+                np.matmul(dmixed_heads[:, j], v[:, j].transpose(0, 2, 1), out=dweights)
+                # one head at a time: dlogits = weights * (dweights - rowsum(dweights * weights))
+                np.multiply(dweights, weights[:, j], out=dlogits)
+                dweights -= dlogits.sum(axis=-1, keepdims=True, out=row)
+                np.multiply(weights[:, j], dweights, out=dlogits)
+                np.matmul(dlogits, key[:, j], out=dq[:, j])
+                np.matmul(dlogits.transpose(0, 2, 1), q[:, j], out=dkey[:, j])
             dq *= scale
-            np.matmul(dlogits.transpose(0, 1, 3, 2), q, out=dkey)
             dkey *= scale
             w_qkv = np.einsum("btm,btn->mn", h_in, dqkv)
             b_qkv = dqkv.sum(axis=(0, 1))

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import (
     CountingOracle,
     FailingOracle,
@@ -37,6 +40,7 @@ from imputeaudit.attack import (
 )
 from imputeaudit.core import OracleError, TimeSeries, _read, _to_dict, single_unit_mask
 from imputeaudit.dtw import dtw_distance
+from imputeaudit.models import ImputerConfig, train
 
 
 def series(seed=0, steps=20):
@@ -469,3 +473,71 @@ def test_std_rule_report_says_how_many_nonmembers_were_candidates():
                      known_nonmembers=candidates)
     assert top.calibration is None
     assert "calibration" not in report_to_dict(top)
+
+
+# Per-candidate independence: a candidate's score depends only on the candidate, the two oracles and the
+# attack config; only theta depends on the whole candidate list.
+INDEPENDENCE = AttackConfig(block_length=2, dim=1, repeats=4, placement="random", seed=5)
+
+
+@functools.lru_cache(maxsize=1)
+def tiny_audit():
+    """Two fixed tiny autoencoders, six 12x2 candidates (three of them trained on) and three known nonmembers."""
+    rng = np.random.default_rng(21)
+    corpus = [TimeSeries(f"train-{i}", rng.normal(size=(12, 2))) for i in range(8)]
+    model = ImputerConfig(hidden=6, latent=3, epochs=4, batch_size=4)
+    target = train(corpus, replace(model, seed=1))
+    reference = train(corpus[4:], replace(model, seed=2))
+    candidates = tuple(corpus[:3]) + tuple(TimeSeries(f"cand-{i}", rng.normal(size=(12, 2))) for i in range(3))
+    nonmembers = [TimeSeries(f"out-{i}", rng.normal(size=(12, 2))) for i in range(3)]
+    return target, reference, candidates, nonmembers
+
+
+@functools.lru_cache(maxsize=2)
+def scores_of_all(rule):
+    target, reference, candidates, nonmembers = tiny_audit()
+    report = run_attack(target, reference, list(candidates), replace(INDEPENDENCE, theta_rule=rule), nonmembers)
+    return {s.candidate_id: s for s in report.scores}
+
+
+def score_bits(s):
+    return s.candidate_id, s.l_t.hex(), s.l_r.hex(), s.r.hex(), s.degenerate
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=6), st.sampled_from([TopPercentRule(25.0), StdRule(1.0)]))
+@example([5, 4, 3, 2, 1, 0], TopPercentRule(25.0))
+@example([2, 2, 0], StdRule(1.0))
+def test_a_candidate_scores_the_same_bits_in_any_candidate_list(picks, rule):
+    # Permutations, subsets and duplicates; caches held per run (schedules, masks, self-alignments) must not leak.
+    target, reference, candidates, nonmembers = tiny_audit()
+    picked = [candidates[i] for i in picks]
+    report = run_attack(target, reference, picked, replace(INDEPENDENCE, theta_rule=rule), nonmembers)
+    assert [score_bits(s) for s in report.scores] == [score_bits(scores_of_all(rule)[x.id]) for x in picked]
+
+
+class SpyingOracle:
+    """Answers as ``inner`` does, and records every view it is shown."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.seen: list = []
+
+    def impute(self, x):
+        self.seen.append((x.id, x.series.values.copy(), x.mask.missing().copy()))
+        return self.inner.impute(x)
+
+
+def test_each_oracle_is_shown_a_candidates_views_in_schedule_order():
+    target, reference, candidates, _ = tiny_audit()
+    spies = SpyingOracle(target), SpyingOracle(reference)
+    run_attack(*spies, list(candidates), replace(INDEPENDENCE, theta_rule=FixedTheta(1.0)))
+    starts = mask_schedule(12, INDEPENDENCE.block_length, INDEPENDENCE.repeats, INDEPENDENCE.placement, INDEPENDENCE.seed)
+    assert starts != sorted(starts)  # random placement: the schedule order is not the order along the series
+    views = [single_unit_mask(x, start, INDEPENDENCE.block_length, INDEPENDENCE.dim) for x in candidates for start in starts]
+    for spy in spies:
+        assert len(spy.seen) == len(views)
+        for (seen_id, values, missing), view in zip(spy.seen, views):
+            assert seen_id == view.id
+            assert np.array_equal(values, view.series.values)
+            assert np.array_equal(missing, view.mask.missing())

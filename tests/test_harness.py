@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -262,6 +263,26 @@ def test_config_rejects_mistyped_values_by_name(path, value, match):
         block = block[key]
     block[path[-1]] = value
     with pytest.raises(ValueError, match=match):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (["fine_tune", "learning_rate"], -1.0,
+     "the fine_tune block of the experiment config: learning_rate must be finite and nonnegative, got -1.0"),
+    (["attack", "repeats"], 0, "the attack block of the experiment config: repeats must be >= 1"),
+    (["data", "count"], 0,
+     "the synthetic data block of the experiment config: count >= 1, length >= 2 and dims >= 1 required"),
+    (["parity_tolerance"], -1.0, "the experiment config: parity_tolerance must be finite and positive, got -1.0"),
+], ids=["fine_tune", "attack", "data", "top_level"])
+def test_config_names_the_block_of_a_value_out_of_range(path, value, message):
+    # The class's own range check once gave only its text: three blocks of one config could hold a learning_rate.
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "configs/scenario2_fixture.json").read_text())
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         config_from_dict(doc)
 
 

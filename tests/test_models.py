@@ -17,11 +17,13 @@ from helpers import (
     descend_reference,
 )
 
+from imputeaudit import models
 from imputeaudit.core import MaskMatrix, OracleError, TimeSeries, _query, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.models import (
     DivergenceError,
     ImputerConfig,
     TrainedImputer,
+    _buffer,
     _build_net,
     _fan_in_init,
     _unpack,
@@ -106,8 +108,8 @@ def test_backward_overwrites_every_gradient_entry(cfg):
 ATTN_BENCH = ImputerConfig(architecture="attention", model_dim=16, heads=2, ff_dim=32)
 
 
-def attention_case(blocks, batch, seed):
-    net = _build_net(64, 1, replace(ATTN_BENCH, blocks=blocks))
+def attention_case(blocks, batch, seed, heads=ATTN_BENCH.heads):
+    net = _build_net(64, 1, replace(ATTN_BENCH, blocks=blocks, heads=heads))
     rng = np.random.default_rng(seed)
     params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
     return net, params, rng.normal(size=(batch, 64, 1)), rng.normal(size=(batch, 64, 1)) / (batch * 64)
@@ -137,22 +139,74 @@ def assert_same_step(step, expected):
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("batch", [16, 6, 1])  # a full batch, an epoch's short last batch, one query
 def test_attention_step_matches_reference_bit_for_bit(blocks, batch):
-    net, params, x, dy = attention_case(blocks, batch, seed=10 * batch + blocks)
-    expected = attention_step(net, params, x, dy, reference=True)
-    assert_same_step(attention_step(net, params, x, dy), expected)
-    assert_same_step(attention_step(net, params, x, dy, ws={}), expected)
+    for heads in (1, 2, 4):  # the backward takes the softmax gradient one head at a time
+        net, params, x, dy = attention_case(blocks, batch, seed=10 * batch + blocks, heads=heads)
+        expected = attention_step(net, params, x, dy, reference=True)
+        assert_same_step(attention_step(net, params, x, dy), expected)
+        assert_same_step(attention_step(net, params, x, dy, ws={}), expected)
+        # A short batch through the leading rows of a full batch's workspace.
+        ws: dict = {}
+        attention_step(*attention_case(blocks, 16, seed=0, heads=heads), ws)
+        assert_same_step(attention_step(net, params, x, dy, ws), expected)
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_attention_steps_through_one_workspace_match_fresh_steps(blocks):
     # Stale or aliased buffers would show on the second step of a batch size, or on a second block.
+    for order in ((16, 6, 16, 6, 16), (6, 16, 6, 16)):
+        ws: dict = {}
+        for seed, batch in enumerate(order):
+            net, params, x, dy = attention_case(blocks, batch, seed)
+            assert_same_step(attention_step(net, params, x, dy, ws), attention_step(net, params, x, dy))
+            if seed == order.index(16):
+                buffers = {key: id(buf) for key, buf in ws.items()}
+        # One array per buffer, kept from the first full batch on.
+        assert {key: id(buf) for key, buf in ws.items()} == buffers
+
+
+@pytest.mark.parametrize("rows", [(6, 16), (16, 6)])
+def test_buffer_keeps_one_array_per_name_and_trailing_shape(rows):
     ws: dict = {}
-    for seed, batch in enumerate((16, 6, 16, 6, 16)):
-        net, params, x, dy = attention_case(blocks, batch, seed)
-        assert_same_step(attention_step(net, params, x, dy, ws), attention_step(net, params, x, dy))
-        if seed == 1:
-            buffers = {key: id(buf) for key, buf in ws.items()}
-    assert {key: id(buf) for key, buf in ws.items()} == buffers
+    views = [_buffer(ws, "w", (b, 3, 5)) for b in rows]
+    (kept,) = ws.values()
+    assert kept.shape == (16, 3, 5)
+    short = _buffer(ws, "w", (6, 3, 5))
+    assert short.shape == (6, 3, 5) and short.flags.c_contiguous
+    assert np.shares_memory(short, kept)
+    assert np.shares_memory(views[rows.index(16)], kept)
+    assert ws == {("w", (3, 5)): kept}
+    assert not np.shares_memory(_buffer(ws, "w", (6, 5, 3)), kept)
+    assert _buffer(None, "w", (6, 3, 5)).shape == (6, 3, 5)
+
+
+def test_attention_training_shares_one_workspace_and_backward_holds_no_all_heads_tensor(monkeypatch):
+    # Of the (b, heads, t, t) tensors only the forward's weights are requested, and an epoch's short last
+    # batch gets views of the full batch's arrays, not arrays of its own.
+    cfg = replace(ATTN_BENCH, epochs=2, seed=3)
+    steps = 8
+    requests, phase = [], ["forward"]
+    real_buffer, real_backward = models._buffer, models._SelfAttentionImputer.backward
+
+    def buffer(ws, name, shape):
+        buf = real_buffer(ws, name, shape)
+        requests.append((phase[0], name, shape, buf))
+        return buf
+
+    def backward(self, *args):
+        phase[0] = "backward"
+        real_backward(self, *args)
+        phase[0] = "forward"
+
+    monkeypatch.setattr(models, "_buffer", buffer)
+    monkeypatch.setattr(models._SelfAttentionImputer, "backward", backward)
+    train(small_corpus(n=22, steps=steps), cfg)  # batches of 16 and 6
+    assert {shape[0] for _, _, shape, _ in requests} == {16, 6}
+    assert [name for p, name, shape, _ in requests if p == "forward" and shape[1:] == (cfg.heads, steps, steps)]
+    assert not [name for p, name, shape, _ in requests if p == "backward" and shape[1:] == (cfg.heads, steps, steps)]
+    full = [(name, buf) for _, name, shape, buf in requests if shape[0] == 16]
+    for _, name, shape, buf in requests:
+        if shape[0] == 6:
+            assert any(n == name and np.shares_memory(buf, f) for n, f in full), (name, shape)
 
 
 # The s2-fixture benchmark's network; audit-long's is the same at 128 steps x 2 dims.
