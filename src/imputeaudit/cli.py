@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from dataclasses import replace
 
 from . import attack as attack_mod
@@ -85,10 +86,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         cfg = replace(cfg, master_seed=args.seed)
     if args.override_parity:
         cfg = replace(cfg, override_parity=True)
+    started = time.monotonic()
     report = harness.run_experiment(cfg)
+    elapsed = time.monotonic() - started
     out_dir = harness.write_experiment_outputs(report, args.out)
     print(
-        f"scenario {report.config.scenario} done in {report.wall_clock_seconds:.1f}s: "
+        f"scenario {cfg.scenario} done in {elapsed:.1f}s: "
         f"LBRM AUROC {report.lbrm_metrics['auroc']:.3f} vs naive {report.naive_metrics['auroc']:.3f}; "
         f"outputs in {out_dir}"
     )

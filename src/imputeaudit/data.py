@@ -232,12 +232,8 @@ def _number_series(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
     return names, series
 
 
-def _check(reader, rows: np.ndarray | None) -> None:
-    """Raise the error for the first bad record ``reader`` reads from the top, else for the first bad series.
-
-    ``rows``, numpy's parse of csv's non-blank rows in order, give each record's numbers; with None, ``_numbers`` reads them.
-    """
-    parsed = None if rows is None else zip(rows["t"].tolist(), rows["dim"].tolist(), rows["value"].tolist())
+def _check(reader) -> None:
+    """Raise the error for the first bad record ``reader`` reads from the top, else for the first bad series."""
     cells, sid = {}, None  # per id, the line of its first record and its set of (t, dim) cells
     next(reader)
     start = reader.line_num + 1
@@ -247,7 +243,7 @@ def _check(reader, rows: np.ndarray | None) -> None:
             continue
         if len(row) != len(_FIELDS):
             raise CsvParseError(f"line {line}: expected {len(_FIELDS)} fields, got {len(row)}")
-        t, dim, value = _numbers(line, row) if parsed is None else next(parsed)
+        t, dim, value = _numbers(line, row)
         if t < 0 or dim < 0:
             raise CsvParseError(f"line {line}: t and dim must be nonnegative")
         if not math.isfinite(value):
@@ -295,7 +291,8 @@ def load_csv(path: str) -> list[TimeSeries]:
 
     numpy's C reader parses the body in one call; series keep the order in which
     their ids first appear. A file it rejects, or whose records do not fill one
-    grid, is read again with ``csv.reader``, record by record, and raises
+    grid, is read again with ``csv.reader``, record by record and each number
+    by ``_numbers``' grammar (numpy's own on ASCII text), and raises
     CsvParseError or CsvSchemaError naming the physical line of the first bad
     record in file order. Within a record the checks run in this order: field
     count, t, dim, value, the signs of t and dim, finiteness, and a repeated
@@ -305,7 +302,7 @@ def load_csv(path: str) -> list[TimeSeries]:
     field past ``csv.field_size_limit()``, raises CsvParseError naming the file
     and the line csv stopped on. numpy's reader reads some non-ASCII characters
     as digits, so a file that is not all ASCII is read record by record too,
-    each number by ``_numbers``' grammar, and loads only if that read passes.
+    and loads only if that read passes.
     """
     with open(path, "rb") as raw:
         all_ascii = all(chunk.isascii() for chunk in iter(lambda: raw.read(1 << 16), b""))
@@ -319,7 +316,7 @@ def load_csv(path: str) -> list[TimeSeries]:
             if series is not None and all_ascii:
                 return series
             fh.seek(0)
-            _check(reader := csv.reader(fh), rows if all_ascii else None)
+            _check(reader := csv.reader(fh))
             if series is None:
                 raise CsvParseError(f"{path}: the file was rejected, but a record-by-record read finds no bad record or series")
             return series

@@ -4,14 +4,14 @@ Both scenarios share one backbone: build a normalized corpus, split it, train
 a target and a reference imputer, check they are of comparable skill, then
 score private (member) and test (nonmember) series with the ratio attack and
 the naive-loss baseline over identical mask schedules. Every stage seed is
-derived from the master seed, so report.json is a pure function of
-(config, master seed); wall-clock time is reported separately to keep it so.
+derived from the master seed, and a run reads no clock and nothing set
+outside its config, so every output file is a pure function of
+(config, master seed).
 """
 from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -42,10 +42,7 @@ __all__ = [
     "metrics_from_report",
     "report_json_dict",
     "write_experiment_outputs",
-    "OUTPUT_DIR_ENV",
 ]
-
-OUTPUT_DIR_ENV = "IMPUTEAUDIT_OUT"
 
 
 class ParityError(RuntimeError):
@@ -77,6 +74,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in (1, 2):
             raise ValueError(f"scenario must be 1 or 2, got {self.scenario}")
+        if self.scenario == 1 and self.fine_tune is not None:
+            raise ValueError("fine_tune is for scenario 2 only: scenario 1 trains its target from target_model")
+        if self.scenario == 1 and self.independent_reference:
+            raise ValueError("independent_reference is for scenario 2 only: scenario 1 always trains its own reference")
         if self.scenario == 2 and self.fine_tune is None:
             raise ValueError("scenario 2 requires a fine_tune config")
         if self.scenario == 2 and replace(self.target_model, seed=self.reference_model.seed) != self.reference_model:
@@ -100,7 +101,6 @@ class ExperimentReport:
     naive_metrics: dict[str, float]
     lbrm_curve: RocCurve
     naive_curve: RocCurve
-    wall_clock_seconds: float
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -153,13 +153,7 @@ def metrics_from_report(report: AttackReport, labels: list[bool]):
     return headline_summary(lbrm), headline_summary(naive), roc_curve(lbrm), roc_curve(naive)
 
 
-def _finish(
-    cfg: ExperimentConfig,
-    split: ScenarioSplit,
-    target: TrainedImputer,
-    reference: TrainedImputer,
-    started: float,
-) -> ExperimentReport:
+def _finish(cfg: ExperimentConfig, split: ScenarioSplit, target: TrainedImputer, reference: TrainedImputer) -> ExperimentReport:
     parity = parity_check(
         target,
         reference,
@@ -189,18 +183,16 @@ def _finish(
         naive_metrics=naive_metrics,
         lbrm_curve=lbrm_curve,
         naive_curve=naive_curve,
-        wall_clock_seconds=time.monotonic() - started,
     )
 
 
 def run_scenario1(cfg: ExperimentConfig) -> ExperimentReport:
     """Target trained on the private split only; reference on the public split."""
-    started = time.monotonic()
     corpus = _load_corpus(cfg)
     split = split_scenario1(corpus, derive_seed(cfg.master_seed, "split"))
     target = train(list(split.private), replace(cfg.target_model, seed=derive_seed(cfg.master_seed, "target")))
     reference = train(list(split.public), replace(cfg.reference_model, seed=derive_seed(cfg.master_seed, "reference")))
-    return _finish(cfg, split, target, reference, started)
+    return _finish(cfg, split, target, reference)
 
 
 def run_scenario2(cfg: ExperimentConfig) -> ExperimentReport:
@@ -209,7 +201,6 @@ def run_scenario2(cfg: ExperimentConfig) -> ExperimentReport:
     The reference is the un-fine-tuned base itself (cheapest skill-matched
     benchmark); set independent_reference to train a separate one instead.
     """
-    started = time.monotonic()
     corpus = _load_corpus(cfg)
     split = split_scenario2(corpus, derive_seed(cfg.master_seed, "split"))
     base = train(list(split.public), replace(cfg.reference_model, seed=derive_seed(cfg.master_seed, "reference")))
@@ -222,7 +213,7 @@ def run_scenario2(cfg: ExperimentConfig) -> ExperimentReport:
         reference = base
     assert cfg.fine_tune is not None  # enforced by ExperimentConfig
     target = fine_tune(base, list(split.private), replace(cfg.fine_tune, seed=derive_seed(cfg.master_seed, "fine-tune")))
-    return _finish(cfg, split, target, reference, started)
+    return _finish(cfg, split, target, reference)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -230,11 +221,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def report_json_dict(report: ExperimentReport) -> dict:
-    """The report.json payload. Wall-clock is deliberately excluded so two runs
-    with the same config and seed serialize byte-identically. A std_rule
-    report also says how many of the nonmembers theta was calibrated on were
-    candidates too (``calibration``); the scenario pipelines calibrate on the
-    test split they score, so there it is all of them."""
+    """The report.json payload; two runs with the same config and seed
+    serialize byte-identically. A std_rule report also says how many of the
+    nonmembers theta was calibrated on were candidates too (``calibration``);
+    the scenario pipelines calibrate on the test split they score, so there it
+    is all of them."""
     members = sum(report.labels)
     attack_doc = report_to_dict(report.attack_report)
     del attack_doc["per_candidate"]  # theta, theta_rule and, for std_rule, calibration stay
@@ -251,12 +242,9 @@ def report_json_dict(report: ExperimentReport) -> dict:
 
 
 def write_experiment_outputs(report: ExperimentReport, out_dir: str | None = None) -> str:
-    """Write report.json, scores.json and both ROC CSVs atomically.
-
-    Output directory resolution: explicit argument, then the IMPUTEAUDIT_OUT
-    environment variable, then the config's output_dir.
-    """
-    resolved = out_dir or os.environ.get(OUTPUT_DIR_ENV) or report.config.output_dir
+    """Write report.json, scores.json and both ROC CSVs atomically into
+    ``out_dir``, or else the config's output_dir, and return that directory."""
+    resolved = out_dir or report.config.output_dir
     os.makedirs(resolved, exist_ok=True)
     _write_json(report_json_dict(report), os.path.join(resolved, "report.json"))
     _write_json(report_to_dict(report.attack_report), os.path.join(resolved, "scores.json"))

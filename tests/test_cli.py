@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 
 import imputeaudit
 from imputeaudit.cli import main
-from imputeaudit.data import load_csv
+from imputeaudit.core import TimeSeries
+from imputeaudit.data import load_csv, save_csv
 from imputeaudit.metrics import LabeledScores, auroc, roc_curve
 from imputeaudit.models import load_model
 
@@ -74,6 +76,34 @@ def test_train_and_attack_pipeline(workdir, capsys):
     assert not [p for p in workdir.iterdir() if ".tmp-" in p.name]
     assert len(doc["per_candidate"]) == 12
     assert {"id", "l_t", "l_r", "r", "is_member"} == set(doc["per_candidate"][0])
+
+
+def test_attack_scores_a_subset_of_candidates_as_the_full_run_does(workdir, capsys):
+    # A candidate's l_t, l_r, r and degenerate depend on it, the two models and the attack config only;
+    # theta and is_member depend on the whole candidate set, so they are left out.
+    corpus = workdir / "corpus.csv"
+    main(["generate", "--config", str(workdir / "data.json"), "--out", str(corpus)])
+    for role, seed in (("target", "1"), ("reference", "2")):
+        main(["train", "--data", str(corpus), "--config", str(workdir / "model.json"),
+              "--out", str(workdir / f"{role}.json"), "--seed", seed])
+    (workdir / "attack.json").write_text(json.dumps(
+        {"block_length": 2, "repeats": 3, "theta_rule": {"kind": "top_percent", "percent": 25}}))
+    series = load_csv(str(corpus))
+    # A CSV holds one series per id, so the duplicate is a copy under a new id.
+    save_csv([*reversed(series[2:7]), TimeSeries("copy-of-3", series[3].values)], str(workdir / "subset.csv"))
+
+    def scores(candidates):
+        out = workdir / f"scores-{candidates}.json"
+        assert main(["attack", "--target", str(workdir / "target.json"), "--reference", str(workdir / "reference.json"),
+                     "--candidates", str(workdir / candidates), "--config", str(workdir / "attack.json"),
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["per_candidate"]
+        return {row["id"]: ([float.hex(row[k]) for k in ("l_t", "l_r", "r")], row.get("degenerate", False)) for row in rows}
+
+    full, subset = scores("corpus.csv"), scores("subset.csv")
+    assert len(full) == 12 and len(subset) == 6
+    assert subset.pop("copy-of-3") == full[series[3].id]
+    assert subset == {sid: full[sid] for sid in subset}
 
 
 def test_audit_calls_do_not_import_numpy_ma(workdir):
@@ -180,6 +210,13 @@ def test_scenario2_cli_runs_twice_byte_identical(tmp_path, capsys):
     assert main(["scenario2", "--config", str(cfg_path), "--seed", "7", "--out", str(out_b)]) == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "scores.json").read_bytes() == (out_b / "scores.json").read_bytes()
+    # The command times the run itself; the run's outputs hold no time.
+    methods = json.loads((out_a / "report.json").read_text())["methods"]
+    result = f"LBRM AUROC {methods['lbrm']['auroc']:.3f} vs naive {methods['naive']['auroc']:.3f}; outputs in "
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
+    for text, out in zip(printed, (out_a, out_b)):
+        assert re.fullmatch(r"scenario 2 done in \d+\.\ds: " + re.escape(result + str(out)), text)
 
 
 def test_scenario2_cli_parity_override(tmp_path, capsys):
