@@ -13,12 +13,15 @@ owns one workspace that both passes write every per-step tensor into, one
 array for all batch sizes (see ``_buffer``); ``TrainedImputer.impute`` passes
 none, so a trained model holds no mutable state.
 
-Each epoch draws all of its masks in one ``(n, steps * dims)`` call and
-gathers the shuffled data once, and each batch slices both. That is the same
-stream as a draw per batch: ``Generator.random`` spends one 64-bit word per
-float64, so one draw of n rows equals the per-batch draws joined, and the
-hidden entries are picked per row (``argpartition`` along axis 1), exactly
-``n_hidden`` of them in every row.
+Each epoch draws all of its masks in one ``(n, steps * dims)`` call, the
+same stream as a draw per batch (``Generator.random`` spends one 64-bit word
+per float64). A row hides what is at or below its ``n_hidden``-th smallest
+score; an epoch with a tie at that place picks by ``argpartition``. A step
+writes its residual over the epoch's shuffled copy, and its ``dy``,
+sign(residual) times a per-epoch scale plus 0.0, has the bits of the masked
+sign over the count, though a NaN prediction at an entry not hidden reaches
+it too. The epoch's end sums each batch's hidden residuals as that batch
+alone would, and adds the sums in batch order.
 
 Models operate in normalized space: callers are expected to z-score series
 (see core.zscore_normalize) before training or querying.
@@ -422,19 +425,12 @@ def _stack(dataset: list[TimeSeries]) -> np.ndarray:
     return np.stack([s.values for s in dataset])
 
 
-def _batch_observed(rng: np.random.Generator, n: int, steps: int, dims: int, n_hidden: int) -> np.ndarray:
-    """Per series, hide exactly n_hidden entries chosen uniformly."""
-    scores = rng.random((n, steps * dims))
-    hide = np.argpartition(scores, n_hidden - 1, axis=1)[:, :n_hidden]
-    observed = np.ones((n, steps * dims), dtype=bool)
-    observed[np.arange(n)[:, None], hide] = False
-    return observed.reshape(n, steps, dims)
-
-
 def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng: np.random.Generator):
     """Descend from a copy of ``params``; the caller's array is not touched."""
     n, steps, dims = data.shape
     n_hidden = max(1, int(round(cfg.mask_fraction * steps * dims)))
+    n_full, n_short = divmod(n, cfg.batch_size)
+    full_terms = cfg.batch_size * n_hidden
     params = params.copy()
     grad = np.empty_like(params)
     velocity = np.zeros_like(params)
@@ -442,29 +438,55 @@ def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng:
     p = _unpack(params, net.layout)
     g = _unpack(grad, net.layout)
     ws: dict = {}
+    # Each epoch draws its mask scores into ``scale``, so the draw needs no
+    # array of its own, then fills it with dy's factor: 1/count at a hidden
+    # entry of a batch that hides count entries, 0.0 elsewhere.
+    scale = np.empty_like(data)
+    hidden = np.empty(data.shape, dtype=bool)
+    # The epoch's series in its order; each step overwrites its rows with its residual.
+    shuffled = np.empty_like(data)
     history = []
     # Overflow during a diverging run surfaces as DivergenceError below, not
     # as a stream of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            shuffled = data[rng.permutation(n)]
-            observed = _batch_observed(rng, n, steps, dims, n_hidden)
-            hidden = ~observed
-            inputs = np.where(observed, shuffled, 0.0)
-            abs_err = 0.0
+            np.take(data, rng.permutation(n), axis=0, out=shuffled)
+            # A row hides what is at or below its n_hidden-th smallest score.
+            # Equal scores at places n_hidden and n_hidden + 1 would hide one
+            # too many, so an epoch with such a row picks by argpartition.
+            scores, rows = scale.reshape(n, -1), hidden.reshape(n, -1)
+            rng.random(out=scores)
+            np.less_equal(scores, np.sort(scores, axis=1)[:, n_hidden - 1 : n_hidden], out=rows)
+            if np.count_nonzero(rows) != n * n_hidden:
+                hide = np.argpartition(scores, n_hidden - 1, axis=1)[:, :n_hidden]
+                rows[...] = False
+                rows[np.arange(n)[:, None], hide] = True
+            np.multiply(hidden, 1.0 / full_terms, out=scale)
+            if n_short:
+                np.multiply(hidden[-n_short:], 1.0 / (n_short * n_hidden), out=scale[-n_short:])
             for lo in range(0, n, cfg.batch_size):
                 hi = lo + cfg.batch_size
-                batch_hidden = hidden[lo:hi]
-                count = batch_hidden.shape[0] * n_hidden
-                predicted, cache = net.forward(p, inputs[lo:hi], ws)
-                residual = predicted - shuffled[lo:hi]
-                dy = np.where(batch_hidden, np.sign(residual), 0.0) / count
+                batch = shuffled[lo:hi]
+                predicted, cache = net.forward(p, np.where(hidden[lo:hi], 0.0, batch), ws)
+                np.subtract(predicted, batch, out=batch)  # now the residual
+                # sign(residual) / count at hidden entries, +0.0 elsewhere
+                dy = np.sign(batch)
+                dy *= scale[lo:hi]
+                dy += 0.0
                 net.backward(p, cache, dy, g, ws)
                 velocity *= cfg.momentum
                 velocity += grad
                 np.multiply(velocity, cfg.learning_rate, out=step)
                 params -= step
-                abs_err += float(np.abs(residual[batch_hidden]).sum())
+            # Each batch's sum is the pairwise sum of its own hidden residuals
+            # that a sum per step would give; the sums add up in batch order.
+            err = shuffled[hidden]
+            np.abs(err, out=err)
+            abs_err = 0.0
+            for batch_err in err[: n_full * full_terms].reshape(n_full, full_terms).sum(axis=1).tolist():
+                abs_err += batch_err
+            if n_short:
+                abs_err += float(err[n_full * full_terms :].sum())
             epoch_loss = abs_err / (n * n_hidden)
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from imputeaudit.core import MaskedSeries, TimeSeries
 from imputeaudit.data import CsvParseError, CsvSchemaError, _draw_components, _render_components
-from imputeaudit.models import _batch_observed, _unpack
+from imputeaudit.models import _unpack
 
 # n*m above this and exhaustive path enumeration stops being a test oracle
 # and starts being a space heater.
@@ -177,12 +177,22 @@ def dtw_brute_force(a, b) -> float:
     return best
 
 
+def observed_reference(rng: np.random.Generator, n: int, steps: int, dims: int, n_hidden: int) -> np.ndarray:
+    """Per series, hide the n_hidden entries of smallest score, picked by ``argpartition``."""
+    scores = rng.random((n, steps * dims))
+    hide = np.argpartition(scores, n_hidden - 1, axis=1)[:, :n_hidden]
+    observed = np.ones((n, steps * dims), dtype=bool)
+    observed[np.arange(n)[:, None], hide] = False
+    return observed.reshape(n, steps, dims)
+
+
 def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.random.Generator):
     """The per-batch training loop: every step draws its own mask, gathers its
-    batch and builds new parameter, gradient and velocity vectors.
+    batch, sums its loss and builds new parameter, gradient and velocity vectors.
 
-    ``models._descend`` draws each epoch's masks at once and updates its
-    buffers in place; it must return exactly these bits.
+    ``models._descend`` draws each epoch's masks at once by a threshold, sums
+    the epoch's loss at its end and updates its buffers in place; it must
+    return exactly these bits.
     """
     n, steps, dims = data.shape
     n_hidden = max(1, int(round(cfg.mask_fraction * steps * dims)))
@@ -194,7 +204,7 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
         n_terms = 0
         for lo in range(0, n, cfg.batch_size):
             batch = data[order[lo : lo + cfg.batch_size]]
-            observed = _batch_observed(rng, batch.shape[0], steps, dims, n_hidden)
+            observed = observed_reference(rng, batch.shape[0], steps, dims, n_hidden)
             inputs = np.where(observed, batch, 0.0)
             predicted, cache = net.forward(_unpack(params, net.layout), inputs)
             residual = predicted - batch

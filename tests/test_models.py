@@ -281,6 +281,90 @@ def test_training_matches_per_batch_reference(arch_cfg, momentum, n, batch_size,
     assert tuned.history == history
 
 
+# Batch loss sums of over 128, 8-128 and under 8 terms, each with a short last batch. At 64 steps a series
+# hides 13 entries, so batches of 16, 8 and 3 series sum 208, 104 and 39 terms, and 11 series 143; at 6 steps, one.
+@pytest.mark.parametrize("arch_cfg", [AE_TINY, ATTN_TINY])
+@pytest.mark.parametrize(
+    "steps, n, batch_size, tune_n, tune_batch_size",
+    [(64, 35, 16, 19, 8), (64, 19, 8, 11, 16), (6, 7, 3, 8, 3)],
+)
+def test_training_matches_per_batch_reference_bit_for_bit(arch_cfg, steps, n, batch_size, tune_n, tune_batch_size):
+    cfg = replace(arch_cfg, epochs=2, batch_size=batch_size, momentum=0.9, seed=21)
+    corpus = small_corpus(seed=3, n=n, steps=steps)
+    model = train(corpus, cfg)
+    net = _build_net(steps, 1, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    params, history = descend_reference(net, _fan_in_init(rng, net.layout), np.stack([s.values for s in corpus]), cfg, rng)
+    assert model.params.tobytes() == params.tobytes()
+    assert model.history == history
+
+    tune_cfg = replace(cfg, epochs=2, batch_size=tune_batch_size, learning_rate=0.01, seed=22)
+    private = small_corpus(seed=4, n=tune_n, steps=steps)
+    tuned = fine_tune(model, private, tune_cfg)
+    params, history = descend_reference(
+        net, model.params.copy(), np.stack([s.values for s in private]), tune_cfg, np.random.default_rng(tune_cfg.seed)
+    )
+    assert tuned.params.tobytes() == params.tobytes()
+    assert tuned.history == history
+
+
+class TiedScores:
+    """A generator whose every ``random`` draw has, in each row, equal scores at places
+    ``n_hidden`` and ``n_hidden + 1``, so the ``n_hidden`` smallest are not set by a threshold."""
+
+    def __init__(self, seed: int, n_hidden: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.n_hidden = n_hidden
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def random(self, size=None, out=None):
+        scores = self._rng.random(size, out=out)
+        order = np.argsort(scores, axis=1)
+        rows = np.arange(scores.shape[0])
+        scores[rows, order[:, self.n_hidden]] = scores[rows, order[:, self.n_hidden - 1]]
+        return scores
+
+
+class RecordingNet:
+    """Passes every step to ``net`` and keeps a copy of each forward's input and each backward's dy."""
+
+    def __init__(self, net) -> None:
+        self.net = net
+        self.layout = net.layout
+        self.inputs: list[np.ndarray] = []
+        self.dys: list[np.ndarray] = []
+
+    def forward(self, p, x, ws=None):
+        self.inputs.append(x.copy())
+        return self.net.forward(p, x, ws)
+
+    def backward(self, p, cache, dy, g, ws=None):
+        self.dys.append(dy.copy())
+        self.net.backward(p, cache, dy, g, ws)
+
+
+@pytest.mark.parametrize("arch_cfg", [AE_TINY, ATTN_TINY])
+def test_a_score_tie_at_the_threshold_hides_n_hidden_entries_as_the_argpartition_reference_does(arch_cfg):
+    steps, n_hidden = 16, 3  # round(0.2 * 16)
+    cfg = replace(arch_cfg, epochs=2, batch_size=4, momentum=0.9, seed=5)
+    data = np.stack([s.values for s in small_corpus(seed=6, n=10, steps=steps)])
+    net = _build_net(steps, 1, cfg)
+    start = _fan_in_init(np.random.default_rng(0), net.layout)
+    got, expected = RecordingNet(net), RecordingNet(net)
+    params, history = models._descend(got, start, data, cfg, TiedScores(cfg.seed, n_hidden))
+    ref_params, ref_history = descend_reference(expected, start, data, cfg, TiedScores(cfg.seed, n_hidden))
+    for x in got.inputs:  # no series value is 0.0, so the zeros are the hidden entries
+        assert ((x == 0.0).sum(axis=(1, 2)) == n_hidden).all()
+    for x, x_ref in zip(got.inputs, expected.inputs, strict=True):
+        assert np.array_equal(x, x_ref)
+    for dy, dy_ref in zip(got.dys, expected.dys, strict=True):  # bytes: +0.0 at every entry not hidden
+        assert dy.tobytes() == dy_ref.tobytes()
+    assert params.tobytes() == ref_params.tobytes()
+    assert history == ref_history
+
+
 @pytest.mark.parametrize("arch_cfg", [AE_TINY, ATTN_TINY])
 def test_training_is_bitwise_deterministic(arch_cfg):
     corpus = small_corpus(steps=8)
