@@ -9,9 +9,13 @@ finite differences.
 A training run allocates its parameter, gradient and velocity buffers once
 and names their blocks through views built once; ``forward`` reads the
 parameter views and ``backward`` overwrites every gradient view. The run also
-owns one workspace that both passes write every per-step tensor into, one
-array for all batch sizes (see ``_buffer``); ``TrainedImputer.impute`` passes
-none, so a trained model holds no mutable state.
+owns one workspace that the attention net's passes write every per-step
+tensor into, one array for all batch sizes (see ``attention._buffer``);
+``TrainedImputer.impute`` passes none, so a trained model holds no mutable
+state. ``forward`` is given the mask of the entries whose predictions will be
+read, the hidden ones in training and the masked ones in ``impute``: the
+autoencoder computes every output anyway, and the attention net only the
+rows that the ``attention`` module's row rule picks, with the same bits there.
 
 Each epoch draws all of its masks in one ``(n, steps * dims)`` call, the
 same stream as a draw per batch (``Generator.random`` spends one 64-bit word
@@ -126,23 +130,6 @@ def _fan_in_init(rng: np.random.Generator, layout: _Layout) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _buffer(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array of ``shape``: a new one without a
-    workspace, else the leading rows of the one ``ws`` holds under (name,
-    shape[1:]), made on first use and remade only for more rows.
-
-    A training run passes one workspace to every step, so a step's tensors
-    reuse the memory of the step before instead of being freed and mapped
-    again, and a short batch's are contiguous leading rows of a full batch's.
-    """
-    if ws is None:
-        return np.empty(shape)
-    buf = ws.get((name, shape[1:]))
-    if buf is None or buf.shape[0] < shape[0]:
-        buf = ws[(name, shape[1:])] = np.empty(shape)
-    return buf[: shape[0]]
-
-
 class _Autoencoder:
     """tanh MLP: flattened series -> hidden -> latent -> hidden -> series.
 
@@ -163,7 +150,8 @@ class _Autoencoder:
         self.layout = _layout(shapes)
         self.n_params = self.layout[-1][2]
 
-    def forward(self, p: dict[str, np.ndarray], x: np.ndarray, ws: dict | None = None):
+    def forward(self, p: dict[str, np.ndarray], x: np.ndarray, read: np.ndarray, ws: dict | None = None):
+        """Every output, whatever ``read`` marks."""
         b, t, d = x.shape
         a0 = x.reshape(b, t * d)
         h1 = a0.dot(p["W1"])
@@ -198,169 +186,11 @@ class _Autoencoder:
                 d *= 1.0 - a * a
 
 
-def _sinusoid_table(n_steps: int, model_dim: int) -> np.ndarray:
-    pos = np.arange(n_steps, dtype=np.float64)[:, None]
-    idx = np.arange(model_dim, dtype=np.float64)[None, :]
-    angles = pos / np.power(10000.0, 2.0 * (idx // 2) / model_dim)
-    return np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-
-
-class _SelfAttentionImputer:
-    """Per-step embedding + sinusoidal positions + residual attention blocks.
-
-    Scaled way down from production imputers but mechanically the same:
-    multi-head self-attention over the (partially masked) sequence, then a
-    position-wise tanh feed-forward, each with a residual connection. No
-    layer norm; fan-in init and small learning rates keep desk-scale training
-    stable without it.
-    """
-
-    def __init__(self, n_steps: int, n_dims: int, cfg: ImputerConfig) -> None:
-        dm, ff = cfg.model_dim, cfg.ff_dim
-        self.heads = cfg.heads
-        self.head_dim = dm // cfg.heads
-        self.ff_dim = ff
-        self.blocks = cfg.blocks
-        self.positions = _sinusoid_table(n_steps, dm)
-        shapes = [("We", (n_dims, dm)), ("be", (dm,))]
-        for k in range(cfg.blocks):
-            for gate in ("q", "k", "v", "o"):
-                shapes.append((f"W{gate}{k}", (dm, dm)))
-                shapes.append((f"b{gate}{k}", (dm,)))
-            shapes.append((f"Wf1_{k}", (dm, ff)))
-            shapes.append((f"bf1_{k}", (ff,)))
-            shapes.append((f"Wf2_{k}", (ff, dm)))
-            shapes.append((f"bf2_{k}", (dm,)))
-        shapes.append(("Wout", (dm, n_dims)))
-        shapes.append(("bout", (n_dims,)))
-        self.layout = _layout(shapes)
-        self.n_params = self.layout[-1][2]
-
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        """(b, t, heads * head_dim) -> a (b, heads, t, head_dim) view; writes land in ``x``."""
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def forward(self, p: dict[str, np.ndarray], x: np.ndarray, ws: dict | None = None):
-        """Every tensor of the step goes to a buffer from ``ws`` (see ``_buffer``);
-        the cache holds them, so it is valid until the next step through ``ws``."""
-        b, t, _ = x.shape
-        dm, hd = self.heads * self.head_dim, self.head_dim
-        scale = 1.0 / np.sqrt(hd)
-        h = _buffer(ws, "h0", (b, t, dm))
-        np.matmul(x, p["We"], out=h)
-        h += p["be"]
-        h += self.positions
-        key_t = _buffer(ws, "key_t", (b, self.heads, hd, t))
-        row = _buffer(ws, "row", (b, self.heads, t, 1))
-        block_caches = []
-        for k in range(self.blocks):
-            projections = []
-            for gate in "qkv":
-                proj = _buffer(ws, f"{gate}{k}", (b, t, dm))
-                np.matmul(h, p[f"W{gate}{k}"], out=proj)
-                proj += p[f"b{gate}{k}"]
-                projections.append(self._split_heads(proj))
-            q, key, v = projections
-            # A contiguous copy of k^T multiplies faster than the transposed view, to the same bits.
-            np.copyto(key_t, key.transpose(0, 1, 3, 2))
-            weights = _buffer(ws, f"weights{k}", (b, self.heads, t, t))
-            np.matmul(q, key_t, out=weights)
-            weights *= scale
-            weights -= weights.max(axis=-1, keepdims=True, out=row)  # softmax stability
-            np.exp(weights, out=weights)
-            weights /= weights.sum(axis=-1, keepdims=True, out=row)
-            mixed = _buffer(ws, f"mixed{k}", (b, t, dm))
-            np.matmul(weights, v, out=self._split_heads(mixed))
-            attended = _buffer(ws, f"attended{k}", (b, t, dm))
-            np.matmul(mixed, p[f"Wo{k}"], out=attended)
-            np.add(h, attended, out=attended)
-            attended += p[f"bo{k}"]
-            act = _buffer(ws, f"act{k}", (b, t, self.ff_dim))
-            np.matmul(attended, p[f"Wf1_{k}"], out=act)
-            act += p[f"bf1_{k}"]
-            np.tanh(act, out=act)
-            out = _buffer(ws, f"h{k + 1}", (b, t, dm))
-            np.matmul(act, p[f"Wf2_{k}"], out=out)
-            np.add(attended, out, out=out)
-            out += p[f"bf2_{k}"]
-            block_caches.append((h, q, key, v, weights, mixed, attended, act))
-            h = out
-        y = _buffer(ws, "y", x.shape)
-        np.matmul(h, p["Wout"], out=y)
-        y += p["bout"]
-        return y, (x, h, block_caches)
-
-    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray],
-                 ws: dict | None = None) -> None:
-        """Overwrite every gradient view in ``g``.
-
-        One buffer ``dh`` carries the gradient down the blocks: each block
-        adds its residual branches to it in place, in the order the sums are
-        written, so it holds dout, then dattended, then dh_in.
-        """
-        x, h_final, block_caches = cache
-        b, t, _ = x.shape
-        dm = self.heads * self.head_dim
-        scale = 1.0 / np.sqrt(self.head_dim)
-
-        g["Wout"][...] = np.einsum("btm,btd->md", h_final, dy)
-        g["bout"][...] = dy.sum(axis=(0, 1))
-        dh = _buffer(ws, "dh", (b, t, dm))
-        np.matmul(dy, p["Wout"].T, out=dh)
-        branch = _buffer(ws, "branch", (b, t, dm))
-        dmixed = _buffer(ws, "dmixed", (b, t, dm))
-        # dq, dk and dv side by side, so one contraction and one sum give their weight and bias gradients.
-        dqkv = _buffer(ws, "dqkv", (b, t, 3 * dm))
-        dq, dkey, dv = (self._split_heads(dqkv[..., i * dm : (i + 1) * dm]) for i in range(3))
-        dweights = _buffer(ws, "dweights", (b, t, t))
-        dlogits = _buffer(ws, "dlogits", (b, t, t))
-        row = _buffer(ws, "row", (b, t, 1))
-        dpre = _buffer(ws, "dpre", (b, t, self.ff_dim))
-        slope = _buffer(ws, "slope", (b, t, self.ff_dim))
-
-        for k in reversed(range(self.blocks)):
-            h_in, q, key, v, weights, mixed, attended, act = block_caches[k]
-            # feed-forward residual: out = attended + tanh(attended W1 + b1) W2 + b2
-            g[f"Wf2_{k}"][...] = np.einsum("btm,btf->mf", dh, act).T
-            g[f"bf2_{k}"][...] = dh.sum(axis=(0, 1))
-            np.matmul(dh, p[f"Wf2_{k}"].T, out=dpre)
-            np.multiply(act, act, out=slope)
-            np.subtract(1.0, slope, out=slope)
-            dpre *= slope
-            g[f"Wf1_{k}"][...] = np.einsum("btm,btf->mf", attended, dpre)
-            g[f"bf1_{k}"][...] = dpre.sum(axis=(0, 1))
-            dh += np.matmul(dpre, p[f"Wf1_{k}"].T, out=branch)  # now dattended
-            # attention residual: attended = h_in + merge(softmax(q k^T) v) Wo + bo
-            g[f"Wo{k}"][...] = np.einsum("btm,btn->mn", mixed, dh)
-            g[f"bo{k}"][...] = dh.sum(axis=(0, 1))
-            np.matmul(dh, p[f"Wo{k}"].T, out=dmixed)
-            dmixed_heads = self._split_heads(dmixed)
-            np.matmul(weights.transpose(0, 1, 3, 2), dmixed_heads, out=dv)
-            for j in range(self.heads):
-                np.matmul(dmixed_heads[:, j], v[:, j].transpose(0, 2, 1), out=dweights)
-                # one head at a time: dlogits = weights * (dweights - rowsum(dweights * weights))
-                np.multiply(dweights, weights[:, j], out=dlogits)
-                dweights -= dlogits.sum(axis=-1, keepdims=True, out=row)
-                np.multiply(weights[:, j], dweights, out=dlogits)
-                np.matmul(dlogits, key[:, j], out=dq[:, j])
-                np.matmul(dlogits.transpose(0, 2, 1), q[:, j], out=dkey[:, j])
-            dq *= scale
-            dkey *= scale
-            w_qkv = np.einsum("btm,btn->mn", h_in, dqkv)
-            b_qkv = dqkv.sum(axis=(0, 1))
-            for i, gate in enumerate("qkv"):
-                g[f"W{gate}{k}"][...] = w_qkv[:, i * dm : (i + 1) * dm]
-                g[f"b{gate}{k}"][...] = b_qkv[i * dm : (i + 1) * dm]
-                dh += np.matmul(dqkv[..., i * dm : (i + 1) * dm], p[f"W{gate}{k}"].T, out=branch)  # now dh_in
-
-        g["We"][...] = np.einsum("btd,btm->dm", x, dh)
-        g["be"][...] = dh.sum(axis=(0, 1))
-
-
 def _build_net(n_steps: int, n_dims: int, cfg: ImputerConfig):
     if cfg.architecture == "autoencoder":
         return _Autoencoder(n_steps, n_dims, cfg)
+    from .attention import _SelfAttentionImputer  # on first use: autoencoder runs never load it
+
     return _SelfAttentionImputer(n_steps, n_dims, cfg)
 
 
@@ -394,7 +224,7 @@ class TrainedImputer:
         """Fill the masked entries; observed entries are copied through exactly."""
         if x.series.shape != (self.n_steps, self.n_dims):
             raise ValueError(f"expected shape ({self.n_steps}, {self.n_dims}), got {x.series.shape}")
-        predicted, _ = self._net.forward(self._views, x.series.values[None])
+        predicted, _ = self._net.forward(self._views, x.series.values[None], x.mask.missing()[None])
         filled = np.where(x.mask.observed(), x.series.values, predicted[0])
         if not np.isfinite(filled).all():
             raise ValueError(f"series {x.id!r}: values must be finite")
@@ -467,7 +297,7 @@ def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng:
             for lo in range(0, n, cfg.batch_size):
                 hi = lo + cfg.batch_size
                 batch = shuffled[lo:hi]
-                predicted, cache = net.forward(p, np.where(hidden[lo:hi], 0.0, batch), ws)
+                predicted, cache = net.forward(p, np.where(hidden[lo:hi], 0.0, batch), hidden[lo:hi], ws)
                 np.subtract(predicted, batch, out=batch)  # now the residual
                 # sign(residual) / count at hidden entries, +0.0 elsewhere
                 dy = np.sign(batch)

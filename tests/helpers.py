@@ -190,8 +190,9 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
     """The per-batch training loop: every step draws its own mask, gathers its
     batch, sums its loss and builds new parameter, gradient and velocity vectors.
 
-    ``models._descend`` draws each epoch's masks at once by a threshold, sums
-    the epoch's loss at its end and updates its buffers in place; it must
+    Its forward computes every row. ``models._descend`` draws each epoch's
+    masks at once by a threshold, has the net compute only the rows it reads,
+    sums the epoch's loss at its end and updates its buffers in place; it must
     return exactly these bits.
     """
     n, steps, dims = data.shape
@@ -206,7 +207,7 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
             batch = data[order[lo : lo + cfg.batch_size]]
             observed = observed_reference(rng, batch.shape[0], steps, dims, n_hidden)
             inputs = np.where(observed, batch, 0.0)
-            predicted, cache = net.forward(_unpack(params, net.layout), inputs)
+            predicted, cache = net.forward(_unpack(params, net.layout), inputs, np.ones_like(observed))
             residual = predicted - batch
             hidden = ~observed
             count = int(hidden.sum())

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +20,22 @@ from helpers import (
     descend_reference,
 )
 
-from imputeaudit import models
-from imputeaudit.core import MaskMatrix, OracleError, TimeSeries, _query, apply_mask, random_missing_mask, single_unit_mask
+from imputeaudit import attention, models
+from imputeaudit.attention import _buffer
+from imputeaudit.core import (
+    MaskMatrix,
+    OracleError,
+    TimeSeries,
+    _query,
+    apply_mask,
+    derive_seed,
+    random_missing_mask,
+    single_unit_mask,
+)
 from imputeaudit.models import (
     DivergenceError,
     ImputerConfig,
     TrainedImputer,
-    _buffer,
     _build_net,
     _fan_in_init,
     _unpack,
@@ -39,8 +51,13 @@ AE_TINY = ImputerConfig(architecture="autoencoder", hidden=4, latent=3)
 ATTN_TINY = ImputerConfig(architecture="attention", model_dim=4, heads=2, ff_dim=6, blocks=1)
 
 
+def every(x):
+    """The read mask of a pass that computes every row."""
+    return np.ones(x.shape, dtype=bool)
+
+
 def masked_mae_loss(net, params, x_in, x_true, hidden):
-    predicted, _ = net.forward(_unpack(params, net.layout), x_in)
+    predicted, _ = net.forward(_unpack(params, net.layout), x_in, hidden)
     return np.abs((predicted - x_true)[hidden]).sum() / hidden.sum()
 
 
@@ -68,7 +85,7 @@ def gradient_relative_error(cfg, steps, dims, seed):
     x_in = np.where(observed, x_true, 0.0)
     hidden = ~observed
 
-    predicted, cache = net.forward(_unpack(params, net.layout), x_in)
+    predicted, cache = net.forward(_unpack(params, net.layout), x_in, hidden)
     dy = np.where(hidden, np.sign(predicted - x_true), 0.0) / hidden.sum()
     analytic = np.zeros_like(params)
     net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout))
@@ -94,7 +111,8 @@ def test_backward_overwrites_every_gradient_entry(cfg):
     rng = np.random.default_rng(0)
     params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
     p = _unpack(params, net.layout)
-    predicted, cache = net.forward(p, rng.normal(size=(3, 5, 2)))
+    x = rng.normal(size=(3, 5, 2))
+    predicted, cache = net.forward(p, x, every(x))
     dy = rng.normal(size=predicted.shape)
     stale = np.full(net.n_params, np.nan)
     net.backward(p, cache, dy, _unpack(stale, net.layout))
@@ -115,15 +133,16 @@ def attention_case(blocks, batch, seed, heads=ATTN_BENCH.heads):
     return net, params, rng.normal(size=(batch, 64, 1)), rng.normal(size=(batch, 64, 1)) / (batch * 64)
 
 
-def attention_step(net, params, x, dy, ws=None, reference=False):
-    """(y, gradient views) of one forward and backward pass; the gradient starts as NaN."""
+def attention_step(net, params, x, dy, ws=None, reference=False, read=None):
+    """(y, gradient views) of one forward and backward pass, computing the rows ``read`` needs
+    (by default every row); the gradient starts as NaN."""
     p = _unpack(params, net.layout)
     g = _unpack(np.full(net.n_params, np.nan), net.layout)
     if reference:
         y, cache = attention_forward_reference(net, p, x)
         attention_backward_reference(net, p, cache, dy, g)
     else:
-        y, cache = net.forward(p, x, ws)
+        y, cache = net.forward(p, x, every(x) if read is None else read, ws)
         y = y.copy()  # the workspace's copy is overwritten by the next step
         net.backward(p, cache, dy, g, ws)
     return y, g
@@ -164,6 +183,117 @@ def test_attention_steps_through_one_workspace_match_fresh_steps(blocks):
         assert {key: id(buf) for key, buf in ws.items()} == buffers
 
 
+def read_masks(rng, batch, steps, dims):
+    """Per series: one entry, a 4-step block in one dim, 20% of the entries at random, and every entry."""
+    one = np.zeros((batch, steps, dims), dtype=bool)
+    one[np.arange(batch), rng.integers(0, steps, batch), rng.integers(0, dims, batch)] = True
+    block = np.zeros_like(one)
+    for i, start in enumerate(rng.integers(0, steps - 3, batch)):
+        block[i, start : start + 4, rng.integers(0, dims)] = True
+    return {"one": one, "block": block, "random": rng.random(one.shape) < 0.2, "every": every(one)}
+
+
+@pytest.mark.parametrize("steps", [64, 32, 30])  # 30 % 4 != 0 takes the all-rows path
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("batch", [16, 6, 1])
+def test_attention_read_rows_match_every_row_bit_for_bit(steps, blocks, batch):
+    # The entries read get the every-row pass's predictions, and every gradient its bytes, when dy is +0.0
+    # at the entries not read, as training's is.
+    for dims, heads in ((1, 2), (1, 4), (2, 1), (3, 2)):
+        net = _build_net(steps, dims, replace(ATTN_BENCH, blocks=blocks, heads=heads))
+        rng = np.random.default_rng(1000 * steps + 100 * blocks + 10 * dims + heads + batch)
+        params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
+        x = rng.normal(size=(batch, steps, dims))
+        for name, read in read_masks(rng, batch, steps, dims).items():
+            dy = np.where(read, rng.normal(size=x.shape) / read.sum(), 0.0)
+            y_full, g_full = attention_step(net, params, x, dy)
+            y_ref, g_ref = attention_step(net, params, x, dy, reference=True)
+            assert np.array_equal(y_full, y_ref)
+            for ws in (None, {}):
+                y, g = attention_step(net, params, x, dy, ws, read=read)
+                assert y[read].tobytes() == y_full[read].tobytes(), (dims, heads, name)
+                for key in g_full:
+                    assert g[key].tobytes() == g_full[key].tobytes() == g_ref[key].tobytes(), (dims, heads, name, key)
+
+
+@pytest.mark.parametrize("widths", [dict(model_dim=4, heads=4), dict(ff_dim=1)], ids=["head_dim_1", "ff_dim_1"])
+def test_attention_with_a_width_of_one_computes_every_row_bit_for_bit(widths, query_rows):
+    # A width of 1 turns a key/value product into gemv or a bias sum into numpy's pairwise sum, where
+    # skipped zero rows change the bits, so these nets compute every row.
+    net = _build_net(64, 1, replace(ATTN_BENCH, **widths))
+    rng = np.random.default_rng(len(widths))
+    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
+    x = rng.normal(size=(16, 64, 1))
+    read = read_masks(rng, 16, 64, 1)["random"]
+    dy = np.where(read, rng.normal(size=x.shape) / read.sum(), 0.0)
+    y, g = attention_step(net, params, x, dy, read=read)
+    y_full, g_full = attention_step(net, params, x, dy)
+    assert query_rows == [(64, 64), (64, 64)]
+    assert y[read].tobytes() == y_full[read].tobytes()
+    for key in g_full:
+        assert g[key].tobytes() == g_full[key].tobytes(), key
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_attention_impute_matches_the_every_row_forward_bit_for_bit(dims):
+    cfg = replace(ATTN_BENCH, blocks=2)
+    net = _build_net(64, dims, cfg)
+    rng = np.random.default_rng(dims)
+    model = TrainedImputer(cfg, 64, dims, _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params), (0.0,))
+    for i, series in enumerate(small_corpus(seed=7, n=3, steps=64, dims=dims)):
+        views = [single_unit_mask(series, start, length, dim) for length in (1, 4) for start in (0, 29, 60) for dim in range(dims)]
+        views += [apply_mask(series, random_missing_mask(series.shape, 0.2, derive_seed(i, seed))) for seed in range(3)]
+        for view in views:
+            x = view.series.values[None]
+            full, _ = net.forward(model._views, x, every(x))
+            expected = np.where(view.mask.observed(), view.series.values, full[0])
+            assert model.impute(view).values.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def query_rows(monkeypatch):
+    """(t, rows the last block computed) of every attention forward pass from here on."""
+    seen = []
+    real_forward = attention._SelfAttentionImputer.forward
+
+    def forward(self, p, x, read, ws=None):
+        y, cache = real_forward(self, p, x, read, ws)
+        seen.append((x.shape[1], cache[1].shape[1]))
+        return y, cache
+
+    monkeypatch.setattr(attention._SelfAttentionImputer, "forward", forward)
+    return seen
+
+
+def test_attention_computes_only_the_query_rows_it_reads(query_rows):
+    # A silent fall-back to every row would pass every exactness test; this pins the row counts.
+    cfg = replace(ATTN_BENCH, epochs=1, mask_fraction=0.2)
+    series = small_corpus(n=16, steps=64)
+    model = train(series, cfg)  # 13 hidden steps per series, padded to 16
+    assert query_rows == [(64, 16)]
+    model.impute(single_unit_mask(series[0], 10))
+    assert query_rows[1:] == [(64, 4)]
+    short = small_corpus(n=16, steps=30)
+    train(short, cfg).impute(single_unit_mask(short[0], 10))
+    assert query_rows[2:] == [(30, 30), (30, 30)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_gradient_through_the_read_rows_matches_finite_differences(query_rows, seed):
+    # The loss is over the hidden entries, which are the entries the forward reads.
+    assert gradient_relative_error(replace(ATTN_TINY, blocks=2), 16, 1, 200 + seed) < 1e-4
+    assert query_rows and all(rows < steps for steps, rows in query_rows)
+
+
+def test_the_cli_does_not_load_the_attention_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    script = "import sys, imputeaudit.cli; print('imputeaudit.attention' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("rows", [(6, 16), (16, 6)])
 def test_buffer_keeps_one_array_per_name_and_trailing_shape(rows):
     ws: dict = {}
@@ -180,12 +310,12 @@ def test_buffer_keeps_one_array_per_name_and_trailing_shape(rows):
 
 
 def test_attention_training_shares_one_workspace_and_backward_holds_no_all_heads_tensor(monkeypatch):
-    # Of the (b, heads, t, t) tensors only the forward's weights are requested, and an epoch's short last
+    # Of the per-head (b, heads, rows, t) tensors only the forward's are requested, and an epoch's short last
     # batch gets views of the full batch's arrays, not arrays of its own.
     cfg = replace(ATTN_BENCH, epochs=2, seed=3)
     steps = 8
     requests, phase = [], ["forward"]
-    real_buffer, real_backward = models._buffer, models._SelfAttentionImputer.backward
+    real_buffer, real_backward = attention._buffer, attention._SelfAttentionImputer.backward
 
     def buffer(ws, name, shape):
         buf = real_buffer(ws, name, shape)
@@ -197,12 +327,13 @@ def test_attention_training_shares_one_workspace_and_backward_holds_no_all_heads
         real_backward(self, *args)
         phase[0] = "forward"
 
-    monkeypatch.setattr(models, "_buffer", buffer)
-    monkeypatch.setattr(models._SelfAttentionImputer, "backward", backward)
+    monkeypatch.setattr(attention, "_buffer", buffer)
+    monkeypatch.setattr(attention._SelfAttentionImputer, "backward", backward)
     train(small_corpus(n=22, steps=steps), cfg)  # batches of 16 and 6
     assert {shape[0] for _, _, shape, _ in requests} == {16, 6}
-    assert [name for p, name, shape, _ in requests if p == "forward" and shape[1:] == (cfg.heads, steps, steps)]
-    assert not [name for p, name, shape, _ in requests if p == "backward" and shape[1:] == (cfg.heads, steps, steps)]
+    per_head = [(p, name) for p, name, shape, _ in requests if len(shape) == 4 and shape[1] == cfg.heads and shape[3] == steps]
+    assert ("forward", "weights0") in per_head
+    assert not [name for p, name in per_head if p == "backward"]
     full = [(name, buf) for _, name, shape, buf in requests if shape[0] == 16]
     for _, name, shape, buf in requests:
         if shape[0] == 6:
@@ -231,7 +362,7 @@ def test_autoencoder_step_matches_reference_bit_for_bit(steps, dims, batch):
     y_expected, cache_expected = autoencoder_forward_reference(p, x)
     autoencoder_backward_reference(p, cache_expected, dy, g_expected)
     g = _unpack(np.full(net.n_params, np.nan), net.layout)
-    y, cache = net.forward(p, x)
+    y, cache = net.forward(p, x, every(x))
     net.backward(p, cache, dy, g)
     assert_same_step((y, g), (y_expected, g_expected))
     for got, expected in zip(cache, cache_expected, strict=True):
@@ -243,7 +374,7 @@ def test_autoencoder_step_writes_in_place_only_to_arrays_it_made(batch):
     net, params, x, dy = autoencoder_case(64, 1, batch, seed=batch)
     given = params.copy(), x.copy(), dy.copy()
     p = _unpack(params, net.layout)
-    y, cache = net.forward(p, x)
+    y, cache = net.forward(p, x, every(x))
     y_before, cache_before = y.copy(), [a.copy() for a in cache]
     net.backward(p, cache, dy, _unpack(np.empty(net.n_params), net.layout))
     for now, before in zip((params, x, dy), given):
@@ -336,9 +467,9 @@ class RecordingNet:
         self.inputs: list[np.ndarray] = []
         self.dys: list[np.ndarray] = []
 
-    def forward(self, p, x, ws=None):
+    def forward(self, p, x, read, ws=None):
         self.inputs.append(x.copy())
-        return self.net.forward(p, x, ws)
+        return self.net.forward(p, x, read, ws)
 
     def backward(self, p, cache, dy, g, ws=None):
         self.dys.append(dy.copy())
@@ -579,7 +710,7 @@ def test_an_overflowing_model_fails_at_the_query_boundary(tiny_corpus, fresh_mod
     x = tiny_corpus[0]
     masked = single_unit_mask(x, 5, 3)
     with np.errstate(over="ignore"):
-        assert np.isinf(model._net.forward(model._views, masked.series.values[None])[0]).all()
+        assert np.isinf(model._net.forward(model._views, masked.series.values[None], masked.mask.missing()[None])[0]).all()
         for caller in ("target", "reference", "parity"):
             with pytest.raises(OracleError, match=f"{caller} oracle failed on series {x.id!r}: .*must be finite"):
                 _query(model, masked, caller)
