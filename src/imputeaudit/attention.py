@@ -9,12 +9,15 @@ and ``TrainedImputer.impute`` the masked ones. A step (a position) is read if
 any of its dims is. Within one batch, each series keeps its read steps,
 padded with its earliest unread steps to a common count k, the smallest
 multiple of 4 that is at least 4 and holds every series' read steps; each
-series' rows stay in increasing order. Only the last block's query side is
-computed at those k rows: its queries, softmax, value mix, output
-projection, feed-forward and the output layer. Its keys and values, and
-every earlier block, keep all t rows. The outputs at the other rows are
-written as 0.0; no caller reads them. Every row is computed when
-``t % 4 != 0``, when ``k >= t``, and when ``head_dim`` or ``ff_dim`` is 1.
+series' rows stay in increasing order. The rows are always indices into the
+batch's b * t rows, and every row is ``arange(b * t)``: a batch takes every
+row when ``k >= t``, and a net takes every row in every batch when its shape
+says so at construction: ``t % 4 != 0``, a ``head_dim`` or ``ff_dim`` of 1,
+or the SkylakeX limit below. Only the last block's query side is computed at
+those rows: its queries, softmax, value mix, output projection, feed-forward
+and the output layer. Its keys and values, and every earlier block, keep all
+t rows. The outputs at the other rows are written as 0.0; no caller reads
+them.
 
 The backward follows: the Wout, Wf2, Wf1, Wo and Wq gradients and the bf2,
 bf1, bo and bq gradients sum over the k rows, the key and value gradients
@@ -38,14 +41,16 @@ entry not read, so each skipped row would add only zeros:
   gemv: with a ``head_dim`` of 1 the key and value gradients are gemv
   products, so every row is computed;
 - with ``t % 4 != 0``, the full product's own last rows come from tail
-  kernels, so no subset is computed.
-One limit was measured and is not guarded. SkylakeX multiplies by a
-transposed weight (the backward's ``@ W.T``) through a small-matrix kernel
-when the inner width is 32 or more and the product has at most 1,200 outputs
-per batch item, and through another kernel otherwise. So a net with a width
-of 32 or more can round differently at k rows than at t rows: model_dim 24
-with ff_dim 32 at t = 64 does. The s2-attention net (model_dim 16, ff_dim 32)
-keeps its bits: its one such product has 16 x 64 = 1,024 outputs at t rows.
+  kernels, so no subset is computed;
+- SkylakeX multiplies by a transposed weight (the backward's ``@ W.T``)
+  through a small-matrix kernel when the inner width is 32 or more and the
+  product has at most 1,200 outputs per batch item, and through another
+  kernel otherwise, so the same row can round differently at k rows than at
+  t rows. Every row is computed when one such product at the query rows,
+  with (inner, N) of (dims, model_dim), (model_dim, ff_dim), (ff_dim,
+  model_dim) or (model_dim, model_dim), has an inner width of 32 or more and
+  t x N > 1,200. The s2-attention net (model_dim 16, ff_dim 32) keeps its
+  read rows: its one such product has 64 x 16 = 1,024 outputs at t rows.
 """
 from __future__ import annotations
 
@@ -76,19 +81,6 @@ def _sinusoid_table(n_steps: int, model_dim: int) -> np.ndarray:
     idx = np.arange(model_dim, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * (idx // 2) / model_dim)
     return np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-
-
-def _query_rows(read: np.ndarray) -> np.ndarray | None:
-    """The rows the last block queries, as indices into the batch's (b * t) rows; None for every row."""
-    b, t, _ = read.shape
-    rows = read.any(axis=2)
-    counts = rows.sum(axis=1)
-    k = max(4, -(-int(counts.max()) // 4) * 4)
-    if t % 4 or k >= t:
-        return None
-    unread = ~rows
-    rows |= unread & (np.cumsum(unread, axis=1) <= (k - counts)[:, None])
-    return np.flatnonzero(rows)
 
 
 def _gather(ws: dict | None, name: str, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -138,6 +130,21 @@ class _SelfAttentionImputer:
         shapes.append(("bout", (n_dims,)))
         self.layout = _layout(shapes)
         self.n_params = self.layout[-1][2]
+        # The shapes where a subset of rows would not get the bits of every row (module docstring).
+        self.every_row = n_steps % 4 != 0 or min(self.head_dim, ff) == 1 or any(
+            inner >= 32 and n_steps * n > 1200 for inner, n in ((n_dims, dm), (dm, ff), (ff, dm), (dm, dm)))
+
+    def _query_rows(self, read: np.ndarray) -> np.ndarray:
+        """The rows the last block queries, as increasing indices into the batch's (b * t) rows."""
+        b, t, _ = read.shape
+        rows = read.any(axis=2)
+        counts = rows.sum(axis=1)
+        k = max(4, -(-int(counts.max()) // 4) * 4)
+        if self.every_row or k >= t:
+            return np.arange(b * t)
+        unread = ~rows
+        rows |= unread & (np.cumsum(unread, axis=1) <= (k - counts)[:, None])
+        return np.flatnonzero(rows)
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         """(b, t, heads * head_dim) -> a (b, heads, t, head_dim) view; writes land in ``x``."""
@@ -153,7 +160,7 @@ class _SelfAttentionImputer:
         b, t, _ = x.shape
         dm, hd = self.heads * self.head_dim, self.head_dim
         scale = 1.0 / np.sqrt(hd)
-        rows = None if min(hd, self.ff_dim) == 1 else _query_rows(read)
+        rows = self._query_rows(read)
         h = _buffer(ws, "h0", (b, t, dm))
         np.matmul(x, p["We"], out=h)
         h += p["be"]
@@ -162,7 +169,7 @@ class _SelfAttentionImputer:
         block_caches = []
         for k in range(self.blocks):
             # The query side reads h_q: h itself, or the last block's query rows.
-            h_q = h if rows is None or k < self.blocks - 1 else _gather(ws, "h_q", h, rows)
+            h_q = h if k < self.blocks - 1 else _gather(ws, "h_q", h, rows)
             tq = h_q.shape[1]
             projections = []
             for gate, h_gate in zip("qkv", (h_q, h, h)):
@@ -199,9 +206,7 @@ class _SelfAttentionImputer:
         y = _buffer(ws, "y", (b, h.shape[1], x.shape[2]))
         np.matmul(h, p["Wout"], out=y)
         y += p["bout"]
-        if rows is not None:
-            y = _scatter(ws, "y_full", y, rows, t)
-        return y, (x, h, block_caches, rows)
+        return _scatter(ws, "y_full", y, rows, t), (x, h, block_caches, rows)
 
     def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray],
                  ws: dict | None = None) -> None:
@@ -217,7 +222,7 @@ class _SelfAttentionImputer:
         dm = self.heads * self.head_dim
         scale = 1.0 / np.sqrt(self.head_dim)
 
-        dy_q = dy if rows is None else _gather(ws, "dy_q", dy, rows)
+        dy_q = _gather(ws, "dy_q", dy, rows)
         g["Wout"][...] = np.einsum("btm,btd->md", h_final, dy_q)
         g["bout"][...] = dy.sum(axis=(0, 1))
         dh = _buffer(ws, "dh", (b, h_final.shape[1], dm))
@@ -245,11 +250,10 @@ class _SelfAttentionImputer:
             dmixed = _buffer(ws, "dmixed", (b, tq, dm))
             np.matmul(dh, p[f"Wo{k}"].T, out=dmixed)
             dmixed_heads = self._split_heads(dmixed)
-            # dq, dk and dv side by side, so one contraction and one sum give their weight and bias gradients;
-            # a dq of the query rows only is an array of its own, with its own contraction and sum.
-            dqkv = _buffer(ws, "dqkv", (b, t, 3 * dm))
-            dq = dqkv[..., :dm] if tq == t else _buffer(ws, "dq", (b, tq, dm))
-            dq_heads, dkey, dv = (self._split_heads(d) for d in (dq, dqkv[..., dm : 2 * dm], dqkv[..., 2 * dm :]))
+            # dk and dv side by side, so one contraction and one sum give their weight and bias gradients.
+            dq = _buffer(ws, "dq", (b, tq, dm))
+            dkv = _buffer(ws, "dkv", (b, t, 2 * dm))
+            dq_heads, dkey, dv = (self._split_heads(d) for d in (dq, dkv[..., :dm], dkv[..., dm:]))
             np.matmul(weights.transpose(0, 1, 3, 2), dmixed_heads, out=dv)
             dweights = _buffer(ws, "dweights", (b, tq, t))
             dlogits = _buffer(ws, "dlogits", (b, tq, t))
@@ -264,22 +268,20 @@ class _SelfAttentionImputer:
                 np.matmul(dlogits.transpose(0, 2, 1), q[:, j], out=dkey[:, j])
             dq *= scale
             dkey *= scale
-            gates, cols = "qkv", dqkv
+            g[f"Wq{k}"][...] = np.einsum("btm,btn->mn", h_q, dq)
+            g[f"bq{k}"][...] = dq.sum(axis=(0, 1))
+            dh += np.matmul(dq, p[f"Wq{k}"].T, out=branch)
             if tq < t:
-                g[f"Wq{k}"][...] = np.einsum("btm,btn->mn", h_q, dq)
-                g[f"bq{k}"][...] = dq.sum(axis=(0, 1))
-                dh += np.matmul(dq, p[f"Wq{k}"].T, out=branch)
                 # The other rows start from 0.0: their dattended and dq are zero.
                 dh = _scatter(ws, "dh", dh, rows, t)
                 branch = _buffer(ws, "branch", (b, t, dm))
-                gates, cols = "kv", dqkv[..., dm:]
-            w_cols = np.einsum("btm,btn->mn", h_in, cols)
-            b_cols = cols.sum(axis=(0, 1))
-            for i, gate in enumerate(gates):
+            w_kv = np.einsum("btm,btn->mn", h_in, dkv)
+            b_kv = dkv.sum(axis=(0, 1))
+            for i, gate in enumerate("kv"):
                 part = slice(i * dm, (i + 1) * dm)
-                g[f"W{gate}{k}"][...] = w_cols[:, part]
-                g[f"b{gate}{k}"][...] = b_cols[part]
-                dh += np.matmul(cols[..., part], p[f"W{gate}{k}"].T, out=branch)  # now dh_in
+                g[f"W{gate}{k}"][...] = w_kv[:, part]
+                g[f"b{gate}{k}"][...] = b_kv[part]
+                dh += np.matmul(dkv[..., part], p[f"W{gate}{k}"].T, out=branch)  # now dh_in
 
         g["We"][...] = np.einsum("btd,btm->dm", x, dh)
         g["be"][...] = dh.sum(axis=(0, 1))

@@ -266,8 +266,10 @@ def _split_heads(net, x: np.ndarray) -> np.ndarray:
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """A new C-contiguous (b, t, heads * head_dim) array: at a head_dim of 1 the reshape alone is a strided
+    view, whose sum over (b, t) numpy takes pairwise, not in production's sequential (b, t) order."""
     b, h, t, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3).reshape(b, t, h * hd))
 
 
 def attention_forward_reference(net, p: dict[str, np.ndarray], x: np.ndarray):

@@ -126,8 +126,8 @@ def test_backward_overwrites_every_gradient_entry(cfg):
 ATTN_BENCH = ImputerConfig(architecture="attention", model_dim=16, heads=2, ff_dim=32)
 
 
-def attention_case(blocks, batch, seed, heads=ATTN_BENCH.heads):
-    net = _build_net(64, 1, replace(ATTN_BENCH, blocks=blocks, heads=heads))
+def attention_case(blocks, batch, seed, **widths):
+    net = _build_net(64, 1, replace(ATTN_BENCH, blocks=blocks, **widths))
     rng = np.random.default_rng(seed)
     params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
     return net, params, rng.normal(size=(batch, 64, 1)), rng.normal(size=(batch, 64, 1)) / (batch * 64)
@@ -158,14 +158,15 @@ def assert_same_step(step, expected):
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("batch", [16, 6, 1])  # a full batch, an epoch's short last batch, one query
 def test_attention_step_matches_reference_bit_for_bit(blocks, batch):
-    for heads in (1, 2, 4):  # the backward takes the softmax gradient one head at a time
-        net, params, x, dy = attention_case(blocks, batch, seed=10 * batch + blocks, heads=heads)
+    # The backward takes the softmax gradient one head at a time; model_dim 4 with 4 heads has a head_dim of 1.
+    for widths in (dict(heads=1), dict(heads=2), dict(heads=4), dict(model_dim=4, heads=4)):
+        net, params, x, dy = attention_case(blocks, batch, seed=10 * batch + blocks, **widths)
         expected = attention_step(net, params, x, dy, reference=True)
         assert_same_step(attention_step(net, params, x, dy), expected)
         assert_same_step(attention_step(net, params, x, dy, ws={}), expected)
         # A short batch through the leading rows of a full batch's workspace.
         ws: dict = {}
-        attention_step(*attention_case(blocks, 16, seed=0, heads=heads), ws)
+        attention_step(*attention_case(blocks, 16, seed=0, **widths), ws)
         assert_same_step(attention_step(net, params, x, dy, ws), expected)
 
 
@@ -216,22 +217,42 @@ def test_attention_read_rows_match_every_row_bit_for_bit(steps, blocks, batch):
                     assert g[key].tobytes() == g_full[key].tobytes() == g_ref[key].tobytes(), (dims, heads, name, key)
 
 
+def assert_read_rows_match_every_row(net, rng, steps, dims, case):
+    """One step of 16 series reading 20% of their entries gives the every-row step's predictions at the
+    entries read and its gradient bytes."""
+    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
+    x = rng.normal(size=(16, steps, dims))
+    read = read_masks(rng, 16, steps, dims)["random"]
+    dy = np.where(read, rng.normal(size=x.shape) / read.sum(), 0.0)
+    y, g = attention_step(net, params, x, dy, read=read)
+    y_full, g_full = attention_step(net, params, x, dy)
+    assert y[read].tobytes() == y_full[read].tobytes(), case
+    for key in g_full:
+        assert g[key].tobytes() == g_full[key].tobytes(), (case, key)
+
+
 @pytest.mark.parametrize("widths", [dict(model_dim=4, heads=4), dict(ff_dim=1)], ids=["head_dim_1", "ff_dim_1"])
 def test_attention_with_a_width_of_one_computes_every_row_bit_for_bit(widths, query_rows):
     # A width of 1 turns a key/value product into gemv or a bias sum into numpy's pairwise sum, where
     # skipped zero rows change the bits, so these nets compute every row.
     net = _build_net(64, 1, replace(ATTN_BENCH, **widths))
-    rng = np.random.default_rng(len(widths))
-    params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
-    x = rng.normal(size=(16, 64, 1))
-    read = read_masks(rng, 16, 64, 1)["random"]
-    dy = np.where(read, rng.normal(size=x.shape) / read.sum(), 0.0)
-    y, g = attention_step(net, params, x, dy, read=read)
-    y_full, g_full = attention_step(net, params, x, dy)
+    assert_read_rows_match_every_row(net, np.random.default_rng(len(widths)), 64, 1, widths)
     assert query_rows == [(64, 64), (64, 64)]
-    assert y[read].tobytes() == y_full[read].tobytes()
-    for key in g_full:
-        assert g[key].tobytes() == g_full[key].tobytes(), key
+
+
+def test_attention_read_rows_match_every_row_in_a_seeded_sweep_bit_for_bit(query_rows):
+    # Random nets, so that each OpenBLAS kernel the suite runs on checks the row rule itself, not a few
+    # chosen shapes: SkylakeX's width-32 limit, for one, shows only at some widths.
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        heads = int(rng.integers(1, 5))
+        widths = dict(heads=heads, model_dim=heads * int(rng.integers(1, 64 // heads + 1)),
+                      ff_dim=int(rng.integers(1, 65)), blocks=int(rng.integers(1, 3)))
+        steps, dims = int(rng.choice([30, 32, 64])), int(rng.integers(1, 3))
+        net = _build_net(steps, dims, replace(ATTN_BENCH, **widths))
+        assert_read_rows_match_every_row(net, rng, steps, dims, (steps, dims, widths))
+    # Some nets computed a subset of rows, so the sweep checks more than the every-row fall-back.
+    assert sum(rows < steps for steps, rows in query_rows) >= 5
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -273,9 +294,12 @@ def test_attention_computes_only_the_query_rows_it_reads(query_rows):
     assert query_rows == [(64, 16)]
     model.impute(single_unit_mask(series[0], 10))
     assert query_rows[1:] == [(64, 4)]
+    # SkylakeX's width-32 limit: dpre @ Wf1.T has an inner width of 32 and 64 x 24 outputs at every row.
+    train(series, replace(cfg, model_dim=24))
+    assert query_rows[2:] == [(64, 64)]
     short = small_corpus(n=16, steps=30)
     train(short, cfg).impute(single_unit_mask(short[0], 10))
-    assert query_rows[2:] == [(30, 30), (30, 30)]
+    assert query_rows[3:] == [(30, 30), (30, 30)]
 
 
 @pytest.mark.parametrize("seed", range(3))
