@@ -14,11 +14,8 @@ from .attack import (
     MembershipScore,
     StdRule,
     TopPercentRule,
-    calibrate_theta_std,
-    calibrate_theta_topk,
     classify,
     lbrm_score,
-    resolve_theta,
     run_attack,
 )
 from .core import (

@@ -7,7 +7,9 @@ Memorized candidates show an unusually small target/reference loss ratio.
 The naive baseline is the target loss ``l_t`` of the same score record.
 
 Classification rule: member iff ratio <= theta (low ratio = target beats a
-fair benchmark on this exact series = memorization).
+fair benchmark on this exact series = memorization). The configured rule's
+``threshold`` gives theta: a fixed value, a percentile of the candidates'
+ratios, or a mean plus n stds of known nonmembers' ratios.
 """
 from __future__ import annotations
 
@@ -31,13 +33,9 @@ __all__ = [
     "Calibration",
     "MembershipScore",
     "AttackReport",
-    "mask_schedule",
     "loss_ratio",
     "lbrm_score",
-    "calibrate_theta_std",
-    "calibrate_theta_topk",
     "classify",
-    "resolve_theta",
     "run_attack",
     "report_to_dict",
     "report_from_dict",
@@ -56,10 +54,18 @@ class StdRule:
         if not math.isfinite(self.n):
             raise ValueError(f"n must be finite, got {self.n}")
 
+    def threshold(self, ratios: list[float], nonmember_ratios: list[float]) -> float:
+        if len(nonmember_ratios) < 2:
+            raise ValueError(f"StdRule needs at least 2 known-nonmember ratios, got {len(nonmember_ratios)}")
+        arr = np.asarray(nonmember_ratios, dtype=np.float64)
+        return float(arr.mean() + self.n * arr.std())
+
 
 @dataclass(frozen=True)
 class TopPercentRule:
-    """theta set so the ``percent``% lowest ratios are flagged (ties included)."""
+    """theta = the k-th smallest candidate ratio, k = floor(percent/100 * N) but at
+    least 1, so the k most member-like candidates are flagged (ties at the
+    boundary included)."""
 
     TAG: ClassVar[tuple[str, str]] = ("kind", "top_percent")
 
@@ -68,6 +74,13 @@ class TopPercentRule:
     def __post_init__(self) -> None:
         if not 0.0 < self.percent <= 100.0:
             raise ValueError(f"percent must be in (0, 100], got {self.percent}")
+
+    def threshold(self, ratios: list[float], nonmember_ratios: list[float]) -> float:
+        if not ratios:
+            raise ValueError("no ratios to calibrate on")
+        arr = np.asarray(ratios, dtype=np.float64)
+        k = max(1, int(np.floor(self.percent / 100.0 * arr.shape[0])))
+        return float(np.partition(arr, k - 1)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,12 @@ class FixedTheta:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
+    def threshold(self, ratios: list[float], nonmember_ratios: list[float]) -> float:
+        return float(self.theta)
 
-# The wire form of a rule is its TAG plus its fields.
+
+# The wire form of a rule is its TAG plus its fields. Each rule's ``threshold``
+# computes theta from the candidates' ratios or the known nonmembers' ratios.
 ThetaRule = Union[StdRule, TopPercentRule, FixedTheta]
 
 
@@ -143,18 +160,14 @@ class AttackReport:
     calibration: Calibration | None = None
 
 
-def mask_schedule(n_steps: int, block_length: int, repeats: int, placement: str = "even", seed: int = 0) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _schedule(n_steps: int, block_length: int, repeats: int, placement: str, seed: int) -> tuple[int, ...]:
     """Block start positions used to score one candidate.
 
     "even" spreads the starts over the interior of the series (deterministic,
     seed unused); "random" draws them from the seed. One schedule is shared by
     every candidate of a run and by both attack variants.
     """
-    return list(_schedule(n_steps, block_length, repeats, placement, seed))
-
-
-@functools.lru_cache(maxsize=64)
-def _schedule(n_steps: int, block_length: int, repeats: int, placement: str, seed: int) -> tuple[int, ...]:
     # Computed once per run and shape; a tuple, so no caller can change what the next one gets.
     if block_length >= n_steps:
         raise ValueError(f"block length {block_length} >= series length {n_steps}")
@@ -205,50 +218,11 @@ def lbrm_score(
     return MembershipScore(candidate_id=x.id, l_t=l_t, l_r=l_r, r=r, degenerate=degenerate)
 
 
-def calibrate_theta_std(nonmember_scores: list[float], n: float) -> float:
-    """theta = mean + n * population std over scores from known nonmembers."""
-    if len(nonmember_scores) < 2:
-        raise ValueError(f"need at least 2 nonmember scores, got {len(nonmember_scores)}")
-    if not math.isfinite(n):
-        raise ValueError(f"n must be finite, got {n}")
-    arr = np.asarray(nonmember_scores, dtype=np.float64)
-    return float(arr.mean() + n * arr.std())
-
-
-def calibrate_theta_topk(scores: list[float], percent: float) -> float:
-    """theta = k-th smallest score with k = floor(percent/100 * N), at least 1.
-
-    Exactly the k most member-like candidates end up flagged, modulo ties at
-    the boundary, which are all included.
-    """
-    if not 0.0 < percent <= 100.0:
-        raise ValueError(f"percent must be in (0, 100], got {percent}")
-    if not scores:
-        raise ValueError("no scores to calibrate on")
-    arr = np.asarray(scores, dtype=np.float64)
-    k = max(1, int(np.floor(percent / 100.0 * arr.shape[0])))
-    return float(np.partition(arr, k - 1)[k - 1])
-
-
 def classify(score: MembershipScore, theta: float) -> bool:
     """Member iff the loss ratio is at or below theta."""
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     return bool(score.r <= theta)
-
-
-def resolve_theta(rule: ThetaRule, ratios: list[float], nonmember_ratios: list[float] | None = None) -> float:
-    """Theta under ``rule``: fixed, or calibrated on the candidates' ``ratios``
-    (TopPercentRule) or on known nonmembers' ``nonmember_ratios`` (StdRule)."""
-    if isinstance(rule, FixedTheta):
-        return float(rule.theta)
-    if isinstance(rule, TopPercentRule):
-        return calibrate_theta_topk(ratios, rule.percent)
-    if isinstance(rule, StdRule):
-        if not nonmember_ratios:
-            raise ValueError("StdRule calibration requires a known-nonmember list")
-        return calibrate_theta_std(nonmember_ratios, rule.n)
-    raise TypeError(f"unknown theta rule {rule!r}")
 
 
 def run_attack(
@@ -258,7 +232,7 @@ def run_attack(
     cfg: AttackConfig,
     known_nonmembers: list[TimeSeries] | None = None,
 ) -> AttackReport:
-    """Score every candidate, resolve theta per the configured rule, classify.
+    """Score every candidate, take theta from the configured rule's ``threshold``, classify.
 
     StdRule calibrates on ``known_nonmembers`` (series the auditor knows were
     never trained on), reusing the score of any that is also a candidate (same
@@ -283,7 +257,7 @@ def run_attack(
                 r = lbrm_score(target, reference, x, cfg).r
             nonmember_ratios.append(r)
         calibration = Calibration(len(nonmember_ratios), also_candidates)
-    theta = resolve_theta(cfg.theta_rule, [s.r for s in scores], nonmember_ratios)
+    theta = cfg.theta_rule.threshold([s.r for s in scores], nonmember_ratios)
     return AttackReport(theta, cfg.theta_rule, scores, tuple(classify(s, theta) for s in scores), calibration)
 
 

@@ -125,9 +125,6 @@ class MaskMatrix:
     def missing(self) -> np.ndarray:
         return self._missing
 
-    def n_missing(self) -> int:
-        return int(self.missing().sum())
-
 
 @dataclass(frozen=True, eq=False)
 class MaskedSeries:

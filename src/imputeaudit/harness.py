@@ -26,7 +26,7 @@ from .data import (
     split_scenario2,
 )
 from .metrics import LabeledScores, RocCurve, headline_summary, roc_curve, write_roc_csv
-from .models import ImputerConfig, ParityReport, TrainedImputer, fine_tune, parity_check, train
+from .models import ARCHITECTURE_FIELDS, ImputerConfig, ParityReport, TrainedImputer, fine_tune, parity_check, train
 
 __all__ = [
     "CsvSource",
@@ -85,6 +85,11 @@ class ExperimentConfig:
                 "scenario 2 fine-tunes the reference base into the target, so target_model must equal "
                 "reference_model in every field but seed"
             )
+        # Checked here, before the base model trains, as well as by fine_tune itself.
+        if self.fine_tune is not None:
+            for name in ARCHITECTURE_FIELDS:
+                if getattr(self.fine_tune, name) != getattr(self.reference_model, name):
+                    raise ValueError(f"fine-tune config changes architecture field {name!r} of reference_model")
         if not 0 < self.parity_tolerance < math.inf:  # NaN fails too
             raise ValueError(f"parity_tolerance must be finite and positive, got {self.parity_tolerance}")
         if not 0.0 < self.parity_fraction < 1.0:

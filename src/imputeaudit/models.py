@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 ARCHITECTURES = ("autoencoder", "attention")
+# The ImputerConfig fields that shape a net: fine-tuning may change none of them.
+ARCHITECTURE_FIELDS = ("architecture", "hidden", "latent", "model_dim", "heads", "ff_dim", "blocks")
 
 
 class DivergenceError(RuntimeError):
@@ -338,7 +340,7 @@ def train(dataset: list[TimeSeries], cfg: ImputerConfig) -> TrainedImputer:
 
 def fine_tune(base: TrainedImputer, private: list[TimeSeries], cfg: ImputerConfig) -> TrainedImputer:
     """Continue gradient descent from ``base`` on private data only; ``base`` is untouched."""
-    for field in ("architecture", "hidden", "latent", "model_dim", "heads", "ff_dim", "blocks"):
+    for field in ARCHITECTURE_FIELDS:
         if getattr(cfg, field) != getattr(base.config, field):
             raise ValueError(f"fine-tune config changes architecture field {field!r}")
     data = _stack(private)

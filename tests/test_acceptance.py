@@ -24,7 +24,6 @@ from imputeaudit.attack import (
     classify,
     loss_ratio,
     report_from_dict,
-    resolve_theta,
 )
 from imputeaudit.core import TimeSeries, apply_mask, random_missing_mask, single_unit_mask
 from imputeaudit.data import load_csv, save_csv, split_scenario1, split_scenario2
@@ -192,9 +191,9 @@ def test_criterion_6_theta_independence(scenario2_outcome, tmp_path):
         labels = list(report.labels)
         blocks = []
         for rule in (StdRule(1.0), StdRule(2.0), TopPercentRule(25.0), FixedTheta(1.0)):
-            # re-resolve verdicts under the rule, then rebuild the metric block
+            # re-threshold verdicts under the rule, then rebuild the metric block
             nonmember_scores = [s.r for s, member in zip(saved.scores, labels) if not member]
-            theta = resolve_theta(rule, [s.r for s in saved.scores], nonmember_scores)
+            theta = rule.threshold([s.r for s in saved.scores], nonmember_scores)
             verdicts = [classify(s, theta) for s in saved.scores]
             assert len(verdicts) == len(labels)
             lbrm, naive, _, _ = metrics_from_report(saved, labels)
@@ -241,7 +240,7 @@ def test_criterion_9_property_sweep(tmp_path):
             steps, dims = int(rng.integers(2, 20)), int(rng.integers(1, 4))
             fraction = float(rng.uniform(0.05, 0.95))
             mask = random_missing_mask((steps, dims), fraction, seed=int(rng.integers(1 << 30)))
-            assert mask.n_missing() == int(round(fraction * steps * dims))
+            assert int(mask.missing().sum()) == int(round(fraction * steps * dims))
             x = TimeSeries("p", rng.normal(size=(steps, dims)))
             masked = apply_mask(x, mask)
             obs = mask.observed()

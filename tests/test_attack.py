@@ -26,15 +26,11 @@ from imputeaudit.attack import (
     MembershipScore,
     StdRule,
     TopPercentRule,
-    calibrate_theta_std,
-    calibrate_theta_topk,
     classify,
     lbrm_score,
     loss_ratio,
-    mask_schedule,
     report_from_dict,
     report_to_dict,
-    resolve_theta,
     ThetaRule,
     run_attack,
 )
@@ -49,17 +45,17 @@ def series(seed=0, steps=20):
 
 
 def test_mask_schedule_even_is_interior_and_deterministic():
-    starts = mask_schedule(64, block_length=1, repeats=4)
-    assert starts == mask_schedule(64, block_length=1, repeats=4)
+    starts = attack._schedule(64, 1, 4, "even", 0)
+    assert starts == attack._schedule(64, 1, 4, "even", 0)
     assert len(starts) == 4
     assert all(0 < s < 63 for s in starts)
-    assert starts == sorted(starts)
+    assert list(starts) == sorted(starts)
 
 
 def test_mask_schedule_random_seeded():
-    a = mask_schedule(64, 1, 6, placement="random", seed=5)
-    b = mask_schedule(64, 1, 6, placement="random", seed=5)
-    c = mask_schedule(64, 1, 6, placement="random", seed=6)
+    a = attack._schedule(64, 1, 6, "random", 5)
+    b = attack._schedule(64, 1, 6, "random", 5)
+    c = attack._schedule(64, 1, 6, "random", 6)
     assert a == b
     assert a != c
     assert all(0 <= s <= 63 for s in a)
@@ -67,13 +63,10 @@ def test_mask_schedule_random_seeded():
 
 @pytest.mark.parametrize("placement", ["even", "random"])
 def test_changing_a_returned_schedule_changes_no_later_one(placement, monkeypatch):
-    # Each schedule is computed once per run and shape: a caller holds a copy of it.
+    # Each schedule is computed once per run and shape and shared: a tuple, so no caller can change it.
     cfg = AttackConfig(block_length=2, repeats=5, placement=placement, seed=3)
-    expected = mask_schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed)
-    returned = mask_schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed)
-    returned[0] = 99
-    returned.append(7)
-    assert mask_schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed) == expected
+    expected = attack._schedule(20, cfg.block_length, cfg.repeats, placement, cfg.seed)
+    assert isinstance(expected, tuple)
     starts = []
 
     def recorded(x, start, *rest):
@@ -82,12 +75,12 @@ def test_changing_a_returned_schedule_changes_no_later_one(placement, monkeypatc
 
     monkeypatch.setattr(attack, "single_unit_mask", recorded)
     lbrm_score(ZeroFillOracle(), ZeroFillOracle(), series(1), cfg)
-    assert starts == expected
+    assert tuple(starts) == expected
 
 
 def test_mask_schedule_rejects_full_cover():
     with pytest.raises(ValueError):
-        mask_schedule(4, block_length=4, repeats=1)
+        attack._schedule(4, 4, 1, "even", 0)
 
 
 def test_perfect_target_gives_zero_ratio():
@@ -120,7 +113,7 @@ def test_score_matches_hand_composed_pipeline():
     target, reference = OffsetOracle(0.2, [x]), OffsetOracle(0.9, [x])
     cfg = AttackConfig(repeats=3, block_length=2)
 
-    starts = mask_schedule(8, 2, 3)
+    starts = attack._schedule(8, 2, 3, "even", 0)
     lt_vals, lr_vals = [], []
     for s0 in starts:
         masked = single_unit_mask(x, s0, 2)
@@ -160,7 +153,7 @@ def test_std_rule_reuses_scores_of_candidate_nonmembers():
     report = run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
     assert target.calls == reference.calls == (len(candidates) + 2) * cfg.repeats
     expected = [lbrm_score(OffsetOracle(0.2, memory), OffsetOracle(0.6, memory), x, cfg).r for x in nonmembers]
-    assert report.theta == calibrate_theta_std(expected, 1.0)
+    assert report.theta == StdRule(1.0).threshold([], expected)
 
 
 def test_loss_ratio_scale_invariance():
@@ -182,12 +175,15 @@ def test_loss_ratio_degenerate_rule():
 
 
 def test_calibrate_theta_std_examples():
-    assert calibrate_theta_std([1.0, 1.0, 1.0], n=2.0) == pytest.approx(1.0)
-    assert calibrate_theta_std([0.8, 1.0, 1.2], n=1.0) == pytest.approx(1.16329931, abs=1e-6)
+    # StdRule calibrates on the known nonmembers' ratios and ignores the candidates'.
+    assert StdRule(2.0).threshold([], [1.0, 1.0, 1.0]) == pytest.approx(1.0)
+    assert StdRule(1.0).threshold([], [0.8, 1.0, 1.2]) == pytest.approx(1.16329931, abs=1e-6)
+    assert StdRule(1.0).threshold([9.0, 0.1], [0.8, 1.0, 1.2]) == StdRule(1.0).threshold([], [0.8, 1.0, 1.2])
     scores = [0.3, 0.9, 1.7, 2.2]
-    assert calibrate_theta_std(scores, n=0.0) == pytest.approx(np.mean(scores))
-    with pytest.raises(ValueError):
-        calibrate_theta_std([1.0], n=1.0)
+    assert StdRule(0.0).threshold([], scores) == pytest.approx(np.mean(scores))
+    for too_few in ([1.0], []):
+        with pytest.raises(ValueError, match="^StdRule needs at least 2 known-nonmember ratios"):
+            StdRule(1.0).threshold([0.5, 0.7], too_few)
 
 
 @pytest.mark.parametrize("l_t, l_r, epsilon", [(0.0, 0.0, float("nan")), (1.0, 0.0, float("inf"))], ids=["nan", "inf"])
@@ -199,17 +195,19 @@ def test_loss_ratio_rejects_an_epsilon_that_is_not_finite(l_t, l_r, epsilon):
 
 def test_calibrate_theta_std_rejects_a_nan_n():
     with pytest.raises(ValueError, match="^n must be finite"):
-        calibrate_theta_std([1.0, 2.0], float("nan"))
+        StdRule(float("nan"))
 
 
 def test_calibrate_theta_topk_examples():
-    assert calibrate_theta_topk([0.2, 0.5, 0.9, 1.4], 25.0) == pytest.approx(0.2)
-    assert calibrate_theta_topk([0.2, 0.5, 0.9, 1.4], 100.0) == pytest.approx(1.4)
-    assert calibrate_theta_topk([0.7, 0.7, 0.7], 10.0) == pytest.approx(0.7)  # k floored to 1
-    with pytest.raises(ValueError):
-        calibrate_theta_topk([0.1], 0.0)
-    with pytest.raises(ValueError):
-        calibrate_theta_topk([], 25.0)
+    # TopPercentRule calibrates on the candidates' ratios and ignores the known nonmembers'.
+    assert TopPercentRule(25.0).threshold([0.2, 0.5, 0.9, 1.4], []) == pytest.approx(0.2)
+    assert TopPercentRule(100.0).threshold([0.2, 0.5, 0.9, 1.4], []) == pytest.approx(1.4)
+    assert TopPercentRule(10.0).threshold([0.7, 0.7, 0.7], []) == pytest.approx(0.7)  # k floored to 1
+    assert TopPercentRule(25.0).threshold([0.2, 0.5, 0.9, 1.4], [0.01, 0.02]) == pytest.approx(0.2)
+    with pytest.raises(ValueError, match="^percent must be in"):
+        TopPercentRule(0.0)
+    with pytest.raises(ValueError, match="^no ratios to calibrate on"):
+        TopPercentRule(25.0).threshold([], [0.5, 0.7])
 
 
 def test_classify_rule_direction_and_ties():
@@ -264,13 +262,13 @@ def test_topk_verdicts_equal_lowest_rank_selection_and_survive_monotone_transfor
     cutoff = np.sort(ratios)[k - 1]
     expected = {s.candidate_id for s in scores if s.r <= cutoff}
 
-    theta = calibrate_theta_topk([s.r for s in scores], percent)
+    theta = TopPercentRule(percent).threshold([s.r for s in scores], [])
     flagged = {s.candidate_id for s in scores if classify(s, theta)}
     assert flagged == expected
 
     for transform in (lambda v: 3.0 * v + 1.0, np.exp):
         mapped = [MembershipScore(s.candidate_id, s.l_t, s.l_r, float(transform(s.r))) for s in scores]
-        theta_m = calibrate_theta_topk([s.r for s in mapped], percent)
+        theta_m = TopPercentRule(percent).threshold([s.r for s in mapped], [])
         flagged_m = {s.candidate_id for s in mapped if classify(s, theta_m)}
         assert flagged_m == expected
 
@@ -361,12 +359,14 @@ def test_theta_rule_codec():
 
 
 def test_resolve_theta_per_rule():
+    # Each rule reads only its own list: fixed neither, top_percent the candidates', std_rule the nonmembers'.
     ratios, nonmember_ratios = [0.2, 0.5, 0.9, 1.4], [1.0, 3.0]
-    assert resolve_theta(FixedTheta(0.8), ratios) == 0.8
-    assert resolve_theta(TopPercentRule(50.0), ratios) == calibrate_theta_topk(ratios, 50.0)
-    assert resolve_theta(StdRule(1.0), ratios, nonmember_ratios) == calibrate_theta_std(nonmember_ratios, 1.0)
+    assert FixedTheta(0.8).threshold(ratios, nonmember_ratios) == 0.8
+    assert FixedTheta(0.8).threshold([], []) == 0.8
+    assert TopPercentRule(50.0).threshold(ratios, nonmember_ratios) == 0.5
+    assert StdRule(1.0).threshold(ratios, nonmember_ratios) == 3.0
     with pytest.raises(ValueError, match="known-nonmember"):
-        resolve_theta(StdRule(1.0), ratios)
+        StdRule(1.0).threshold(ratios, [])
 
 
 def test_attack_config_validation():
@@ -386,7 +386,7 @@ def test_wide_candidates_score_the_full_sweeps_bits(dims):
     x = TimeSeries("wide", np.random.default_rng(dims).normal(size=(24, dims)))
     target, reference = OffsetOracle(0.3, [x]), ZeroFillOracle()
     cfg = AttackConfig(repeats=5, block_length=3, dim=dims - 1)
-    views = [single_unit_mask(x, start, 3, dims - 1) for start in mask_schedule(24, 3, 5)]
+    views = [single_unit_mask(x, start, 3, dims - 1) for start in attack._schedule(24, 3, 5, "even", 0)]
     score = lbrm_score(target, reference, x, cfg)
     assert score.l_t == float(np.mean([dtw_reference(target.impute(v).values, x.values) for v in views]))
     assert score.l_r == float(np.mean([dtw_reference(reference.impute(v).values, x.values) for v in views]))
@@ -409,7 +409,7 @@ def test_wide_pairs_compute_only_their_differing_cost_rows(monkeypatch):
     (rows, columns), *pairs = calls
     assert np.array_equal(rows, x.values) and np.array_equal(columns, x.values)
     expected = []
-    for start in mask_schedule(24, 3, 5):
+    for start in attack._schedule(24, 3, 5, "even", 0):
         masked = single_unit_mask(x, start, 3, 1)
         expected += [oracle.impute(masked).values[start : start + 3] for oracle in (target, reference)]
     assert len(pairs) == len(expected) == 10
@@ -420,7 +420,7 @@ def test_wide_pairs_compute_only_their_differing_cost_rows(monkeypatch):
 def _full_sweep_score(target, reference, x, cfg):
     """lbrm_score recomposed view by view, with the unpruned DTW sweep and no shared rows."""
     l_t, l_r = [], []
-    for start in mask_schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
+    for start in attack._schedule(x.length, cfg.block_length, cfg.repeats, cfg.placement, cfg.seed):
         masked = single_unit_mask(x, start, cfg.block_length, cfg.dim)
         l_t.append(dtw_reference(target.impute(masked).values, x.values))
         l_r.append(dtw_reference(reference.impute(masked).values, x.values))
@@ -532,8 +532,8 @@ def test_each_oracle_is_shown_a_candidates_views_in_schedule_order():
     target, reference, candidates, _ = tiny_audit()
     spies = SpyingOracle(target), SpyingOracle(reference)
     run_attack(*spies, list(candidates), replace(INDEPENDENCE, theta_rule=FixedTheta(1.0)))
-    starts = mask_schedule(12, INDEPENDENCE.block_length, INDEPENDENCE.repeats, INDEPENDENCE.placement, INDEPENDENCE.seed)
-    assert starts != sorted(starts)  # random placement: the schedule order is not the order along the series
+    starts = attack._schedule(12, INDEPENDENCE.block_length, INDEPENDENCE.repeats, INDEPENDENCE.placement, INDEPENDENCE.seed)
+    assert list(starts) != sorted(starts)  # random placement: the schedule order is not the order along the series
     views = [single_unit_mask(x, start, INDEPENDENCE.block_length, INDEPENDENCE.dim) for x in candidates for start in starts]
     for spy in spies:
         assert len(spy.seen) == len(views)

@@ -51,14 +51,14 @@ def test_mask_matrix_rejects_non_binary():
 def test_single_unit_mask_one_point():
     x = TimeSeries("a", np.arange(10.0))
     masked = single_unit_mask(x, 4, 1)
-    assert masked.mask.n_missing() == 1
+    assert int(masked.mask.missing().sum()) == 1
     assert masked.mask.entries[4, 0] == 0
 
 
 def test_single_unit_mask_block_in_one_dim():
     x = TimeSeries("a", np.arange(16.0).reshape(8, 2))
     masked = single_unit_mask(x, 2, 2, dim=1)
-    assert masked.mask.n_missing() == 2
+    assert int(masked.mask.missing().sum()) == 2
     assert np.all(masked.mask.entries[:, 0] == 1)
     assert np.array_equal(masked.mask.missing().nonzero()[0], [2, 3])
 
@@ -129,16 +129,16 @@ def test_query_rejects_a_change_to_any_single_observed_entry(row, value):
 def test_random_missing_mask_exact_count_and_determinism():
     m1 = random_missing_mask((10, 1), 0.2, seed=42)
     m2 = random_missing_mask((10, 1), 0.2, seed=42)
-    assert m1.n_missing() == 2
+    assert int(m1.missing().sum()) == 2
     assert np.array_equal(m1.entries, m2.entries)
 
-    assert random_missing_mask((5, 2), 0.5, seed=0).n_missing() == 5
+    assert int(random_missing_mask((5, 2), 0.5, seed=0).missing().sum()) == 5
 
 
 @pytest.mark.parametrize("shape,fraction", [((7, 3), 0.1), ((13, 2), 0.33), ((4, 4), 0.9)])
 def test_random_missing_mask_exact_count_sweep(shape, fraction):
     expected = int(round(fraction * shape[0] * shape[1]))
-    assert random_missing_mask(shape, fraction, seed=1).n_missing() == expected
+    assert int(random_missing_mask(shape, fraction, seed=1).missing().sum()) == expected
 
 
 def test_random_missing_mask_seeds_differ():
@@ -165,7 +165,7 @@ def test_apply_mask_sentinel_and_survivor():
     assert np.array_equal(masked.series.values[:, 0], [1.0, 0.0, 3.0])
 
     only_one = apply_mask(x, MaskMatrix(np.array([0, 1, 0])))
-    assert only_one.mask.n_missing() == 2
+    assert int(only_one.mask.missing().sum()) == 2
     assert only_one.series.values[1, 0] == 2.0
 
 

@@ -95,6 +95,17 @@ def test_scenario2_rejects_a_target_model_it_would_ignore():
     assert mini_config(1, target_model=MINI_TUNE).target_model == MINI_TUNE
 
 
+@pytest.mark.parametrize("field, value", [("hidden", 12), ("latent", 4), ("architecture", "attention")])
+def test_config_rejects_a_fine_tune_that_changes_the_architecture(field, value):
+    # Caught when the config is read, before the base model trains, with the field named.
+    with pytest.raises(ValueError, match=f"^fine-tune config changes architecture field '{field}' of reference_model$"):
+        mini_config(2, fine_tune=replace(MINI_TUNE, **{field: value}))
+    doc = config_to_dict(mini_config(2))
+    doc["fine_tune"][field] = value
+    with pytest.raises(ValueError, match=f"^the experiment config: fine-tune config changes architecture field '{field}'"):
+        config_from_dict(doc)
+
+
 @pytest.mark.parametrize("field, value", [("fine_tune", MINI_TUNE), ("independent_reference", True)])
 def test_scenario1_rejects_a_block_it_would_ignore(field, value):
     with pytest.raises(ValueError, match=f"^{field} is for scenario 2 only"):

@@ -629,9 +629,17 @@ def test_fine_tune_deterministic():
 
 
 def test_fine_tune_rejects_architecture_change():
+    # fine_tune checks the base it is given, whatever config built that base, and names the field.
     base = train(small_corpus(), ImputerConfig(epochs=1, seed=0, hidden=32))
-    with pytest.raises(ValueError):
-        fine_tune(base, small_corpus(), ImputerConfig(epochs=1, seed=0, hidden=16))
+    changed = {"architecture": "attention", "hidden": 16, "latent": 8, "model_dim": 8, "heads": 1, "ff_dim": 16,
+               "blocks": 2}
+    assert set(changed) == set(models.ARCHITECTURE_FIELDS)
+    for field, value in changed.items():
+        with pytest.raises(ValueError, match=f"^fine-tune config changes architecture field '{field}'$"):
+            fine_tune(base, small_corpus(), replace(base.config, **{field: value}))
+    # Every other field is a training knob, free to change.
+    tuned = fine_tune(base, small_corpus(), replace(base.config, epochs=2, learning_rate=0.01, batch_size=4, seed=3))
+    assert tuned.config.epochs == 2
 
 
 def test_evaluate_mae_of_zero_filler_is_mean_abs():
