@@ -21,7 +21,6 @@ from .attack import (
 from .core import (
     DegenerateMaskError,
     ImputationOracle,
-    MaskMatrix,
     MaskedSeries,
     NormParams,
     OracleError,

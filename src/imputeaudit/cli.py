@@ -49,6 +49,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     cfg = _load(attack_mod.AttackConfig, args.config) if args.config else attack_mod.AttackConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    if args.known_nonmembers and not isinstance(cfg.theta_rule, attack_mod.StdRule):
+        raise ValueError(f"--known-nonmembers calibrates std_rule only, but the theta rule is {cfg.theta_rule.TAG[1]}")
     target = models.load_model(args.target)
     reference = models.load_model(args.reference)
     candidates = _normalized_corpus(args.candidates)
@@ -121,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True, help="reference model file")
     p.add_argument("--candidates", required=True, help="candidates CSV path")
     p.add_argument("--config", default=None, help="AttackConfig JSON (defaults apply if omitted)")
-    p.add_argument("--known-nonmembers", default=None, help="CSV of known nonmembers (std_rule calibration)")
+    p.add_argument("--known-nonmembers", default=None, help="CSV of known nonmembers (std_rule calibration; an error with any other rule)")
     p.add_argument("--out", required=True, help="scores JSON path")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_attack)

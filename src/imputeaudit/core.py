@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "TimeSeries",
-    "MaskMatrix",
     "MaskedSeries",
     "NormParams",
     "ImputationOracle",
@@ -89,57 +88,24 @@ class TimeSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class MaskMatrix:
-    """Binary observedness indicator with 1 = observed, 0 = missing.
-
-    ``observed()`` and ``missing()`` return read-only boolean arrays computed
-    once, at construction, and shared by every caller.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError(f"mask must be 1-D or 2-D, got ndim={arr.ndim}")
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        arr = arr.astype(np.uint8)
-        observed = arr == 1
-        missing = ~observed
-        for frozen in (arr, observed, missing):
-            frozen.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "_observed", observed)
-        object.__setattr__(self, "_missing", missing)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def observed(self) -> np.ndarray:
-        return self._observed
-
-    def missing(self) -> np.ndarray:
-        return self._missing
-
-
-@dataclass(frozen=True, eq=False)
 class MaskedSeries:
     """Exactly what an imputation oracle is shown.
 
     ``series`` carries the sentinel fill (0, in normalized space) at missing
-    positions. The auditor keeps the unmasked series to itself.
+    positions. ``missing`` is a bool array of the series' shape, True at each
+    hidden entry, copied and frozen at construction; the paper's observedness
+    matrix M is ``~missing``. The auditor keeps the unmasked series to itself.
     """
 
     series: TimeSeries
-    mask: MaskMatrix
+    missing: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.series.shape != self.mask.shape:
-            raise ValueError(f"shape mismatch: series {self.series.shape}, mask {self.mask.shape}")
+        missing = np.array(self.missing)
+        if missing.dtype != np.bool_ or missing.shape != self.series.shape:
+            raise ValueError(f"mask must be a bool array of shape {self.series.shape}, got {missing.dtype} of shape {missing.shape}")
+        missing.setflags(write=False)
+        object.__setattr__(self, "missing", missing)
 
     @property
     def id(self) -> str:
@@ -190,7 +156,7 @@ def _query(oracle: ImputationOracle, masked: MaskedSeries, caller: str) -> TimeS
             f"{caller} oracle returned {got} for series {masked.id!r}, "
             f"expected a series of shape {masked.series.shape}"
         )
-    if not ((completed.values == masked.series.values) | masked.mask.missing()).all():
+    if not ((completed.values == masked.series.values) | masked.missing).all():
         raise OracleError(f"{caller} oracle changed observed entries of series {masked.id!r}")
     return completed
 
@@ -201,7 +167,8 @@ def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -
     Raises DegenerateMaskError when the block covers every step of the chosen
     dimension (nothing left to condition on), and ValueError for blocks that
     fall outside the series. The mask of a valid block is built once per
-    shape and block, and shared by every view cut with it.
+    shape and block, in a small cache, and each view cut with it holds its
+    own copy.
     """
     steps, dims = x.shape
     if length < 1:
@@ -218,31 +185,32 @@ def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -
 
 
 @functools.lru_cache(maxsize=256)
-def _block_mask(steps: int, dims: int, start: int, length: int, dim: int) -> MaskMatrix:
-    entries = np.ones((steps, dims), dtype=np.uint8)
-    entries[start : start + length, dim] = 0
-    return MaskMatrix(entries)
+def _block_mask(steps: int, dims: int, start: int, length: int, dim: int) -> np.ndarray:
+    missing = np.zeros((steps, dims), dtype=bool)
+    missing[start : start + length, dim] = True
+    missing.setflags(write=False)
+    return missing
 
 
-def random_missing_mask(shape: tuple[int, int], fraction: float, seed: int) -> MaskMatrix:
-    """Mask exactly ``round(fraction * steps * dims)`` entries, uniformly without replacement."""
+def random_missing_mask(shape: tuple[int, int], fraction: float, seed: int) -> np.ndarray:
+    """A read-only bool array of ``shape`` that hides (is True at) exactly
+    ``round(fraction * steps * dims)`` entries, drawn uniformly without replacement."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    steps, dims = shape
-    total = steps * dims
-    n_zero = int(round(fraction * total))
-    rng = np.random.default_rng(seed)
-    flat = np.ones(total, dtype=np.uint8)
-    if n_zero > 0:
-        flat[rng.choice(total, size=n_zero, replace=False)] = 0
-    return MaskMatrix(flat.reshape(steps, dims))
+    missing = np.zeros(shape, dtype=bool)
+    n_hidden = int(round(fraction * missing.size))
+    missing.flat[np.random.default_rng(seed).choice(missing.size, size=n_hidden, replace=False)] = True
+    missing.setflags(write=False)
+    return missing
 
 
-def apply_mask(x: TimeSeries, mask: MaskMatrix) -> MaskedSeries:
-    """Zero out masked positions of ``x``."""
-    if x.shape != mask.shape:
-        raise ValueError(f"shape mismatch: series {x.shape} vs mask {mask.shape}")
-    return MaskedSeries(series=_series(x.id, np.where(mask.observed(), x.values, 0.0)), mask=mask)
+def apply_mask(x: TimeSeries, missing: np.ndarray) -> MaskedSeries:
+    """The view of ``x`` that hides the entries ``missing`` marks: a bool array of
+    ``x``'s shape, True at each hidden entry, which the view fills with 0.0 and
+    keeps its own read-only copy of."""
+    if np.shape(missing) != x.shape:
+        raise ValueError(f"shape mismatch: series {x.shape} vs mask {np.shape(missing)}")
+    return MaskedSeries(_series(x.id, np.where(missing, 0.0, x.values)), missing)
 
 
 def zscore_normalize(x: TimeSeries) -> tuple[TimeSeries, NormParams]:

@@ -302,7 +302,8 @@ def load_csv(path: str) -> list[TimeSeries]:
     field past ``csv.field_size_limit()``, raises CsvParseError naming the file
     and the line csv stopped on. numpy's reader reads some non-ASCII characters
     as digits, so a file that is not all ASCII is read record by record too,
-    and loads only if that read passes.
+    and loads only if that read passes. A file that is not UTF-8 raises
+    CsvParseError naming the byte offset and line of its first bad byte.
     """
     with open(path, "rb") as raw:
         all_ascii = all(chunk.isascii() for chunk in iter(lambda: raw.read(1 << 16), b""))
@@ -320,7 +321,15 @@ def load_csv(path: str) -> list[TimeSeries]:
             if series is None:
                 raise CsvParseError(f"{path}: the file was rejected, but a record-by-record read finds no bad record or series")
             return series
-        except UnicodeDecodeError as exc:
-            raise CsvParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as chunk_error:
+            # The text layer's position counts from the start of its current decode chunk: find the file's.
+            fh.buffer.seek(0)
+            data = fh.buffer.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise CsvParseError(f"{path} is not UTF-8 text: byte {exc.start} (line {line}): {exc.reason}") from exc
+            raise CsvParseError(f"{path} is not UTF-8 text: {chunk_error}") from chunk_error  # it changed while read
         except csv.Error as exc:
             raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from exc

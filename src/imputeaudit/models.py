@@ -226,8 +226,8 @@ class TrainedImputer:
         """Fill the masked entries; observed entries are copied through exactly."""
         if x.series.shape != (self.n_steps, self.n_dims):
             raise ValueError(f"expected shape ({self.n_steps}, {self.n_dims}), got {x.series.shape}")
-        predicted, _ = self._net.forward(self._views, x.series.values[None], x.mask.missing()[None])
-        filled = np.where(x.mask.observed(), x.series.values, predicted[0])
+        predicted, _ = self._net.forward(self._views, x.series.values[None], x.missing[None])
+        filled = np.where(x.missing, predicted[0], x.series.values)
         if not np.isfinite(filled).all():
             raise ValueError(f"series {x.id!r}: values must be finite")
         return _series(x.id, filled)
@@ -359,11 +359,10 @@ def evaluate_mae(model, data: list[TimeSeries], fraction: float, seed: int) -> f
     abs_err = 0.0
     count = 0
     for i, s in enumerate(data):
-        mask = random_missing_mask(s.shape, fraction, derive_seed(seed, i))
-        hidden = mask.missing()
+        hidden = random_missing_mask(s.shape, fraction, derive_seed(seed, i))
         if not hidden.any():
             raise ValueError(f"parity fraction {fraction} hides no entry of series {s.id!r} of shape {s.shape}")
-        completed = _query(model, apply_mask(s, mask), "parity")
+        completed = _query(model, apply_mask(s, hidden), "parity")
         abs_err += float(np.abs(completed.values[hidden] - s.values[hidden]).sum())
         count += int(hidden.sum())
     return abs_err / count

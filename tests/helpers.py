@@ -22,7 +22,7 @@ BRUTE_FORCE_CELL_LIMIT = 36
 
 def _recall(memory: list[TimeSeries], x: MaskedSeries) -> TimeSeries:
     """The remembered series whose values match every observed entry of the view."""
-    observed = x.mask.observed()
+    observed = ~x.missing
     return next(s for s in memory if np.array_equal(s.values[observed], x.series.values[observed]))
 
 
@@ -44,7 +44,7 @@ class OffsetOracle:
         self.memory = list(memory)
 
     def impute(self, x: MaskedSeries) -> TimeSeries:
-        filled = np.where(x.mask.observed(), x.series.values, _recall(self.memory, x).values + self.offset)
+        filled = np.where(~x.missing, x.series.values, _recall(self.memory, x).values + self.offset)
         return TimeSeries(x.id, filled)
 
 

@@ -239,21 +239,21 @@ def test_criterion_9_property_sweep(tmp_path):
         for _ in range(40):
             steps, dims = int(rng.integers(2, 20)), int(rng.integers(1, 4))
             fraction = float(rng.uniform(0.05, 0.95))
-            mask = random_missing_mask((steps, dims), fraction, seed=int(rng.integers(1 << 30)))
-            assert int(mask.missing().sum()) == int(round(fraction * steps * dims))
+            missing = random_missing_mask((steps, dims), fraction, seed=int(rng.integers(1 << 30)))
+            assert int(missing.sum()) == int(round(fraction * steps * dims))
             x = TimeSeries("p", rng.normal(size=(steps, dims)))
-            masked = apply_mask(x, mask)
-            obs = mask.observed()
+            masked = apply_mask(x, missing)
+            obs = ~missing
             assert np.array_equal(masked.series.values[obs], x.values[obs])
 
         # keep-observed through a real trained model
         corpus = [TimeSeries(f"k{i}", rng.normal(size=(10, 1))) for i in range(6)]
         model = train(corpus, ImputerConfig(hidden=8, latent=4, epochs=3, seed=77))
         for _ in range(10):
-            mask = random_missing_mask((10, 1), 0.3, seed=int(rng.integers(1 << 30)))
-            masked = apply_mask(corpus[0], mask)
+            missing = random_missing_mask((10, 1), 0.3, seed=int(rng.integers(1 << 30)))
+            masked = apply_mask(corpus[0], missing)
             out = model.impute(masked)
-            assert np.array_equal(out.values[mask.observed()], corpus[0].values[mask.observed()])
+            assert np.array_equal(out.values[~missing], corpus[0].values[~missing])
 
         # scale invariance of the loss ratio
         for _ in range(60):

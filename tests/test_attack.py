@@ -370,6 +370,10 @@ def test_resolve_theta_per_rule():
 
 
 def test_attack_config_validation():
+    with pytest.raises(ValueError, match="block_length must be >= 1"):
+        AttackConfig(block_length=0)
+    with pytest.raises(ValueError, match="dim must be >= 0"):
+        AttackConfig(dim=-1)
     with pytest.raises(ValueError):
         AttackConfig(repeats=0)
     with pytest.raises(ValueError):
@@ -524,7 +528,7 @@ class SpyingOracle:
         self.seen: list = []
 
     def impute(self, x):
-        self.seen.append((x.id, x.series.values.copy(), x.mask.missing().copy()))
+        self.seen.append((x.id, x.series.values.copy(), x.missing.copy()))
         return self.inner.impute(x)
 
 
@@ -540,4 +544,4 @@ def test_each_oracle_is_shown_a_candidates_views_in_schedule_order():
         for (seen_id, values, missing), view in zip(spy.seen, views):
             assert seen_id == view.id
             assert np.array_equal(values, view.series.values)
-            assert np.array_equal(missing, view.mask.missing())
+            assert np.array_equal(missing, view.missing)

@@ -54,6 +54,12 @@ def test_generate_then_load(workdir, capsys):
     corpus = load_csv(str(out))
     assert len(corpus) == 12
     assert "wrote 12 series" in capsys.readouterr().out
+    # --seed replaces the config's seed (2): the corpus is the one a config with that seed writes.
+    doc = json.loads((workdir / "data.json").read_text())
+    (workdir / "seed7.json").write_text(json.dumps({**doc, "seed": 7}))
+    assert main(["generate", "--config", str(workdir / "data.json"), "--out", str(workdir / "flag.csv"), "--seed", "7"]) == 0
+    assert main(["generate", "--config", str(workdir / "seed7.json"), "--out", str(workdir / "seed7.csv")]) == 0
+    assert (workdir / "flag.csv").read_bytes() == (workdir / "seed7.csv").read_bytes() != out.read_bytes()
 
 
 def test_train_and_attack_pipeline(workdir, capsys):
@@ -104,6 +110,49 @@ def test_attack_scores_a_subset_of_candidates_as_the_full_run_does(workdir, caps
     assert len(full) == 12 and len(subset) == 6
     assert subset.pop("copy-of-3") == full[series[3].id]
     assert subset == {sid: full[sid] for sid in subset}
+
+
+def _known_nonmembers_run(workdir, rule):
+    """Train a target and a reference on the corpus; attack series 2-6 with ``rule``, calibrating on series 5-9."""
+    corpus = workdir / "corpus.csv"
+    main(["generate", "--config", str(workdir / "data.json"), "--out", str(corpus)])
+    for role, seed in (("target", "1"), ("reference", "2")):
+        main(["train", "--data", str(corpus), "--config", str(workdir / "model.json"),
+              "--out", str(workdir / f"{role}.json"), "--seed", seed])
+    series = load_csv(str(corpus))
+    save_csv(series[2:7], str(workdir / "candidates.csv"))
+    save_csv(series[5:10], str(workdir / "nonmembers.csv"))
+    (workdir / "attack.json").write_text(json.dumps({"repeats": 3, "theta_rule": rule}))
+    out = workdir / "scores.json"
+    code = main(["attack", "--target", str(workdir / "target.json"), "--reference", str(workdir / "reference.json"),
+                 "--candidates", str(workdir / "candidates.csv"), "--config", str(workdir / "attack.json"),
+                 "--known-nonmembers", str(workdir / "nonmembers.csv"), "--out", str(out)])
+    return code, out, series
+
+
+def test_attack_std_rule_calibrates_on_known_nonmembers(workdir, capsys):
+    code, out, series = _known_nonmembers_run(workdir, {"kind": "std_rule", "n": 1.0})
+    assert code == 0
+    doc = json.loads(out.read_text())
+    # Series 5 and 6 are candidates too: their scores are reused, and the calibration counts them.
+    assert doc["calibration"] == {"nonmembers": 5, "also_candidates": 2}
+    # A candidate's ratio depends only on it, the models and the config's masking fields, so a run over
+    # every series gives the five nonmembers' ratios; theta is their mean plus one population std.
+    (workdir / "fixed.json").write_text(json.dumps({"repeats": 3, "theta_rule": {"kind": "fixed", "theta": 1.0}}))
+    assert main(["attack", "--target", str(workdir / "target.json"), "--reference", str(workdir / "reference.json"),
+                 "--candidates", str(workdir / "corpus.csv"), "--config", str(workdir / "fixed.json"),
+                 "--out", str(workdir / "all.json")]) == 0
+    ratios = {row["id"]: row["r"] for row in json.loads((workdir / "all.json").read_text())["per_candidate"]}
+    nonmember_ratios = np.array([ratios[s.id] for s in series[5:10]])
+    assert doc["theta"] == pytest.approx(nonmember_ratios.mean() + nonmember_ratios.std(), rel=1e-12)
+
+
+@pytest.mark.parametrize("rule", [{"kind": "top_percent", "percent": 25}, {"kind": "fixed", "theta": 1.0}], ids=["top_percent", "fixed"])
+def test_attack_rejects_known_nonmembers_for_a_rule_that_ignores_them(workdir, capsys, rule):
+    code, out, _ = _known_nonmembers_run(workdir, rule)
+    assert code == 1
+    assert f"error: --known-nonmembers calibrates std_rule only, but the theta rule is {rule['kind']}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_audit_calls_do_not_import_numpy_ma(workdir):

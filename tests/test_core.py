@@ -3,16 +3,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from imputeaudit.core import (
     DegenerateMaskError,
-    MaskMatrix,
     MaskedSeries,
     OracleError,
     TimeSeries,
+    _block_mask,
     _query,
     apply_mask,
     derive_seed,
@@ -38,29 +39,35 @@ def test_time_series_rejects_nonfinite_and_empty():
         TimeSeries("bad", [1.0, np.nan])
     with pytest.raises(ValueError):
         TimeSeries("bad", np.empty((0, 1)))
+    with pytest.raises(ValueError, match="series values must be 1-D or 2-D, got ndim=3"):
+        TimeSeries("bad", np.zeros((2, 2, 2)))
 
 
-def test_mask_matrix_rejects_non_binary():
-    for bad in ([[0, 2]], [[0.5, 1.0]], [[-1, 1]], [[np.nan, 1.0]]):
-        with pytest.raises(ValueError):
-            MaskMatrix(np.array(bad))
-    mask = MaskMatrix(np.array([[True, False], [False, True]]))
-    assert mask.entries.tolist() == [[1, 0], [0, 1]]
+def test_masked_series_rejects_a_mask_that_is_not_bool_or_not_of_the_series_shape():
+    series = TimeSeries("a", np.zeros((1, 2)))
+    # A 0/1 int array is not a mask either, nor is a bool array of another shape, a 1-D one included.
+    for bad in ([[0, 2]], [[0.5, 1.0]], [[-1, 1]], [[np.nan, 1.0]], [[0, 1]], [[False], [True]], [False, True], [[[False, True]]]):
+        bad = np.array(bad)
+        with pytest.raises(ValueError, match=re.escape(f"bool array of shape (1, 2), got {bad.dtype} of shape {bad.shape}")):
+            MaskedSeries(series, bad)
+    view = MaskedSeries(TimeSeries("a", np.zeros((2, 2))), np.array([[False, True], [True, False]]))
+    assert view.missing.dtype == np.bool_
+    assert view.missing.tolist() == [[False, True], [True, False]]
 
 
 def test_single_unit_mask_one_point():
     x = TimeSeries("a", np.arange(10.0))
     masked = single_unit_mask(x, 4, 1)
-    assert int(masked.mask.missing().sum()) == 1
-    assert masked.mask.entries[4, 0] == 0
+    assert int(masked.missing.sum()) == 1
+    assert masked.missing[4, 0]
 
 
 def test_single_unit_mask_block_in_one_dim():
     x = TimeSeries("a", np.arange(16.0).reshape(8, 2))
     masked = single_unit_mask(x, 2, 2, dim=1)
-    assert int(masked.mask.missing().sum()) == 2
-    assert np.all(masked.mask.entries[:, 0] == 1)
-    assert np.array_equal(masked.mask.missing().nonzero()[0], [2, 3])
+    assert int(masked.missing.sum()) == 2
+    assert not masked.missing[:, 0].any()
+    assert np.array_equal(masked.missing.nonzero()[0], [2, 3])
 
 
 def test_single_unit_mask_degenerate():
@@ -79,28 +86,44 @@ def test_single_unit_mask_out_of_range():
         single_unit_mask(x, 0, 1, dim=5)
 
 
-def test_single_unit_mask_shares_one_mask_per_block_and_still_checks_every_call():
+def test_single_unit_mask_caches_one_mask_per_block_and_still_checks_every_call():
     x = TimeSeries("a", np.arange(16.0).reshape(8, 2))
     y = TimeSeries("b", -np.arange(16.0).reshape(8, 2))
+    cached = _block_mask(8, 2, 2, 3, 1)
+    assert _block_mask(8, 2, 2, 3, 1) is cached and not cached.flags.writeable
+    assert _block_mask(8, 2, 2, 3, 0) is not cached
     first, again, other = single_unit_mask(x, 2, 3, dim=1), single_unit_mask(x, 2, 3, dim=1), single_unit_mask(y, 2, 3, 1)
-    assert first.mask is again.mask is other.mask
-    assert single_unit_mask(x, 2, 3, dim=0).mask is not first.mask
+    # Each view holds its own copy of the cached mask.
+    for view in (first, again, other):
+        assert np.array_equal(view.missing, cached) and not np.shares_memory(view.missing, cached)
+    assert not np.shares_memory(first.missing, again.missing)
+    assert not np.array_equal(single_unit_mask(x, 2, 3, dim=0).missing, first.missing)
     assert np.array_equal(other.series.values[:, 1], [-1.0, -3.0, 0.0, 0.0, 0.0, -11.0, -13.0, -15.0])
     for bad in [(6, 3, 1), (-1, 3, 1), (2, 3, 2), (2, 0, 1)]:
         with pytest.raises(ValueError):
             single_unit_mask(x, *bad)
     with pytest.raises(DegenerateMaskError):
         single_unit_mask(x, 0, 8, 1)
-    assert single_unit_mask(x, 2, 3, dim=1).mask is first.mask
+    assert _block_mask(8, 2, 2, 3, 1) is cached
 
 
 def test_mask_views_are_read_only():
-    mask = single_unit_mask(TimeSeries("a", np.arange(10.0)), 3).mask
-    for view in (mask.observed(), mask.missing(), mask.entries):
+    x = TimeSeries("a", np.arange(10.0))
+    for missing in (single_unit_mask(x, 3).missing, random_missing_mask(x.shape, 0.3, seed=3),
+                    apply_mask(x, random_missing_mask(x.shape, 0.3, seed=3)).missing):
         with pytest.raises(ValueError):
-            view[0, 0] = not view[0, 0]
-    assert mask.observed().tolist() == [[i != 3] for i in range(10)]
-    assert mask.missing().tolist() == [[i == 3] for i in range(10)]
+            missing[0, 0] = not missing[0, 0]
+    assert single_unit_mask(x, 3).missing.tolist() == [[i == 3] for i in range(10)]
+
+
+def test_a_view_keeps_its_mask_when_the_callers_array_changes():
+    x = TimeSeries("a", np.arange(10.0))
+    hidden = np.zeros(x.shape, dtype=bool)
+    hidden[3, 0] = True
+    views = [MaskedSeries(apply_mask(x, hidden).series, hidden), apply_mask(x, hidden)]
+    hidden[:] = ~hidden
+    for view in views:
+        assert view.missing.tolist() == [[i == 3] for i in range(10)]
 
 
 class _EditingOracle:
@@ -129,22 +152,23 @@ def test_query_rejects_a_change_to_any_single_observed_entry(row, value):
 def test_random_missing_mask_exact_count_and_determinism():
     m1 = random_missing_mask((10, 1), 0.2, seed=42)
     m2 = random_missing_mask((10, 1), 0.2, seed=42)
-    assert int(m1.missing().sum()) == 2
-    assert np.array_equal(m1.entries, m2.entries)
+    assert m1.dtype == np.bool_ and m1.shape == (10, 1)
+    assert int(m1.sum()) == 2
+    assert np.array_equal(m1, m2)
 
-    assert int(random_missing_mask((5, 2), 0.5, seed=0).missing().sum()) == 5
+    assert int(random_missing_mask((5, 2), 0.5, seed=0).sum()) == 5
 
 
 @pytest.mark.parametrize("shape,fraction", [((7, 3), 0.1), ((13, 2), 0.33), ((4, 4), 0.9)])
 def test_random_missing_mask_exact_count_sweep(shape, fraction):
     expected = int(round(fraction * shape[0] * shape[1]))
-    assert int(random_missing_mask(shape, fraction, seed=1).missing().sum()) == expected
+    assert int(random_missing_mask(shape, fraction, seed=1).sum()) == expected
 
 
 def test_random_missing_mask_seeds_differ():
     a = random_missing_mask((100, 1), 0.3, seed=1)
     b = random_missing_mask((100, 1), 0.3, seed=2)
-    assert not np.array_equal(a.entries, b.entries)
+    assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.3, 1.5])
@@ -155,23 +179,27 @@ def test_random_missing_mask_fraction_validation(fraction):
 
 def test_apply_mask_identity_under_all_ones():
     x = TimeSeries("a", np.arange(6.0).reshape(3, 2))
-    masked = apply_mask(x, MaskMatrix(np.ones((3, 2))))
+    masked = apply_mask(x, np.zeros((3, 2), dtype=bool))
     assert np.array_equal(masked.series.values, x.values)
 
 
 def test_apply_mask_sentinel_and_survivor():
     x = TimeSeries("a", [1.0, 2.0, 3.0])
-    masked = apply_mask(x, MaskMatrix(np.array([1, 0, 1])))
+    masked = apply_mask(x, np.array([[False], [True], [False]]))
     assert np.array_equal(masked.series.values[:, 0], [1.0, 0.0, 3.0])
 
-    only_one = apply_mask(x, MaskMatrix(np.array([0, 1, 0])))
-    assert int(only_one.mask.missing().sum()) == 2
+    only_one = apply_mask(x, np.array([[True], [False], [True]]))
+    assert int(only_one.missing.sum()) == 2
     assert only_one.series.values[1, 0] == 2.0
 
 
 def test_apply_mask_shape_mismatch():
-    with pytest.raises(ValueError):
-        apply_mask(TimeSeries("a", np.ones((3, 1))), MaskMatrix(np.ones((4, 1))))
+    # Shapes numpy would broadcast against the series are rejected too, a 1-D mask included.
+    for series_shape, mask_shape in [((3, 1), (4, 1)), ((3, 1), (3,)), ((1, 2), (3, 2)), ((3, 1), (3, 4))]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            apply_mask(TimeSeries("a", np.ones(series_shape)), np.zeros(mask_shape, dtype=bool))
+    with pytest.raises(ValueError, match="bool array"):
+        apply_mask(TimeSeries("a", np.ones((3, 1))), np.zeros((3, 1)))
 
 
 def test_masked_series_observed_consistency_random():
@@ -179,9 +207,9 @@ def test_masked_series_observed_consistency_random():
     for _ in range(25):
         steps, dims = int(rng.integers(2, 12)), int(rng.integers(1, 4))
         x = TimeSeries("s", rng.normal(size=(steps, dims)))
-        mask = random_missing_mask((steps, dims), 0.4, seed=int(rng.integers(1 << 30)))
-        masked = apply_mask(x, mask)
-        obs = mask.observed()
+        missing = random_missing_mask((steps, dims), 0.4, seed=int(rng.integers(1 << 30)))
+        masked = apply_mask(x, missing)
+        obs = ~missing
         assert np.array_equal(masked.series.values[obs], x.values[obs])
         assert np.all(masked.series.values[~obs] == 0.0)
 
@@ -222,11 +250,11 @@ def test_derive_seed_stable_and_distinct():
 
 
 def test_masked_series_holds_only_what_the_oracle_sees():
-    assert {f.name for f in dataclasses.fields(MaskedSeries)} == {"series", "mask"}
+    assert {f.name for f in dataclasses.fields(MaskedSeries)} == {"series", "missing"}
     masked = single_unit_mask(TimeSeries("a", np.arange(10.0)), 3)
     assert masked.id == "a"
     with pytest.raises(ValueError):
-        MaskedSeries(TimeSeries("a", np.ones((3, 1))), MaskMatrix(np.ones((4, 1))))
+        MaskedSeries(TimeSeries("a", np.ones((3, 1))), np.zeros((4, 1), dtype=bool))
 
 
 def test_views_and_completions_are_frozen_and_share_no_memory(tiny_corpus, fresh_model, monkeypatch):
@@ -242,8 +270,8 @@ def test_views_and_completions_are_frozen_and_share_no_memory(tiny_corpus, fresh
 
     monkeypatch.setattr(fresh_model._net, "forward", recorded)
     x = tiny_corpus[0]
-    for mask in (single_unit_mask(x, 5, 3).mask, random_missing_mask(x.shape, 0.2, 1), MaskMatrix(np.ones(x.shape))):
-        masked = apply_mask(x, mask)
+    for missing in (single_unit_mask(x, 5, 3).missing, random_missing_mask(x.shape, 0.2, 1), np.zeros(x.shape, dtype=bool)):
+        masked = apply_mask(x, missing)
         completed = _query(fresh_model, masked, "target")
         model_arrays = [outputs[-1], *fresh_model._views.values()]
         for frozen, others in ((masked.series.values, [x.values]),

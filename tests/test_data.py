@@ -140,6 +140,8 @@ def test_split_determinism_and_seed_sensitivity():
 def test_split_too_few_series():
     with pytest.raises(ValueError):
         split_scenario1(corpus_of(4), seed=0)
+    with pytest.raises(ValueError, match="need at least 5 series to split, got 4"):
+        split_scenario2(corpus_of(4), seed=0)
 
 
 def test_split_duplicate_ids_rejected():
@@ -288,6 +290,31 @@ def test_csv_that_is_not_utf8_names_the_file(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(CsvParseError, match=f"{name} is not UTF-8 text"):
             load_csv(str(path))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_csv_that_is_not_utf8_past_the_first_decode_chunk_names_the_files_byte_and_line(tmp_path, newline):
+    # The text layer decodes 8 KiB at a time, and its error counts from the start of its chunk.
+    # 1,000 fixed-width records; the bad byte opens the id of record 999, on line 1,000, past the first chunk.
+    header, records = f"id,t,dim,value{newline}".encode(), [f"s{i:04d},0,0,1.0{newline}".encode() for i in range(1000)]
+    records[998] = b"\xff" + records[998][1:]
+    offset = len(header) + 998 * len(records[0])
+    assert offset > 8192
+    path = tmp_path / "late.csv"
+    path.write_bytes(header + b"".join(records))
+    with pytest.raises(CsvParseError, match=f"late.csv is not UTF-8 text: byte {offset} \\(line 1000\\): invalid start byte"):
+        load_csv(str(path))
+
+
+def test_csv_decode_error_the_whole_file_does_not_reproduce_keeps_the_text_layers_message(tmp_path, monkeypatch):
+    # As when the file is rewritten between the text layer's read and the whole-file check.
+    def undecodable(fh):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(imputeaudit.data, "_records", undecodable)
+    path = write_csv(tmp_path / "changed.csv", "id,t,dim,value\na,0,0,1.0\n")
+    with pytest.raises(CsvParseError, match="changed.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"):
+        load_csv(path)
 
 
 def test_csv_field_past_csvs_limit_names_the_file_and_line(tmp_path):

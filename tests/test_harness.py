@@ -287,6 +287,9 @@ def test_config_rejects_unknown_keys_in_nested_blocks_by_name(block, where, key)
     (["target_model", "learning_rate"], json.loads("NaN"), "'learning_rate' in the target_model block of the experiment config must be a finite float"),
     pytest.param(["fine_tune", "momentum"], 10**400, "'momentum' in the fine_tune block of the experiment config must be a finite float",
                  id="int_past_float"),
+    pytest.param(["data", "components"], [1, 2, 3],
+                 r"'components' in the synthetic data block of the experiment config must be a list of 2, got \[1, 2, 3\]",
+                 id="tuple_of_the_wrong_length"),
 ])
 def test_config_rejects_mistyped_values_by_name(path, value, match):
     # Each of these once parsed to a different audit: "false" as True, 7.9 as 7, true as 1, an infinite
@@ -308,7 +311,10 @@ def test_config_rejects_mistyped_values_by_name(path, value, match):
     (["data", "count"], 0,
      "the synthetic data block of the experiment config: count >= 1, length >= 2 and dims >= 1 required"),
     (["parity_tolerance"], -1.0, "the experiment config: parity_tolerance must be finite and positive, got -1.0"),
-], ids=["fine_tune", "attack", "data", "top_level"])
+    (["scenario"], 3, "the experiment config: scenario must be 1 or 2, got 3"),
+    (["parity_fraction"], 0.0, "the experiment config: parity_fraction must be in (0, 1)"),
+    (["parity_fraction"], 1.0, "the experiment config: parity_fraction must be in (0, 1)"),
+], ids=["fine_tune", "attack", "data", "top_level", "scenario", "parity_fraction_0", "parity_fraction_1"])
 def test_config_names_the_block_of_a_value_out_of_range(path, value, message):
     # The class's own range check once gave only its text: three blocks of one config could hold a learning_rate.
     root = Path(__file__).resolve().parent.parent

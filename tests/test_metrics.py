@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from imputeaudit.metrics import (
     LabeledScores,
+    RocCurve,
     auroc,
     headline_summary,
     roc_curve,
@@ -63,6 +64,32 @@ def test_single_class_rejected():
         roc_curve(labeled([0.1, 0.2], [True, True]))
     with pytest.raises(ValueError):
         roc_curve(labeled([0.1, 0.2], [False, False]))
+
+
+@pytest.mark.parametrize("scores, members, message", [
+    ([[0.1, 0.2]], [[True, False]], "scores and labels must be 1-D"),
+    ([0.1, 0.2, 0.3], [True, False], "3 scores vs 2 labels"),
+    ([], [], "need at least one scored candidate"),
+    ([0.1, np.inf], [True, False], "scores must be finite"),
+    ([0.1, np.nan], [True, False], "scores must be finite"),
+], ids=["2-D", "lengths", "empty", "inf", "nan"])
+def test_labeled_scores_rejects_malformed_input(scores, members, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabeledScores(scores, members)
+
+
+@pytest.mark.parametrize("fpr, tpr, thresholds, message", [
+    ([0.0, 1.0], [0.0, 1.0], [0.5], "curve needs matching 1-D arrays with at least two points"),
+    ([[0.0, 1.0]], [[0.0, 1.0]], [[0.5, 0.6]], "curve needs matching 1-D arrays with at least two points"),
+    ([0.0], [0.0], [0.5], "curve needs matching 1-D arrays with at least two points"),
+    ([0.0, 0.6, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0], [0, 1, 2, 3], "fpr and tpr must be nondecreasing along the curve"),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0], [0, 1, 2, 3], "fpr and tpr must be nondecreasing along the curve"),
+    ([0.0, 0.5, 0.9], [0.0, 0.5, 1.0], [0, 1, 2], r"curve must start at \(0,0\) and end at \(1,1\)"),
+    ([0.1, 0.5, 1.0], [0.0, 0.5, 1.0], [0, 1, 2], r"curve must start at \(0,0\) and end at \(1,1\)"),
+], ids=["lengths", "2-D", "one-point", "fpr-decreases", "tpr-decreases", "end", "start"])
+def test_roc_curve_rejects_malformed_points(fpr, tpr, thresholds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RocCurve(fpr, tpr, thresholds)
 
 
 def test_auroc_matches_rank_statistic_on_random_sets():
@@ -156,6 +183,8 @@ def test_tpr_at_top_percent_validation():
     for pct in (0.0, -5.0, 100.1):
         with pytest.raises(ValueError):
             tpr_at_top_percent(data, pct)
+    with pytest.raises(ValueError, match="no members to recover"):
+        tpr_at_top_percent(labeled([0.1, 0.9], [False, False]), 50.0)
 
 
 def test_verdict_point_lies_on_curve():

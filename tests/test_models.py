@@ -23,7 +23,6 @@ from helpers import (
 from imputeaudit import attention, models
 from imputeaudit.attention import _buffer
 from imputeaudit.core import (
-    MaskMatrix,
     OracleError,
     TimeSeries,
     _query,
@@ -267,7 +266,7 @@ def test_attention_impute_matches_the_every_row_forward_bit_for_bit(dims):
         for view in views:
             x = view.series.values[None]
             full, _ = net.forward(model._views, x, every(x))
-            expected = np.where(view.mask.observed(), view.series.values, full[0])
+            expected = np.where(~view.missing, view.series.values, full[0])
             assert model.impute(view).values.tobytes() == expected.tobytes()
 
 
@@ -559,12 +558,12 @@ def test_keep_observed_is_exact(arch_cfg):
     model = train(corpus, cfg)
     x = corpus[0]
 
-    all_ones = apply_mask(x, MaskMatrix(np.ones(x.shape)))
+    all_ones = apply_mask(x, np.zeros(x.shape, dtype=bool))
     assert np.array_equal(model.impute(all_ones).values, x.values)
 
     partial = apply_mask(x, random_missing_mask(x.shape, 0.4, seed=8))
     completed = model.impute(partial)
-    obs = partial.mask.observed()
+    obs = ~partial.missing
     assert np.array_equal(completed.values[obs], x.values[obs])
     assert completed.shape == x.shape
     assert np.all(np.isfinite(completed.values))
@@ -572,7 +571,7 @@ def test_keep_observed_is_exact(arch_cfg):
 
 def test_impute_shape_mismatch_rejected():
     model = train(small_corpus(steps=10), ImputerConfig(epochs=1, seed=0))
-    wrong = apply_mask(TimeSeries("w", np.zeros((11, 1))), MaskMatrix(np.ones((11, 1))))
+    wrong = apply_mask(TimeSeries("w", np.zeros((11, 1))), np.zeros((11, 1), dtype=bool))
     with pytest.raises(ValueError):
         model.impute(wrong)
 
@@ -594,6 +593,8 @@ def test_config_validation():
         ImputerConfig(epochs=0)
     with pytest.raises(ValueError):
         ImputerConfig(mask_fraction=1.0)
+    with pytest.raises(ValueError, match="layer widths, head count and block count must be positive"):
+        ImputerConfig(hidden=0)
 
 
 def test_divergence_raises_named_error():
@@ -640,6 +641,8 @@ def test_fine_tune_rejects_architecture_change():
     # Every other field is a training knob, free to change.
     tuned = fine_tune(base, small_corpus(), replace(base.config, epochs=2, learning_rate=0.01, batch_size=4, seed=3))
     assert tuned.config.epochs == 2
+    with pytest.raises(ValueError, match=r"private data shape \(12, 1\) incompatible with base \(16, 1\)"):
+        fine_tune(base, small_corpus(steps=12), base.config)
 
 
 def test_evaluate_mae_of_zero_filler_is_mean_abs():
@@ -652,10 +655,12 @@ def test_evaluate_mae_of_zero_filler_is_mean_abs():
     # independent recomputation from the masks the oracle actually saw
     total, count = 0.0, 0
     for x, seen in zip(corpus, oracle.seen, strict=True):
-        hidden = seen.mask.missing()
+        hidden = seen.missing
         total += np.abs(x.values[hidden]).sum()
         count += hidden.sum()
     assert mae == pytest.approx(total / count, abs=1e-12)
+    with pytest.raises(ValueError, match="no series to evaluate"):
+        evaluate_mae(oracle, [], fraction=0.25, seed=44)
 
 
 def test_parity_fraction_that_hides_no_entry_raises_before_that_series_is_queried():
@@ -742,7 +747,7 @@ def test_an_overflowing_model_fails_at_the_query_boundary(tiny_corpus, fresh_mod
     x = tiny_corpus[0]
     masked = single_unit_mask(x, 5, 3)
     with np.errstate(over="ignore"):
-        assert np.isinf(model._net.forward(model._views, masked.series.values[None], masked.mask.missing()[None])[0]).all()
+        assert np.isinf(model._net.forward(model._views, masked.series.values[None], masked.missing[None])[0]).all()
         for caller in ("target", "reference", "parity"):
             with pytest.raises(OracleError, match=f"{caller} oracle failed on series {x.id!r}: .*must be finite"):
                 _query(model, masked, caller)
@@ -838,6 +843,8 @@ def test_load_rejects_mistyped_model_files_by_name(tmp_path, edit, match):
 def test_trained_imputer_rejects_wrong_param_count():
     with pytest.raises(ValueError):
         TrainedImputer(config=AE_TINY, n_steps=5, n_dims=1, params=np.zeros(3), history=(0.1,))
+    with pytest.raises(ValueError, match="parameters must be a flat vector"):
+        TrainedImputer(config=AE_TINY, n_steps=5, n_dims=1, params=np.zeros((1, 3)), history=(0.1,))
 
 
 def test_trained_imputer_satisfies_oracle_protocol():
