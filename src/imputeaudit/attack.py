@@ -236,12 +236,15 @@ def run_attack(
 
     StdRule calibrates on ``known_nonmembers`` (series the auditor knows were
     never trained on), reusing the score of any that is also a candidate (same
-    id and values), and the report's ``calibration`` counts both; the other
-    rules ignore them. Output order matches input order and the whole run is
-    deterministic for a fixed config.
+    id and values), and the report's ``calibration`` counts both. The other
+    rules calibrate on no nonmembers, so a list given with one raises
+    ValueError naming the rule, before any query. Output order matches input
+    order and the whole run is deterministic for a fixed config.
     """
     if not candidates:
         raise ValueError("no candidates to score")
+    if known_nonmembers is not None and not isinstance(cfg.theta_rule, StdRule):
+        raise ValueError(f"known nonmembers calibrate std_rule only, but the theta rule is {cfg.theta_rule.TAG[1]}")
     scores = tuple(lbrm_score(target, reference, x, cfg) for x in candidates)
 
     nonmember_ratios, calibration = [], None

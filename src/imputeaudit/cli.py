@@ -49,8 +49,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     cfg = _load(attack_mod.AttackConfig, args.config) if args.config else attack_mod.AttackConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.known_nonmembers and not isinstance(cfg.theta_rule, attack_mod.StdRule):
-        raise ValueError(f"--known-nonmembers calibrates std_rule only, but the theta rule is {cfg.theta_rule.TAG[1]}")
     target = models.load_model(args.target)
     reference = models.load_model(args.reference)
     candidates = _normalized_corpus(args.candidates)

@@ -166,9 +166,8 @@ def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -
 
     Raises DegenerateMaskError when the block covers every step of the chosen
     dimension (nothing left to condition on), and ValueError for blocks that
-    fall outside the series. The mask of a valid block is built once per
-    shape and block, in a small cache, and each view cut with it holds its
-    own copy.
+    fall outside the series. Each call builds the block's mask for its view;
+    no mask is cached.
     """
     steps, dims = x.shape
     if length < 1:
@@ -181,15 +180,9 @@ def single_unit_mask(x: TimeSeries, start: int, length: int = 1, dim: int = 0) -
         )
     if start < 0 or start + length > steps:
         raise ValueError(f"block [{start}, {start + length}) out of range for length {steps}")
-    return apply_mask(x, _block_mask(steps, dims, start, length, dim))
-
-
-@functools.lru_cache(maxsize=256)
-def _block_mask(steps: int, dims: int, start: int, length: int, dim: int) -> np.ndarray:
     missing = np.zeros((steps, dims), dtype=bool)
     missing[start : start + length, dim] = True
-    missing.setflags(write=False)
-    return missing
+    return apply_mask(x, missing)
 
 
 def random_missing_mask(shape: tuple[int, int], fraction: float, seed: int) -> np.ndarray:
@@ -260,10 +253,21 @@ def _write_json(doc: dict, path: str) -> None:
 
 
 def _load(kind, path: str):
-    """The JSON file at ``path`` read as ``kind`` (see ``_read``); every error names ``path``."""
-    with open(path, encoding="utf-8") as fh:
+    """The UTF-8 JSON file at ``path``, with or without a byte-order mark, read as
+    ``kind`` (see ``_read``). A key repeated in one object is an error, where
+    json.load would keep its last value; every error names ``path``."""
+
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{path}: key {key!r} appears more than once in one object")
+            doc[key] = value
+        return doc
+
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            return _read(kind, json.load(fh), path)
+            return _read(kind, json.load(fh, object_pairs_hook=unique_keys), path)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -287,7 +287,8 @@ def _series(rows: np.ndarray) -> list[TimeSeries] | None:
 
 
 def load_csv(path: str) -> list[TimeSeries]:
-    """Read a UTF-8 corpus saved by :func:`save_csv` (or matching its schema).
+    """Read a UTF-8 corpus saved by :func:`save_csv` (or matching its schema),
+    with or without a byte-order mark.
 
     numpy's C reader parses the body in one call; series keep the order in which
     their ids first appear. A file it rejects, or whose records do not fill one
@@ -302,12 +303,13 @@ def load_csv(path: str) -> list[TimeSeries]:
     field past ``csv.field_size_limit()``, raises CsvParseError naming the file
     and the line csv stopped on. numpy's reader reads some non-ASCII characters
     as digits, so a file that is not all ASCII is read record by record too,
-    and loads only if that read passes. A file that is not UTF-8 raises
-    CsvParseError naming the byte offset and line of its first bad byte.
+    and loads only if that read passes; so is a file with a byte-order mark. A
+    file that is not UTF-8 raises CsvParseError naming the byte offset and line
+    of its first bad byte, counted in the raw file.
     """
     with open(path, "rb") as raw:
         all_ascii = all(chunk.isascii() for chunk in iter(lambda: raw.read(1 << 16), b""))
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(reader := csv.reader(fh), None)
             if header is None or [h.strip() for h in header] != _FIELDS:

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from .attack import AttackConfig, AttackReport, report_to_dict, run_attack
+from .attack import AttackConfig, AttackReport, StdRule, report_to_dict, run_attack
 from .core import TimeSeries, _load, _read, _to_dict, _write_json, derive_seed, zscore_normalize
 from .data import (
     ScenarioSplit,
@@ -176,7 +176,8 @@ def _finish(cfg: ExperimentConfig, split: ScenarioSplit, target: TrainedImputer,
     candidates = list(split.private) + list(split.test)
     labels = [True] * len(split.private) + [False] * len(split.test)
     attack_cfg = replace(cfg.attack, seed=derive_seed(cfg.master_seed, "attack"))
-    report = run_attack(target, reference, candidates, attack_cfg, known_nonmembers=list(split.test))
+    nonmembers = list(split.test) if isinstance(attack_cfg.theta_rule, StdRule) else None
+    report = run_attack(target, reference, candidates, attack_cfg, known_nonmembers=nonmembers)
 
     lbrm_metrics, naive_metrics, lbrm_curve, naive_curve = metrics_from_report(report, labels)
     return ExperimentReport(

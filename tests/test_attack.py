@@ -472,11 +472,23 @@ def test_std_rule_report_says_how_many_nonmembers_were_candidates():
     doc = report_to_dict(in_sample)
     assert doc["calibration"] == {"nonmembers": 7, "also_candidates": 4}
     assert report_from_dict(doc).calibration == in_sample.calibration
-    # The other rules calibrate on no nonmembers and say nothing about it.
-    top = run_attack(target, reference, candidates, replace(cfg, theta_rule=TopPercentRule(25.0)),
-                     known_nonmembers=candidates)
+    # The other rules calibrate on no nonmembers, and a run that names some is an error.
+    with pytest.raises(ValueError, match="the theta rule is top_percent"):
+        run_attack(target, reference, candidates, replace(cfg, theta_rule=TopPercentRule(25.0)), known_nonmembers=candidates)
+    top = run_attack(target, reference, candidates, replace(cfg, theta_rule=TopPercentRule(25.0)))
     assert top.calibration is None
     assert "calibration" not in report_to_dict(top)
+
+
+@pytest.mark.parametrize("rule", [TopPercentRule(25.0), FixedTheta(1.0)], ids=["top_percent", "fixed"])
+def test_run_attack_rejects_known_nonmembers_for_a_rule_that_ignores_them(rule):
+    candidates, nonmembers = [series(i) for i in range(4)], [series(100 + i) for i in range(3)]
+    target = CountingOracle(OffsetOracle(0.2, candidates + nonmembers))
+    reference = CountingOracle(OffsetOracle(0.6, candidates + nonmembers))
+    for given in (nonmembers, []):
+        with pytest.raises(ValueError, match=f"known nonmembers calibrate std_rule only, but the theta rule is {rule.TAG[1]}$"):
+            run_attack(target, reference, candidates, AttackConfig(repeats=2, theta_rule=rule), known_nonmembers=given)
+    assert target.calls == reference.calls == 0  # rejected before any query
 
 
 # Per-candidate independence: a candidate's score depends only on the candidate, the two oracles and the
@@ -497,10 +509,15 @@ def tiny_audit():
     return target, reference, candidates, nonmembers
 
 
+def nonmembers_for(rule, nonmembers):
+    """The known nonmembers a run with ``rule`` calibrates on: only a StdRule takes any."""
+    return nonmembers if isinstance(rule, StdRule) else None
+
+
 @functools.lru_cache(maxsize=2)
 def scores_of_all(rule):
     target, reference, candidates, nonmembers = tiny_audit()
-    report = run_attack(target, reference, list(candidates), replace(INDEPENDENCE, theta_rule=rule), nonmembers)
+    report = run_attack(target, reference, list(candidates), replace(INDEPENDENCE, theta_rule=rule), nonmembers_for(rule, nonmembers))
     return {s.candidate_id: s for s in report.scores}
 
 
@@ -513,10 +530,10 @@ def score_bits(s):
 @example([5, 4, 3, 2, 1, 0], TopPercentRule(25.0))
 @example([2, 2, 0], StdRule(1.0))
 def test_a_candidate_scores_the_same_bits_in_any_candidate_list(picks, rule):
-    # Permutations, subsets and duplicates; caches held per run (schedules, masks, self-alignments) must not leak.
+    # Permutations, subsets and duplicates; caches held per run (schedules, self-alignments) must not leak.
     target, reference, candidates, nonmembers = tiny_audit()
     picked = [candidates[i] for i in picks]
-    report = run_attack(target, reference, picked, replace(INDEPENDENCE, theta_rule=rule), nonmembers)
+    report = run_attack(target, reference, picked, replace(INDEPENDENCE, theta_rule=rule), nonmembers_for(rule, nonmembers))
     assert [score_bits(s) for s in report.scores] == [score_bits(scores_of_all(rule)[x.id]) for x in picked]
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_attack_std_rule_calibrates_on_known_nonmembers(workdir, capsys):
 def test_attack_rejects_known_nonmembers_for_a_rule_that_ignores_them(workdir, capsys, rule):
     code, out, _ = _known_nonmembers_run(workdir, rule)
     assert code == 1
-    assert f"error: --known-nonmembers calibrates std_rule only, but the theta rule is {rule['kind']}" in capsys.readouterr().err
+    assert f"error: known nonmembers calibrate std_rule only, but the theta rule is {rule['kind']}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -317,6 +318,41 @@ def test_malformed_json_input_reports_path(tmp_path, capsys, command):
     assert main([command, *args]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad} is not valid JSON")
+
+
+def _json_inputs(workdir):
+    """For each kind of JSON input: a valid document, a CLI call that reads it from {path}, and one of its keys."""
+    corpus, model = str(workdir / "corpus.csv"), str(workdir / "model-file.json")
+    main(["generate", "--config", str(workdir / "data.json"), "--out", corpus])
+    main(["train", "--data", corpus, "--config", str(workdir / "model.json"), "--out", model])
+    scores = {"theta": 1.0, "theta_rule": {"kind": "fixed", "theta": 1.0},
+              "per_candidate": [{"id": "a", "l_t": 0.2, "l_r": 1.0, "r": 0.2, "is_member": True}]}
+    (workdir / "scores.json").write_text(json.dumps(scores))
+    out = ["--out", str(workdir / "out.json")]
+    return {
+        "experiment_config": (experiment_config(workdir, workdir / "o"), ["scenario2", "--config", "{path}"], "master_seed"),
+        "synthetic_config": (json.loads((workdir / "data.json").read_text()), ["generate", "--config", "{path}", *out], "seed"),
+        "model_config": (json.loads((workdir / "model.json").read_text()),
+                         ["train", "--data", corpus, "--config", "{path}", *out], "epochs"),
+        "attack_config": ({"repeats": 2}, ["attack", "--target", model, "--reference", model, "--candidates", corpus,
+                                           "--config", "{path}", *out], "repeats"),
+        "model_file": (json.loads(Path(model).read_text()),
+                       ["attack", "--target", "{path}", "--reference", model, "--candidates", corpus, *out], "n_steps"),
+        "scores": (scores, ["metrics", "--scores", "{path}", "--labels", str(workdir / "labels.json")], "theta"),
+        "labels": ({"a": True}, ["metrics", "--scores", str(workdir / "scores.json"), "--labels", "{path}"], "a"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["experiment_config", "synthetic_config", "model_config", "attack_config", "model_file",
+                                  "scores", "labels"])
+def test_a_key_repeated_in_a_json_input_is_an_error_naming_it(workdir, capsys, kind):
+    doc, argv, key = _json_inputs(workdir)[kind]
+    # The valid document with ``key`` given once more, first: json.load alone keeps the last value.
+    bad = workdir / f"repeated-{kind}.json"
+    bad.write_text(f"{{{json.dumps(key)}: {json.dumps(doc[key])}, " + json.dumps(doc)[1:])
+    capsys.readouterr()
+    assert main([arg.format(path=bad) for arg in argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: key {key!r} appears more than once in one object"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -4,16 +4,18 @@ import csv
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from imputeaudit.attack import AttackConfig
 from imputeaudit.core import (
     DegenerateMaskError,
     MaskedSeries,
     OracleError,
     TimeSeries,
-    _block_mask,
+    _load,
     _query,
     apply_mask,
     derive_seed,
@@ -22,9 +24,10 @@ from imputeaudit.core import (
     zscore_denormalize,
     zscore_normalize,
 )
-from imputeaudit.data import save_csv
+from imputeaudit.data import SyntheticConfig, save_csv
+from imputeaudit.harness import ExperimentConfig
 from imputeaudit.metrics import LabeledScores, roc_curve, write_roc_csv
-from imputeaudit.models import save_model
+from imputeaudit.models import ImputerConfig, save_model
 
 
 def test_time_series_promotes_1d_and_freezes():
@@ -86,16 +89,15 @@ def test_single_unit_mask_out_of_range():
         single_unit_mask(x, 0, 1, dim=5)
 
 
-def test_single_unit_mask_caches_one_mask_per_block_and_still_checks_every_call():
+def test_single_unit_mask_hides_its_block_and_checks_every_call():
     x = TimeSeries("a", np.arange(16.0).reshape(8, 2))
     y = TimeSeries("b", -np.arange(16.0).reshape(8, 2))
-    cached = _block_mask(8, 2, 2, 3, 1)
-    assert _block_mask(8, 2, 2, 3, 1) is cached and not cached.flags.writeable
-    assert _block_mask(8, 2, 2, 3, 0) is not cached
+    block = np.zeros((8, 2), dtype=bool)
+    block[2:5, 1] = True
     first, again, other = single_unit_mask(x, 2, 3, dim=1), single_unit_mask(x, 2, 3, dim=1), single_unit_mask(y, 2, 3, 1)
-    # Each view holds its own copy of the cached mask.
+    # Each view holds its own read-only mask.
     for view in (first, again, other):
-        assert np.array_equal(view.missing, cached) and not np.shares_memory(view.missing, cached)
+        assert np.array_equal(view.missing, block) and not view.missing.flags.writeable
     assert not np.shares_memory(first.missing, again.missing)
     assert not np.array_equal(single_unit_mask(x, 2, 3, dim=0).missing, first.missing)
     assert np.array_equal(other.series.values[:, 1], [-1.0, -3.0, 0.0, 0.0, 0.0, -11.0, -13.0, -15.0])
@@ -104,7 +106,6 @@ def test_single_unit_mask_caches_one_mask_per_block_and_still_checks_every_call(
             single_unit_mask(x, *bad)
     with pytest.raises(DegenerateMaskError):
         single_unit_mask(x, 0, 8, 1)
-    assert _block_mask(8, 2, 2, 3, 1) is cached
 
 
 def test_mask_views_are_read_only():
@@ -300,6 +301,20 @@ class _InterruptedWriter:
     def writerow(self, row):
         self.fh.write("partial,")
         raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("kind, doc", [
+    (ExperimentConfig, json.loads((Path(__file__).resolve().parent.parent / "configs/scenario2_fixture.json").read_text())),
+    (SyntheticConfig, {"family": "B", "count": 9, "components": [2, 2]}),
+    (ImputerConfig, {"architecture": "attention", "hidden": 8, "epochs": 3}),
+    (AttackConfig, {"repeats": 2, "theta_rule": {"kind": "std_rule", "n": 2.0}}),
+    (dict, {"a": True, "b": {"c": [1, 2.5]}}),
+], ids=["experiment", "synthetic", "imputer", "attack", "dict"])
+def test_load_reads_json_with_a_byte_order_mark_as_without_one(tmp_path, kind, doc):
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_text(json.dumps(doc), encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _load(kind, str(bom)) == _load(kind, str(plain))
 
 
 def _interrupted_dump(doc, fh, **kwargs):

@@ -162,6 +162,24 @@ def test_csv_round_trip(tmp_path):
         assert np.array_equal(x.values, y.values)
 
 
+def test_csv_with_a_byte_order_mark_loads_the_same_series_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(4)
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    save_csv([TimeSeries(f"series-{i}", rng.normal(size=(12, 3))) for i in range(10)], str(plain))
+    assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")  # written files carry no mark
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected, loaded = load_csv(str(plain)), load_csv(str(bom))
+    assert [s.id for s in loaded] == [s.id for s in expected]
+    assert [s.values.tobytes() for s in loaded] == [s.values.tobytes() for s in expected]
+    # Errors in such a file name its lines, and the bytes of the raw file, mark included.
+    bom.write_bytes(b"\xef\xbb\xbfid,t,dim,value\na,0,0,1.0\na,1,0,x\n")
+    with pytest.raises(CsvParseError, match="line 3: value must be a number"):
+        load_csv(str(bom))
+    bom.write_bytes(b"\xef\xbb\xbfid,t,dim,value\na,0,0,1.0\n\xff,1,0,2.0\n")
+    with pytest.raises(CsvParseError, match=r"is not UTF-8 text: byte 28 \(line 3\)"):
+        load_csv(str(bom))
+
+
 def test_csv_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,t,dim,value\na,0,0,1.5\na,1,0,not-a-number\n")
