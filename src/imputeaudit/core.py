@@ -213,7 +213,7 @@ def zscore_normalize(x: TimeSeries) -> tuple[TimeSeries, NormParams]:
     transform is always exactly invertible.
     """
     if x.length * x.dims < 2:
-        raise ValueError("need at least 2 values to normalize")
+        raise ValueError(f"series {x.id!r}: need at least 2 values to normalize")
     mean = x.values.mean(axis=0)
     sd = x.values.std(axis=0)  # population
     scale = np.where(sd > 0.0, sd, 1.0)

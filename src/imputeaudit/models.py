@@ -1,4 +1,5 @@
-"""Desk-scale trainable imputers: a dense autoencoder and a small self-attention model.
+"""Desk-scale trainable imputers: a dense autoencoder and a small self-attention
+model, whose nets live in the ``autoencoder`` and ``attention`` modules.
 
 Both train with mini-batch gradient descent on a masked-reconstruction
 objective: mean absolute error on artificially hidden entries, fresh random
@@ -8,14 +9,18 @@ finite differences.
 
 A training run allocates its parameter, gradient and velocity buffers once
 and names their blocks through views built once; ``forward`` reads the
-parameter views and ``backward`` overwrites every gradient view. The run also
-owns one workspace that the attention net's passes write every per-step
-tensor into, one array for all batch sizes (see ``attention._buffer``);
-``TrainedImputer.impute`` passes none, so a trained model holds no mutable
-state. ``forward`` is given the mask of the entries whose predictions will be
-read, the hidden ones in training and the masked ones in ``impute``: the
-autoencoder computes every output anyway, and the attention net only the
-rows that the ``attention`` module's row rule picks, with the same bits there.
+parameter views and ``backward`` overwrites every gradient view, through the
+workspace of its forward. The run, not the net that ``fine_tune`` shares with
+its base, owns that workspace, which both nets' passes write every per-step
+tensor into: the attention net one array per tensor for all batch sizes (see
+``attention._buffer``), the autoencoder one entry per batch size, looked up
+once a pass (see ``autoencoder``). Each batch's views of the epoch's arrays
+and of one ``dy`` buffer are built once a run. ``TrainedImputer.impute``
+passes no workspace, so a trained model holds no mutable state. ``forward``
+is given the mask of the entries whose predictions will be read, the hidden
+ones in training and the masked ones in ``impute``: the autoencoder computes
+every output anyway, and the attention net only the rows that the
+``attention`` module's row rule picks, with the same bits there.
 
 Each epoch draws all of its masks in one ``(n, steps * dims)`` call, the
 same stream as a draw per batch (``Generator.random`` spends one 64-bit word
@@ -39,6 +44,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .autoencoder import _Autoencoder
 from .core import MaskedSeries, TimeSeries, _load, _query, _read, _series, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
@@ -132,62 +138,6 @@ def _fan_in_init(rng: np.random.Generator, layout: _Layout) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-class _Autoencoder:
-    """tanh MLP: flattened series -> hidden -> latent -> hidden -> series.
-
-    Its tensors are a few KiB, so a step costs numpy's per-call dispatch more
-    than arithmetic: each product is a 2-D ``ndarray.dot``, which dispatches
-    faster than ``@`` to the same bits, and the bias and ``tanh`` go in place
-    on the product. A pass writes in place only arrays it made, so it takes
-    a workspace and ignores it.
-    """
-
-    def __init__(self, n_steps: int, n_dims: int, cfg: ImputerConfig) -> None:
-        flat = n_steps * n_dims
-        sizes = [flat, cfg.hidden, cfg.latent, cfg.hidden, flat]
-        shapes = []
-        for layer, (a, b) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-            shapes.append((f"W{layer}", (a, b)))
-            shapes.append((f"b{layer}", (b,)))
-        self.layout = _layout(shapes)
-        self.n_params = self.layout[-1][2]
-
-    def forward(self, p: dict[str, np.ndarray], x: np.ndarray, read: np.ndarray, ws: dict | None = None):
-        """Every output, whatever ``read`` marks."""
-        b, t, d = x.shape
-        a0 = x.reshape(b, t * d)
-        h1 = a0.dot(p["W1"])
-        h1 += p["b1"]
-        np.tanh(h1, out=h1)
-        z = h1.dot(p["W2"])
-        z += p["b2"]
-        np.tanh(z, out=z)
-        h2 = z.dot(p["W3"])
-        h2 += p["b3"]
-        np.tanh(h2, out=h2)
-        y = h2.dot(p["W4"])
-        y += p["b4"]
-        return y.reshape(b, t, d), (a0, h1, z, h2)
-
-    # Each layer's weight, bias and input's place in the cache, output layer first.
-    _DOWN = (("W4", "b4", 3), ("W3", "b3", 2), ("W2", "b2", 1), ("W1", "b1", 0))
-
-    def backward(self, p: dict[str, np.ndarray], cache, dy: np.ndarray, g: dict[str, np.ndarray],
-                 ws: dict | None = None) -> None:
-        """Overwrite every gradient view in ``g``, each written straight by its product or sum.
-
-        ``np.add.reduce`` is ``ndarray.sum`` without its Python wrapper.
-        """
-        d = dy.reshape(dy.shape[0], -1)
-        for w, b, i in self._DOWN:
-            a = cache[i]
-            a.T.dot(d, out=g[w])
-            np.add.reduce(d, axis=0, out=g[b])
-            if i:
-                d = d.dot(p[w].T)
-                d *= 1.0 - a * a
-
-
 def _build_net(n_steps: int, n_dims: int, cfg: ImputerConfig):
     if cfg.architecture == "autoencoder":
         return _Autoencoder(n_steps, n_dims, cfg)
@@ -208,6 +158,9 @@ class TrainedImputer:
 
     def __post_init__(self) -> None:
         params = np.asarray(self.params, dtype=np.float64)
+        for field in ("n_steps", "n_dims"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
         if params.ndim != 1:
             raise ValueError("parameters must be a flat vector")
         if not np.all(np.isfinite(params)):
@@ -277,6 +230,11 @@ def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng:
     hidden = np.empty(data.shape, dtype=bool)
     # The epoch's series in its order; each step overwrites its rows with its residual.
     shuffled = np.empty_like(data)
+    # Each batch's views of the epoch's arrays and of one dy buffer.
+    dy = np.empty_like(data[: cfg.batch_size])
+    bounds = [(lo, min(lo + cfg.batch_size, n)) for lo in range(0, n, cfg.batch_size)]
+    batches = [(shuffled[lo:hi], hidden[lo:hi], scale[lo:hi], dy[: hi - lo]) for lo, hi in bounds]
+    momentum, rate = cfg.momentum, cfg.learning_rate
     history = []
     # Overflow during a diverging run surfaces as DivergenceError below, not
     # as a stream of numpy warnings.
@@ -296,19 +254,17 @@ def _descend(net, params: np.ndarray, data: np.ndarray, cfg: ImputerConfig, rng:
             np.multiply(hidden, 1.0 / full_terms, out=scale)
             if n_short:
                 np.multiply(hidden[-n_short:], 1.0 / (n_short * n_hidden), out=scale[-n_short:])
-            for lo in range(0, n, cfg.batch_size):
-                hi = lo + cfg.batch_size
-                batch = shuffled[lo:hi]
-                predicted, cache = net.forward(p, np.where(hidden[lo:hi], 0.0, batch), hidden[lo:hi], ws)
+            for batch, batch_hidden, factor, batch_dy in batches:
+                predicted, cache = net.forward(p, np.where(batch_hidden, 0.0, batch), batch_hidden, ws)
                 np.subtract(predicted, batch, out=batch)  # now the residual
                 # sign(residual) / count at hidden entries, +0.0 elsewhere
-                dy = np.sign(batch)
-                dy *= scale[lo:hi]
-                dy += 0.0
-                net.backward(p, cache, dy, g, ws)
-                velocity *= cfg.momentum
+                np.sign(batch, out=batch_dy)
+                batch_dy *= factor
+                batch_dy += 0.0
+                net.backward(p, cache, batch_dy, g, ws)
+                velocity *= momentum
                 velocity += grad
-                np.multiply(velocity, cfg.learning_rate, out=step)
+                np.multiply(velocity, rate, out=step)
                 params -= step
             # Each batch's sum is the pairwise sum of its own hidden residuals
             # that a sum per step would give; the sums add up in batch order.

@@ -207,13 +207,14 @@ def descend_reference(net, params: np.ndarray, data: np.ndarray, cfg, rng: np.ra
             batch = data[order[lo : lo + cfg.batch_size]]
             observed = observed_reference(rng, batch.shape[0], steps, dims, n_hidden)
             inputs = np.where(observed, batch, 0.0)
-            predicted, cache = net.forward(_unpack(params, net.layout), inputs, np.ones_like(observed))
+            ws: dict = {}  # a backward reads the workspace of its forward
+            predicted, cache = net.forward(_unpack(params, net.layout), inputs, np.ones_like(observed), ws)
             residual = predicted - batch
             hidden = ~observed
             count = int(hidden.sum())
             dy = np.where(hidden, np.sign(residual), 0.0) / count
             gradient = np.zeros_like(params)
-            net.backward(_unpack(params, net.layout), cache, dy, _unpack(gradient, net.layout))
+            net.backward(_unpack(params, net.layout), cache, dy, _unpack(gradient, net.layout), ws)
             velocity = cfg.momentum * velocity + gradient
             params = params - cfg.learning_rate * velocity
             abs_err += float(np.abs(residual[hidden]).sum())

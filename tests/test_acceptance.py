@@ -102,10 +102,11 @@ def gradient_probe(cfg: ImputerConfig, steps: int, dims: int, seed: int) -> floa
     x_in = np.where(observed, x_true, 0.0)
     hidden = ~observed
 
-    predicted, cache = net.forward(_unpack(params, net.layout), x_in, hidden)
+    ws: dict = {}  # a backward reads the workspace of its forward
+    predicted, cache = net.forward(_unpack(params, net.layout), x_in, hidden, ws)
     dy = np.where(hidden, np.sign(predicted - x_true), 0.0) / hidden.sum()
     analytic = np.zeros_like(params)
-    net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout))
+    net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout), ws)
 
     def loss(p):
         out, _ = net.forward(_unpack(p, net.layout), x_in, hidden)

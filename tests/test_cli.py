@@ -15,7 +15,7 @@ from imputeaudit.cli import main
 from imputeaudit.core import TimeSeries
 from imputeaudit.data import load_csv, save_csv
 from imputeaudit.metrics import LabeledScores, auroc, roc_curve
-from imputeaudit.models import load_model
+from imputeaudit.models import ImputerConfig, load_model, save_model, train
 
 
 @pytest.fixture()
@@ -296,6 +296,20 @@ def test_train_rejects_an_unknown_config_key_by_name(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "none.csv"), "--config", str(tmp_path / "bad.json"),
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "unknown key 'epoch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "attack"])
+def test_a_csv_with_one_value_per_series_is_an_error_naming_the_series(workdir, capsys, command):
+    save_csv([TimeSeries("s0", [1.0]), TimeSeries("s1", [2.0])], str(workdir / "short.csv"))
+    csv = str(workdir / "short.csv")
+    if command == "train":
+        args = ["train", "--data", csv, "--config", str(workdir / "model.json"), "--out", str(workdir / "m.json")]
+    else:
+        model = str(workdir / "m.json")
+        save_model(train([TimeSeries(f"s{i}", [0.0, 1.0, 2.0]) for i in range(2)], ImputerConfig(epochs=1)), model)
+        args = ["attack", "--target", model, "--reference", model, "--candidates", csv, "--out", str(workdir / "scores.json")]
+    assert main(args) == 1
+    assert "series 's0': need at least 2 values to normalize" in capsys.readouterr().err
 
 
 def test_missing_config_file_reports_path(capsys):

@@ -240,7 +240,7 @@ def test_zscore_round_trip_random():
 
 
 def test_zscore_needs_two_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^series 'a': need at least 2 values to normalize$"):
         zscore_normalize(TimeSeries("a", [1.0]))
 
 

@@ -84,10 +84,11 @@ def gradient_relative_error(cfg, steps, dims, seed):
     x_in = np.where(observed, x_true, 0.0)
     hidden = ~observed
 
-    predicted, cache = net.forward(_unpack(params, net.layout), x_in, hidden)
+    ws: dict = {}  # a backward reads the workspace of its forward
+    predicted, cache = net.forward(_unpack(params, net.layout), x_in, hidden, ws)
     dy = np.where(hidden, np.sign(predicted - x_true), 0.0) / hidden.sum()
     analytic = np.zeros_like(params)
-    net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout))
+    net.backward(_unpack(params, net.layout), cache, dy, _unpack(analytic, net.layout), ws)
     numeric = finite_difference_gradient(net, params, x_in, x_true, hidden)
     return np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-300)
 
@@ -111,12 +112,13 @@ def test_backward_overwrites_every_gradient_entry(cfg):
     params = _fan_in_init(rng, net.layout) + rng.normal(0, 0.05, net.n_params)
     p = _unpack(params, net.layout)
     x = rng.normal(size=(3, 5, 2))
-    predicted, cache = net.forward(p, x, every(x))
+    ws: dict = {}
+    predicted, cache = net.forward(p, x, every(x), ws)
     dy = rng.normal(size=predicted.shape)
     stale = np.full(net.n_params, np.nan)
-    net.backward(p, cache, dy, _unpack(stale, net.layout))
+    net.backward(p, cache, dy, _unpack(stale, net.layout), ws)
     fresh = np.zeros(net.n_params)
-    net.backward(p, cache, dy, _unpack(fresh, net.layout))
+    net.backward(p, cache, dy, _unpack(fresh, net.layout), ws)
     assert np.all(np.isfinite(stale))
     assert np.array_equal(stale, fresh)
 
@@ -384,12 +386,41 @@ def test_autoencoder_step_matches_reference_bit_for_bit(steps, dims, batch):
     g_expected = _unpack(np.full(net.n_params, np.nan), net.layout)
     y_expected, cache_expected = autoencoder_forward_reference(p, x)
     autoencoder_backward_reference(p, cache_expected, dy, g_expected)
-    g = _unpack(np.full(net.n_params, np.nan), net.layout)
-    y, cache = net.forward(p, x, every(x))
-    net.backward(p, cache, dy, g)
-    assert_same_step((y, g), (y_expected, g_expected))
-    for got, expected in zip(cache, cache_expected, strict=True):
+    # Without a workspace, as ``impute`` runs it, the forward's products make new arrays.
+    y_alone, cache_alone = net.forward(p, x, every(x))
+    assert np.array_equal(y_alone, y_expected)
+    for got, expected in zip(cache_alone, cache_expected, strict=True):
         assert np.array_equal(got, expected)
+    assert_autoencoder_step_matches_reference(net, p, x, dy, {}, (y_expected, g_expected), cache_expected)
+
+
+def assert_autoencoder_step_matches_reference(net, p, x, dy, ws, expected, cache_expected):
+    """One forward and backward through ``ws``; the cache is compared after the backward has read it."""
+    g = _unpack(np.full(net.n_params, np.nan), net.layout)
+    y, cache = net.forward(p, x, every(x), ws)
+    y = y.copy()  # the workspace's output is overwritten by the next pass of as many rows
+    net.backward(p, cache, dy, g, ws)
+    assert_same_step((y, g), expected)
+    for got, want in zip(cache, cache_expected, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("steps, dims", [(64, 1), (128, 2)])
+def test_autoencoder_workspace_reuse_matches_reference_bit_for_bit(steps, dims):
+    # One workspace through full batches, fine-tune batches, short last batches and a single row, in an
+    # order where a short batch follows a longer one: each step has the reference's bits.
+    ws: dict = {}
+    entries = {}
+    for step, batch in enumerate([16, 6, 16, 8, 2, 1]):
+        net, params, x, dy = autoencoder_case(steps, dims, batch, seed=step)
+        p = _unpack(params, net.layout)
+        g_expected = _unpack(np.full(net.n_params, np.nan), net.layout)
+        y_expected, cache_expected = autoencoder_forward_reference(p, x)
+        autoencoder_backward_reference(p, cache_expected, dy, g_expected)
+        assert_autoencoder_step_matches_reference(net, p, x, dy, ws, (y_expected, g_expected), cache_expected)
+        entries.setdefault(batch, ws[batch])
+        assert ws[batch] is entries[batch]  # one entry per batch size, made once
+    assert sorted(ws) == [1, 2, 6, 8, 16]
 
 
 @pytest.mark.parametrize("batch", [16, 1])
@@ -397,9 +428,10 @@ def test_autoencoder_step_writes_in_place_only_to_arrays_it_made(batch):
     net, params, x, dy = autoencoder_case(64, 1, batch, seed=batch)
     given = params.copy(), x.copy(), dy.copy()
     p = _unpack(params, net.layout)
-    y, cache = net.forward(p, x, every(x))
+    ws: dict = {}
+    y, cache = net.forward(p, x, every(x), ws)
     y_before, cache_before = y.copy(), [a.copy() for a in cache]
-    net.backward(p, cache, dy, _unpack(np.empty(net.n_params), net.layout))
+    net.backward(p, cache, dy, _unpack(np.empty(net.n_params), net.layout), ws)
     for now, before in zip((params, x, dy), given):
         assert np.array_equal(now, before)
     assert np.array_equal(y, y_before)
@@ -620,6 +652,25 @@ def test_fine_tune_improves_private_loss_and_preserves_base(tiny_corpus):
     assert not np.array_equal(tuned.params, base.params)
 
 
+@pytest.mark.parametrize("arch_cfg", [AE_TINY, ATTN_TINY])
+def test_a_model_holds_no_training_state(tmp_path, arch_cfg):
+    # A training run's workspace is its own, not kept on the net that fine_tune shares with its base: the base
+    # answers as before, and a fine-tune from a saved and loaded copy of it has the same bits.
+    corpus = small_corpus(seed=3, n=7, steps=8, dims=2)
+    base = train(corpus, replace(arch_cfg, epochs=2, batch_size=3, seed=1))
+    views = [apply_mask(s, random_missing_mask(s.shape, 0.3, derive_seed(4, i))) for i, s in enumerate(corpus)]
+    params, completions = base.params.copy(), [base.impute(view).values for view in views]
+    cfg = replace(arch_cfg, epochs=3, batch_size=2, seed=2)
+    tuned = fine_tune(base, corpus[:5], cfg)
+    assert np.array_equal(base.params, params)
+    for view, completion in zip(views, completions, strict=True):
+        assert np.array_equal(base.impute(view).values, completion)
+    save_model(base, str(tmp_path / "base.json"))
+    again = fine_tune(load_model(str(tmp_path / "base.json")), corpus[:5], cfg)
+    assert np.array_equal(again.params, tuned.params)
+    assert again.history == tuned.history
+
+
 def test_fine_tune_deterministic():
     corpus = small_corpus()
     base = train(corpus, ImputerConfig(epochs=2, seed=1))
@@ -810,6 +861,12 @@ def test_load_rejects_an_unknown_config_key(tmp_path):
         load_model(str(path))
 
 
+def reshape_model_file(doc, n_steps, n_dims):
+    """Give a model file that shape, with as many (zero) parameters as that shape's layout has."""
+    count = _build_net(n_steps, n_dims, AE_TINY).n_params
+    doc.update(n_steps=n_steps, n_dims=n_dims, params_b64=base64.b64encode(np.zeros(count, "<f8").tobytes()).decode())
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.update(n_steps="8"), "'n_steps' in .* must be int, got '8'"),
     (lambda d: d.update(n_dims=True), "'n_dims' in .* must be int, got True"),
@@ -826,8 +883,14 @@ def test_load_rejects_an_unknown_config_key(tmp_path):
     (lambda d: d["config"].update(learning_rate=float("nan")), "'learning_rate' in the config block of .* must be a finite float"),
     (lambda d: d["config"].update(momentum=10**400), "'momentum' in the config block of .* must be a finite float"),
     (lambda d: d.update(history=[0.5, float("inf")]), "item 1 of 'history' in .* must be a finite float, got inf"),
+    # a shape below 1 with as many parameters as the layout it gives
+    (lambda d: reshape_model_file(d, 0, 1), r"model\.json: n_steps must be at least 1, got 0"),
+    (lambda d: reshape_model_file(d, 8, 0), r"model\.json: n_dims must be at least 1, got 0"),
+    (lambda d: reshape_model_file(d, -2, -1), r"model\.json: n_steps must be at least 1, got -2"),
+    (lambda d: reshape_model_file(d, -1, 1), r"model\.json: n_steps must be at least 1, got -1"),
 ], ids=["n_steps", "n_dims", "history_item", "unknown_key", "no_history", "params_truncated", "params_7_bytes",
-        "params_wrong_count", "params_nan", "learning_rate_nan", "momentum_past_float", "history_inf"])
+        "params_wrong_count", "params_nan", "learning_rate_nan", "momentum_past_float", "history_inf",
+        "shape_0_1", "shape_8_0", "shape_-2_-1", "shape_-1_1"])
 def test_load_rejects_mistyped_model_files_by_name(tmp_path, edit, match):
     # Each of these once loaded, cast by hand or ignored, a left-out history raised KeyError, and an
     # integer past float's range raised OverflowError.
