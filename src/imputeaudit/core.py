@@ -1,8 +1,9 @@
 """Core domain types: time series, observedness masks, and the imputation boundary.
 
 Everything downstream (training, scoring, metrics) works on the types defined
-here. All types are immutable after construction and safe to share across
-concurrent readers. The boundary is ``_query``: an oracle is shown a
+here. Each type copies and freezes the arrays it keeps, so it is immutable
+after construction, safe to share across concurrent readers, and leaves the
+caller's arrays as they were. The boundary is ``_query``: an oracle is shown a
 ``MaskedSeries`` and nothing else, and every completion it returns is checked
 there, whoever asked.
 """
@@ -54,6 +55,15 @@ def _as_matrix(values: object) -> np.ndarray:
     return arr
 
 
+def _freeze(value: object, name: str, arr: np.ndarray) -> np.ndarray:
+    """Store ``arr``, an array that only ``value`` holds, read-only as the
+    field ``name`` of the frozen dataclass ``value``, and return it. Each value
+    type builds its own copy of what it keeps and checks it first."""
+    arr.setflags(write=False)
+    object.__setattr__(value, name, arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A real-valued matrix of shape (steps, dims) with an identity.
@@ -71,8 +81,7 @@ class TimeSeries:
             raise ValueError(f"series {self.id!r}: need at least 1 step and 1 dim, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError(f"series {self.id!r}: values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _freeze(self, "values", arr)
 
     @property
     def length(self) -> int:
@@ -104,8 +113,7 @@ class MaskedSeries:
         missing = np.array(self.missing)
         if missing.dtype != np.bool_ or missing.shape != self.series.shape:
             raise ValueError(f"mask must be a bool array of shape {self.series.shape}, got {missing.dtype} of shape {missing.shape}")
-        missing.setflags(write=False)
-        object.__setattr__(self, "missing", missing)
+        _freeze(self, "missing", missing)
 
     @property
     def id(self) -> str:
@@ -121,9 +129,7 @@ class NormParams:
 
     def __post_init__(self) -> None:
         for name in ("mean", "scale"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _freeze(self, name, np.array(getattr(self, name), dtype=np.float64))
 
 
 @runtime_checkable

@@ -15,8 +15,9 @@ original, so they are the rows of the original's self-alignment. A
 nonzero-diagonal row and first differing row in one stacked pass, then
 sweeps the upper triangle of the shared rows once per original, at one
 bound B, the largest U among the completions that first differ below row 0.
-Every pair resumes from them at its own first differing row, from that row
-rebuilt by symmetry from its first cell at or below B.
+It then rebuilds by symmetry, from its first cell at or below B, the whole of
+each row that a pair resumes from, at the pair's own first differing row. A
+self-alignment is complete when built, and every pair only reads it.
 
 Why the upper triangle is enough: the point cost c(i, j) of a series with
 itself equals c(j, i) bit for bit, since fl(a - b) = -fl(b - a), a square
@@ -176,6 +177,26 @@ def _sweep(xs: list[list], ys: list[list], costs: list | None, bound: float, syn
     return float(prev[m])
 
 
+def _rebuild(rows: list, bound: float, starts: list) -> dict:
+    """Shared rows ``starts`` (row numbers, increasing) rebuilt whole from
+    ``rows``, the upper triangle swept at ``bound``: row number -> the row and
+    its first and last column at or below ``bound``.
+
+    D(r, j) = D(j, r) fills row r in from its first column at or below the
+    bound to the stored row's diagonal; cells left of that column are above
+    the bound, and stay infinite. A row's first such column is never left of
+    the row above's (a cell costs at least its least predecessor, at that
+    column not its left one), so each scan starts at the previous row's.
+    """
+    rebuilt, first = {}, 1
+    for r in starts:
+        stored, _, last = rows[r - 1]
+        while first < r and rows[first - 1][0][r] > bound:
+            first += 1
+        rebuilt[r] = [math.inf] * first + [above[r] for above, _, _ in rows[first - 1 : r - 1]] + stored[r:], first, last
+    return rebuilt
+
+
 class SelfAlignment:
     """The rows of ``original``'s self-alignment that its ``completions`` share.
 
@@ -189,8 +210,8 @@ class SelfAlignment:
     then sweeps the upper triangle of the rows once, down to the last row
     before any completion first differs from the original, at one bound
     (``bound``), the largest U among the completions that first differ below
-    row 0. A row a pair resumes from is rebuilt by symmetry once, from its
-    first cell at or below that bound, then only read, as are the stored rows.
+    row 0, and rebuilds by symmetry the whole of every row a pair resumes
+    from. It is complete when built: pairs only read it.
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
@@ -206,37 +227,26 @@ class SelfAlignment:
         # id of a completion -> the completion (held, so its id is not reused), its values, _near_diagonal's numbers.
         self._pairs = {id(c): (c, v, pair) for c, v, pair in zip(completions, values, numbers)}
         # A NaN U never resumes, nor does a pair that differs at row 0. Every shared row is swept at bound.
-        self.bound = max((u for u, _, equal, _ in numbers if equal and not math.isnan(u)), default=0.0)
+        resuming = [(u, equal) for u, _, equal, _ in numbers if equal and not math.isnan(u)]
+        self.bound = max((u for u, _ in resuming), default=0.0)
         # Row i is rows[i - 1], filled from column i on (the upper triangle; the cells left of it are
         # infinite), with its first and last column at or below bound.
         self.rows: list = []
         self._origin = _origin(n)  # only read, by the sweeps here and by every pair that starts from row 0
         depth = max((equal for _, _, equal, _ in numbers), default=0)
         _sweep(self.ys, self.ys, self.costs, self.bound, n + 1, self._origin, 1, 0, range(1, depth + 1), self.rows)
-        self._starts: dict = {}  # row number -> the row rebuilt, its first and last column at or below the bound
-        self._rebuilt = 0, 1  # the last row rebuilt and its first column at or below the bound
+        # Row number -> the whole row a pair resumes from, its first and last column at or below bound.
+        self._starts = _rebuild(self.rows, self.bound, sorted({equal for _, equal in resuming}))
 
     def _resume(self, bound: float, equal: int) -> tuple[list, int, int, int]:
         """The row a pair with U ``bound`` and ``equal`` leading rows equal to
         the original starts below, its first and last column at or below
-        ``bound``, and its row number: shared row ``equal`` rebuilt, or row 0,
-        the origin, when the pair differs at row 0 or its U is NaN. Each row
-        is one list, rebuilt once, that every pair only reads. A row's first
-        column at or below the shared bound is never left of the row above's
-        (a cell costs at least its least predecessor, at that column not its
-        left one), so the scan starts at the last rebuilt row's if that is above."""
+        ``bound``, and its row number: shared row ``equal``, rebuilt whole
+        when the self-alignment was built, or row 0, the origin, when the pair
+        differs at row 0 or its U is NaN. Only the pair's own two scans are
+        made here; the row is only read."""
         if equal == 0 or math.isnan(bound):
             return self._origin, 1, 0, 0
-        if equal not in self._starts:
-            stored, _, last = self.rows[equal - 1]
-            first = self._rebuilt[1] if self._rebuilt[0] < equal else 1
-            while first < equal and self.rows[first - 1][0][equal] > self.bound:
-                first += 1
-            # D(equal, j) = D(j, equal) fills in from first to the stored row's diagonal; cells left of first are
-            # above every pair's U, and stay infinite.
-            row = [math.inf] * first + [above[equal] for above, _, _ in self.rows[first - 1 : equal - 1]] + stored[equal:]
-            self._starts[equal] = row, first, last
-            self._rebuilt = equal, first
         row, first, last = self._starts[equal]
         # D(equal, equal) is 0.0 <= bound, so both scans stop inside [first, last].
         while row[first] > bound:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _atomic_open
+from .core import _atomic_open, _freeze
 
 __all__ = [
     "LabeledScores",
@@ -26,14 +26,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LabeledScores:
-    """Per-candidate scores with ground-truth membership labels."""
+    """Per-candidate scores with ground-truth membership labels, copied and frozen at construction."""
 
     scores: np.ndarray
     is_member: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.is_member, dtype=bool)
+        scores = np.array(self.scores, dtype=np.float64)
+        labels = np.array(self.is_member, dtype=bool)
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValueError("scores and labels must be 1-D")
         if scores.shape != labels.shape:
@@ -42,10 +42,8 @@ class LabeledScores:
             raise ValueError("need at least one scored candidate")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        scores.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "is_member", labels)
+        _freeze(self, "scores", scores)
+        _freeze(self, "is_member", labels)
 
     @property
     def n_members(self) -> int:
@@ -58,27 +56,25 @@ class LabeledScores:
 
 @dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Ordered (fpr, tpr, threshold) points from (0,0) to (1,1)."""
+    """Ordered (fpr, tpr, threshold) points from (0,0) to (1,1), copied and frozen at construction."""
 
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray
 
     def __post_init__(self) -> None:
-        fpr = np.asarray(self.fpr, dtype=np.float64)
-        tpr = np.asarray(self.tpr, dtype=np.float64)
-        thr = np.asarray(self.thresholds, dtype=np.float64)
+        fpr = np.array(self.fpr, dtype=np.float64)
+        tpr = np.array(self.tpr, dtype=np.float64)
+        thr = np.array(self.thresholds, dtype=np.float64)
         if not (fpr.shape == tpr.shape == thr.shape) or fpr.ndim != 1 or fpr.shape[0] < 2:
             raise ValueError("curve needs matching 1-D arrays with at least two points")
         if np.any(np.diff(fpr) < 0) or np.any(np.diff(tpr) < 0):
             raise ValueError("fpr and tpr must be nondecreasing along the curve")
         if not (fpr[0] == 0.0 and tpr[0] == 0.0 and fpr[-1] == 1.0 and tpr[-1] == 1.0):
             raise ValueError("curve must start at (0,0) and end at (1,1)")
-        for arr in (fpr, tpr, thr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "fpr", fpr)
-        object.__setattr__(self, "tpr", tpr)
-        object.__setattr__(self, "thresholds", thr)
+        _freeze(self, "fpr", fpr)
+        _freeze(self, "tpr", tpr)
+        _freeze(self, "thresholds", thr)
 
 
 def roc_curve(data: LabeledScores) -> RocCurve:

@@ -45,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .autoencoder import _Autoencoder
-from .core import MaskedSeries, TimeSeries, _load, _query, _read, _series, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
+from .core import MaskedSeries, TimeSeries, _freeze, _load, _query, _read, _series, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -157,7 +157,7 @@ class TrainedImputer:
     history: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        params = np.asarray(self.params, dtype=np.float64)
+        params = np.array(self.params, dtype=np.float64)
         for field in ("n_steps", "n_dims"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
@@ -168,12 +168,9 @@ class TrainedImputer:
         net = _build_net(self.n_steps, self.n_dims, self.config)
         if params.shape[0] != net.n_params:
             raise ValueError(f"expected {net.n_params} parameters for this config, got {params.shape[0]}")
-        params = params.copy()
-        params.setflags(write=False)
-        object.__setattr__(self, "params", params)
         object.__setattr__(self, "history", tuple(float(v) for v in self.history))
         object.__setattr__(self, "_net", net)
-        object.__setattr__(self, "_views", _unpack(params, net.layout))
+        object.__setattr__(self, "_views", _unpack(_freeze(self, "params", params), net.layout))
 
     def impute(self, x: MaskedSeries) -> TimeSeries:
         """Fill the masked entries; observed entries are copied through exactly."""

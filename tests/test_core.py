@@ -13,6 +13,7 @@ from imputeaudit.attack import AttackConfig
 from imputeaudit.core import (
     DegenerateMaskError,
     MaskedSeries,
+    NormParams,
     OracleError,
     TimeSeries,
     _load,
@@ -26,8 +27,8 @@ from imputeaudit.core import (
 )
 from imputeaudit.data import SyntheticConfig, save_csv
 from imputeaudit.harness import ExperimentConfig
-from imputeaudit.metrics import LabeledScores, roc_curve, write_roc_csv
-from imputeaudit.models import ImputerConfig, save_model
+from imputeaudit.metrics import LabeledScores, RocCurve, roc_curve, write_roc_csv
+from imputeaudit.models import ImputerConfig, TrainedImputer, _build_net, save_model
 
 
 def test_time_series_promotes_1d_and_freezes():
@@ -125,6 +126,35 @@ def test_a_view_keeps_its_mask_when_the_callers_array_changes():
     hidden[:] = ~hidden
     for view in views:
         assert view.missing.tolist() == [[i == 3] for i in range(10)]
+
+
+_AE = ImputerConfig(architecture="autoencoder", hidden=4, latent=3)
+
+# Each value type and the fields it is built from; the arrays among them are the caller's, and stay writable.
+OWNED = {
+    "TimeSeries": lambda rng: (TimeSeries, {"id": "a", "values": rng.normal(size=(6, 2))}),
+    "MaskedSeries": lambda rng: (MaskedSeries, {"series": TimeSeries("a", np.zeros((6, 2))), "missing": rng.random((6, 2)) < 0.5}),
+    "NormParams": lambda rng: (NormParams, {"mean": rng.normal(size=2), "scale": rng.random(2) + 1.0}),
+    "LabeledScores": lambda rng: (LabeledScores, {"scores": rng.normal(size=6), "is_member": np.arange(6) % 2 == 0}),
+    "RocCurve": lambda rng: (RocCurve, {"fpr": np.array([0.0, 0.5, 1.0]), "tpr": np.array([0.0, 1.0, 1.0]),
+                                        "thresholds": np.array([-np.inf, 0.2, 0.7])}),
+    "TrainedImputer": lambda rng: (TrainedImputer, {"config": _AE, "n_steps": 6, "n_dims": 2, "history": (),
+                                                    "params": rng.normal(size=_build_net(6, 2, _AE).n_params)}),
+}
+
+
+@pytest.mark.parametrize("kind", list(OWNED))
+def test_no_value_type_freezes_its_callers_arrays(kind):
+    cls, fields = OWNED[kind](np.random.default_rng(0))
+    owned = {name: arr for name, arr in fields.items() if isinstance(arr, np.ndarray)}
+    before = {name: arr.copy() for name, arr in owned.items()}
+    value = cls(**fields)
+    for name, arr in owned.items():
+        assert arr.flags.writeable, name
+        arr[...] = ~arr if arr.dtype == bool else arr + 1.0
+    for name in owned:
+        assert np.array_equal(getattr(value, name), before[name]), name
+        assert not getattr(value, name).flags.writeable, name
 
 
 class _EditingOracle:

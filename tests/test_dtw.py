@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from imputeaudit import dtw
 from imputeaudit.core import TimeSeries
-from imputeaudit.dtw import SelfAlignment, _diagonal_bounds, _near_diagonal, dtw_distance
+from imputeaudit.dtw import SelfAlignment, _diagonal_bounds, _near_diagonal, _rebuild, dtw_distance
 
 
 def test_identity_is_exactly_zero():
@@ -304,31 +306,22 @@ def test_shared_self_alignment_matches_full_sweep(case):
     assert [differ for _, _, _, differ in numbers] == [_last_differing_row(c, original) for c in completions]
 
 
-def test_self_alignment_rows_are_only_read():
-    rng = np.random.default_rng(3)
-    original = rng.normal(size=(32, 2))
-    completions = []
-    for start in (4, 12, 20):
-        completion = original.copy()
-        completion[start : start + 3, 1] += rng.normal(size=3)
-        completions.append(completion)
+@EXACT
+@given(completion_sets(), st.randoms(use_true_random=False))
+def test_self_alignment_rows_are_only_read(case, random):
+    # A self-alignment is complete when built: its pairs, in any order, only read it. Pickle writes every
+    # float's bits and the sharing between objects, so equal bytes are equal state.
+    original, completions = case
     shared = SelfAlignment(original, completions)
-    # Each row a pair resumes from is rebuilt once, and every pair reads that one list.
-    resumed, resume = {}, shared._resume
-
-    def recorded(bound, equal):
-        row, first, last, start = resume(bound, equal)
-        assert resumed.setdefault(start, (row, list(row)))[0] is row
-        return row, first, last, start
-
-    shared._resume = recorded
-    first = [dtw_distance(c, original, shared) for c in completions]
-    rows = [(list(row), lo, hi) for row, lo, hi in shared.rows]
-    assert [dtw_distance(c, original, shared) for c in reversed(completions)] == first[::-1]
-    assert [(list(row), lo, hi) for row, lo, hi in shared.rows] == rows
-    assert len(resumed) == len(completions)
-    assert all(row == copy for row, copy in resumed.values())
-    assert first == [dtw_reference(c, original) for c in completions]
+    snapshot = copy.deepcopy(vars(shared))
+    shuffled = random.sample(completions, len(completions))
+    losses = []
+    for order in (completions, completions[::-1], shuffled):
+        by_id = {id(c): dtw_distance(c, original, shared) for c in order}
+        losses.append([by_id[id(c)] for c in completions])
+        assert pickle.dumps(vars(shared)) == pickle.dumps(snapshot)
+    assert losses[0] == losses[1] == losses[2]
+    assert losses[0] == [dtw_reference(c, original) for c in completions]
 
 
 @pytest.mark.parametrize("dims, dim", [(1, 0), (2, 0), (2, 1)], ids=["one-dim", "first-of-two", "second-of-two"])
@@ -450,10 +443,13 @@ def test_shared_rows_are_exact_at_or_below_their_bound(case):
     shared = SelfAlignment(original, completions)
     full = dtw_reference_rows(original, original)
     bound = shared.bound
+    # Every shared row, not only those pairs resume from, rebuilt as the constructor rebuilds those.
+    every = copy.copy(shared)
+    every._starts = _rebuild(shared.rows, bound, list(range(1, len(shared.rows) + 1)))
     for r, (stored, _, _) in enumerate(shared.rows, 1):
         for got, want in zip(stored[r:], full[r][r:]):
             assert got == want if want <= bound else got > bound
-        row, first, last, start = shared._resume(bound, r)
+        row, first, last, start = every._resume(bound, r)
         assert start == r
         for got, want in zip(row, full[r]):
             assert got == want if want <= bound else got > bound

@@ -636,6 +636,15 @@ def test_divergence_raises_named_error():
         train(corpus, cfg)
 
 
+def test_divergence_in_the_last_update_raises_named_error():
+    # Momentum of 1e308 sends the parameters to inf in the epoch's second step, after its loss was taken:
+    # the check after the last epoch names the run, and no overflow warning escapes (warnings are errors).
+    corpus = [TimeSeries(f"s{i}", np.linspace(-1, 1, 8) * (i + 1)) for i in range(8)]
+    cfg = ImputerConfig(hidden=4, latent=2, epochs=1, batch_size=4, learning_rate=100.0, momentum=1e308)
+    with pytest.raises(DivergenceError, match="non-finite parameters after epoch 0"):
+        train(corpus, cfg)
+
+
 def test_fine_tune_zero_rate_is_identity():
     corpus = small_corpus()
     base = train(corpus, ImputerConfig(epochs=3, seed=6))
