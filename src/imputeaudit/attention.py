@@ -54,9 +54,14 @@ entry not read, so each skipped row would add only zeros:
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .models import ImputerConfig, _layout
+from .core import _layout
+
+if TYPE_CHECKING:
+    from .models import ImputerConfig
 
 
 def _buffer(ws: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .core import _layout
+
 if TYPE_CHECKING:
     from .models import ImputerConfig
 
@@ -34,8 +36,6 @@ class _Autoencoder:
     """tanh MLP: flattened series -> hidden -> latent -> hidden -> series."""
 
     def __init__(self, n_steps: int, n_dims: int, cfg: ImputerConfig) -> None:
-        from .models import _layout  # here, as models imports this module
-
         flat = n_steps * n_dims
         sizes = [flat, cfg.hidden, cfg.latent, cfg.hidden, flat]
         shapes = []

@@ -238,6 +238,20 @@ def derive_seed(master: int, label: object) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+_Layout = list[tuple[str, int, int, tuple[int, ...]]]
+
+
+def _layout(shapes: list[tuple[str, tuple[int, ...]]]) -> _Layout:
+    """(name, start, stop, shape) of each parameter in a net's flat vector, computed once per network."""
+    layout = []
+    ofs = 0
+    for name, shape in shapes:
+        size = int(np.prod(shape))
+        layout.append((name, ofs, ofs + size, shape))
+        ofs += size
+    return layout
+
+
 @contextmanager
 def _atomic_open(path: str, newline: str | None = None):
     """Write through a temp file beside ``path`` that replaces it whole on success and is removed on any exception."""

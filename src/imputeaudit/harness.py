@@ -136,8 +136,11 @@ def _load_corpus(cfg: ExperimentConfig) -> list[TimeSeries]:
     steps, dims = corpus[0].shape  # every series of a corpus has one shape
     shape = f"a {steps}x{dims} series"
     # The parity mask hides round(fraction * steps * dims) entries (core.random_missing_mask).
-    if round(cfg.parity_fraction * steps * dims) == 0:
+    n_hidden = round(cfg.parity_fraction * steps * dims)
+    if n_hidden == 0:
         raise ValueError(f"parity_fraction {cfg.parity_fraction} hides no entry of {shape}")
+    if n_hidden == steps * dims:
+        raise ValueError(f"parity_fraction {cfg.parity_fraction} hides every entry of {shape}")
     if cfg.attack.dim >= dims:
         raise ValueError(f"attack.dim {cfg.attack.dim} is not a dimension of {shape}")
     if cfg.attack.block_length >= steps:

@@ -45,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .autoencoder import _Autoencoder
-from .core import MaskedSeries, TimeSeries, _freeze, _load, _query, _read, _series, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
+from .core import DegenerateMaskError, MaskedSeries, TimeSeries, _Layout, _freeze, _load, _query, _read, _series, _to_dict, _write_json, apply_mask, derive_seed, random_missing_mask
 
 __all__ = [
     "ImputerConfig",
@@ -104,20 +104,6 @@ class ImputerConfig:
             raise ValueError(f"momentum must be finite and nonnegative, got {self.momentum}")
         if not 0.0 < self.mask_fraction < 1.0:
             raise ValueError(f"mask_fraction must be in (0, 1), got {self.mask_fraction}")
-
-
-_Layout = list[tuple[str, int, int, tuple[int, ...]]]
-
-
-def _layout(shapes: list[tuple[str, tuple[int, ...]]]) -> _Layout:
-    """(name, start, stop, shape) of each parameter in the flat vector, computed once per network."""
-    layout = []
-    ofs = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        layout.append((name, ofs, ofs + size, shape))
-        ofs += size
-    return layout
 
 
 def _unpack(flat: np.ndarray, layout: _Layout) -> dict[str, np.ndarray]:
@@ -315,6 +301,8 @@ def evaluate_mae(model, data: list[TimeSeries], fraction: float, seed: int) -> f
         hidden = random_missing_mask(s.shape, fraction, derive_seed(seed, i))
         if not hidden.any():
             raise ValueError(f"parity fraction {fraction} hides no entry of series {s.id!r} of shape {s.shape}")
+        if hidden.all():
+            raise DegenerateMaskError(f"parity fraction {fraction} hides every entry of series {s.id!r} of shape {s.shape}")
         completed = _query(model, apply_mask(s, hidden), "parity")
         abs_err += float(np.abs(completed.values[hidden] - s.values[hidden]).sum())
         count += int(hidden.sum())

@@ -351,12 +351,15 @@ def no_training(*args, **kwargs):
 def test_parity_fraction_that_hides_no_entry_is_rejected_before_training(monkeypatch):
     monkeypatch.setattr(harness, "train", no_training)
     doc = json.loads((Path(__file__).resolve().parent.parent / "configs/scenario2_fixture.json").read_text())
-    # 0.005 * 64 steps * 1 dim rounds to no hidden entry.
-    with pytest.raises(ValueError, match="parity_fraction"):
-        harness.run_experiment(config_from_dict({**doc, "parity_fraction": 0.005}))
-    # The smallest fraction that hides one entry passes the check and reaches training.
-    with pytest.raises(AssertionError, match="trained before"):
-        harness.run_experiment(config_from_dict({**doc, "parity_fraction": 0.5 / 64 + 1e-9}))
+    # 0.005 * 64 steps * 1 dim rounds to no hidden entry, and 0.995 * 64 to all 64, which would
+    # compare the models on blank views. The fraction next to each, which hides one entry or leaves
+    # one observed, passes the check and reaches training.
+    for rejected, accepted, match in [(0.005, 0.5 / 64 + 1e-9, "parity_fraction 0.005 hides no entry of a 64x1 series"),
+                                      (0.995, 0.99, "parity_fraction 0.995 hides every entry of a 64x1 series")]:
+        with pytest.raises(ValueError, match=match):
+            harness.run_experiment(config_from_dict({**doc, "parity_fraction": rejected}))
+        with pytest.raises(AssertionError, match="trained before"):
+            harness.run_experiment(config_from_dict({**doc, "parity_fraction": accepted}))
 
 
 @pytest.mark.parametrize("attack, match", [
@@ -385,7 +388,8 @@ def _mini_corpus_csv(tmp_path) -> CsvSource:
     ({"attack": AttackConfig(dim=1)}, "attack.dim 1 is not a dimension of a 32x1 series"),
     ({"attack": AttackConfig(block_length=32)}, "attack.block_length 32 covers all of a 32x1 series"),
     ({"parity_fraction": 0.0004}, "parity_fraction 0.0004 hides no entry of a 32x1 series"),
-], ids=["dim", "block_length", "parity_fraction"])
+    ({"parity_fraction": 0.99}, "parity_fraction 0.99 hides every entry of a 32x1 series"),
+], ids=["dim", "block_length", "parity_fraction", "parity_fraction_every_entry"])
 def test_a_csv_config_that_misfits_its_corpus_is_rejected_before_training(monkeypatch, tmp_path, fields, match):
     monkeypatch.setattr(harness, "train", no_training)
     with pytest.raises(ValueError, match=match):

@@ -23,6 +23,7 @@ from helpers import (
 from imputeaudit import attention, models
 from imputeaudit.attention import _buffer
 from imputeaudit.core import (
+    DegenerateMaskError,
     OracleError,
     TimeSeries,
     _query,
@@ -727,12 +728,14 @@ def test_parity_fraction_that_hides_no_entry_raises_before_that_series_is_querie
     from helpers import RecordingOracle
 
     # round(0.005 * 400) = 2 entries, but round(0.005 * 64) = 0: the s2 fixture's
-    # 64 x 1 series would hide none and the mean would divide by zero.
+    # 64 x 1 series would hide none and the mean would divide by zero. round(0.995 * 400)
+    # = 398, but round(0.995 * 64) = 64: its view would have nothing observed.
     corpus = [TimeSeries("long", np.zeros((400, 1))), TimeSeries("s0", np.zeros((64, 1)))]
-    oracle = RecordingOracle()
-    with pytest.raises(ValueError, match=r"parity fraction 0.005 hides no entry of series 's0' of shape \(64, 1\)"):
-        parity_check(oracle, oracle, corpus, tolerance=0.1, fraction=0.005)
-    assert [view.series.id for view in oracle.seen] == ["long"]
+    for fraction, error, which in [(0.005, ValueError, "no"), (0.995, DegenerateMaskError, "every")]:
+        oracle = RecordingOracle()
+        with pytest.raises(error, match=rf"parity fraction {fraction} hides {which} entry of series 's0' of shape \(64, 1\)"):
+            parity_check(oracle, oracle, corpus, tolerance=0.1, fraction=fraction)
+        assert [view.series.id for view in oracle.seen] == ["long"]
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")], ids=["nan", "inf"])
