@@ -10,6 +10,19 @@ Classification rule: member iff ratio <= theta (low ratio = target beats a
 fair benchmark on this exact series = memorization). The configured rule's
 ``threshold`` gives theta: a fixed value, a percentile of the candidates'
 ratios, or a mean plus n stds of known nonmembers' ratios.
+
+``lbrm_score`` masks a candidate at the run's block starts, computed once per
+run and shape as a tuple. It queries both oracles through ``core``'s checked
+query as ``target`` and ``reference``, every view first, target then
+reference, then makes one ``dtw_distance`` call per completion, all sharing
+the candidate's ``SelfAlignment``, and averages each oracle's losses with
+``np.mean``'s pairwise sum. Each threshold rule checks its field when it is
+built. ``run_attack`` rejects, before any query, a known-nonmember list given
+with a rule other than ``std_rule`` (naming the rule) and ``std_rule`` with
+fewer than two known nonmembers. Its ``AttackReport`` holds the scores, one
+``is_member`` flag per score and, for ``std_rule`` only, a ``Calibration``:
+how many known nonmembers theta was calibrated on and how many of them were
+also candidates.
 """
 from __future__ import annotations
 
@@ -238,13 +251,16 @@ def run_attack(
     never trained on), reusing the score of any that is also a candidate (same
     id and values), and the report's ``calibration`` counts both. The other
     rules calibrate on no nonmembers, so a list given with one raises
-    ValueError naming the rule, before any query. Output order matches input
+    ValueError naming the rule, before any query, as StdRule with fewer than
+    two known nonmembers does. Output order matches input
     order and the whole run is deterministic for a fixed config.
     """
     if not candidates:
         raise ValueError("no candidates to score")
     if known_nonmembers is not None and not isinstance(cfg.theta_rule, StdRule):
         raise ValueError(f"known nonmembers calibrate std_rule only, but the theta rule is {cfg.theta_rule.TAG[1]}")
+    if isinstance(cfg.theta_rule, StdRule) and len(known_nonmembers or ()) < 2:
+        raise ValueError(f"StdRule needs at least 2 known-nonmember ratios, got {len(known_nonmembers or ())}")
     scores = tuple(lbrm_score(target, reference, x, cfg) for x in candidates)
 
     nonmember_ratios, calibration = [], None

@@ -3,21 +3,25 @@
 ``models._build_net`` imports this module on first use, so a run that trains
 and queries only autoencoders never loads it.
 
+Workspace. A training run reuses one workspace: one array per tensor, sized
+for the largest batch, of which a short batch takes its leading rows (see
+``_buffer``). The softmax gradient is taken one head at a time.
+
 Row rule. ``forward`` takes a bool mask, shaped like its input, of the
 entries whose predictions will be read: training passes the entries it hides
-and ``TrainedImputer.impute`` the masked ones. A step (a position) is read if
-any of its dims is. Within one batch, each series keeps its read steps,
+and ``TrainedImputer.impute`` the masked ones. A step (a position) is read
+if any of its dims is. Within one batch, each series keeps its read steps,
 padded with its earliest unread steps to a common count k, the smallest
 multiple of 4 that is at least 4 and holds every series' read steps; each
 series' rows stay in increasing order. The rows are always indices into the
-batch's b * t rows, and every row is ``arange(b * t)``: a batch takes every
-row when ``k >= t``, and a net takes every row in every batch when its shape
-says so at construction: ``t % 4 != 0``, a ``head_dim`` or ``ff_dim`` of 1,
-or the SkylakeX limit below. Only the last block's query side is computed at
-those rows: its queries, softmax, value mix, output projection, feed-forward
-and the output layer. Its keys and values, and every earlier block, keep all
-t rows. The outputs at the other rows are written as 0.0; no caller reads
-them.
+batch's b * t rows, so the forward and backward take one path, and every row
+is ``arange(b * t)``: a batch takes every row when ``k >= t``, and a net
+takes every row in every batch when its shape says so at construction:
+``t % 4 != 0``, a ``head_dim`` or ``ff_dim`` of 1, or the SkylakeX limit
+below. Only the last block's query side is computed at those rows: its
+queries, softmax, value mix, output projection, feed-forward and the output
+layer. Its keys and values, and every earlier block, keep all t rows. The
+outputs at the other rows are written as 0.0; no caller reads them.
 
 The backward follows: the Wout, Wf2, Wf1, Wo and Wq gradients and the bf2,
 bf1, bo and bq gradients sum over the k rows, the key and value gradients

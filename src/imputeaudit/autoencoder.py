@@ -9,10 +9,12 @@ s2-fixture peak.
 Its tensors are a few KiB, so a step costs numpy's per-call dispatch more
 than arithmetic: each product is a 2-D ``ndarray.dot``, which dispatches
 faster than ``@`` to the same bits, with ``out`` by position, which parses
-faster than the keyword; the bias and ``tanh`` go in place on the product.
+faster than the keyword; the bias and ``tanh`` go in place on the product,
+and the backward writes each gradient straight into its view.
 
 A training run's workspace holds one entry of arrays per batch size
-(``_Autoencoder._arrays``), which each pass looks up once: a pass that built
+(``_Autoencoder._arrays``: the output, the deltas and the activations),
+which each pass looks up once: a pass that built
 its own views would spend more dispatch than writing into them saves. The
 entry's one activation array holds h1, z and h2 as consecutive views, so the
 backward takes every tanh slope 1 - a*a in two passes over it. A backward

@@ -25,19 +25,21 @@ def _normalized_corpus(path: str):
     return [zscore_normalize(s)[0] for s in data_mod.load_csv(path)]
 
 
+def _config(kind, args: argparse.Namespace):
+    """The ``kind`` config read from ``--config`` (``kind()`` without one), with ``--seed`` applied."""
+    cfg = _load(kind, args.config) if args.config else kind()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _load(data_mod.SyntheticConfig, args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _config(data_mod.SyntheticConfig, args)
     data_mod.save_csv(data_mod.generate_synthetic(cfg), args.out)
     print(f"wrote {cfg.count} series to {args.out}")
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load(models.ImputerConfig, args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _config(models.ImputerConfig, args)
     corpus = _normalized_corpus(args.data)
     model = models.train(corpus, cfg)
     models.save_model(model, args.out)
@@ -46,9 +48,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    cfg = _load(attack_mod.AttackConfig, args.config) if args.config else attack_mod.AttackConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _config(attack_mod.AttackConfig, args)
     target = models.load_model(args.target)
     reference = models.load_model(args.reference)
     candidates = _normalized_corpus(args.candidates)

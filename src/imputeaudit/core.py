@@ -1,11 +1,34 @@
 """Core domain types: time series, observedness masks, and the imputation boundary.
 
 Everything downstream (training, scoring, metrics) works on the types defined
-here. Each type copies and freezes the arrays it keeps, so it is immutable
-after construction, safe to share across concurrent readers, and leaves the
-caller's arrays as they were. The boundary is ``_query``: an oracle is shown a
-``MaskedSeries`` and nothing else, and every completion it returns is checked
-there, whoever asked.
+here. Each type copies, checks and freezes the arrays it keeps, through one
+helper, ``_freeze``, so it is immutable after construction, safe to share
+across concurrent readers, and leaves the caller's arrays as they were.
+``TimeSeries``' public constructor does this for outside input; masked views
+and model completions, new finite arrays the program made itself, are frozen
+in place by one internal constructor, ``_series``.
+
+A ``MaskedSeries`` carries 0.0 at each hidden entry and ``missing``, a bool
+array of the series' shape that is True there (any other dtype or shape
+raises ValueError); the paper's observedness
+matrix M is ``~missing``, so an oracle keeps the observed entries with
+``np.where(x.missing, prediction, x.series.values)``. ``single_unit_mask``
+checks its block and builds the block's mask for its view on each call, so no
+mask is cached; ``random_missing_mask`` returns a read-only bool array, and
+``apply_mask`` cuts the view.
+
+The boundary is ``_query``: an oracle is shown a ``MaskedSeries`` and nothing
+else, and every completion it returns is checked there, whoever asked. It
+raises ``OracleError``, naming the series and the caller, when the oracle
+raises or returns something other than a series of the right shape with its
+observed entries unchanged.
+
+The package's one JSON reader is here too: ``_load`` (a UTF-8 file, with or
+without a byte-order mark, in which a repeated key is an error) and ``_read``
+(a parsed value), with its inverse ``_to_dict``. So is ``_layout``, the
+(name, start, stop, shape) of each parameter in a net's flat parameter
+vector, which the ``autoencoder`` and ``attention`` nets import from here so
+that neither imports ``models``.
 """
 from __future__ import annotations
 
@@ -46,15 +69,6 @@ class OracleError(RuntimeError):
     """An imputation oracle failed or broke its contract; the message names the series and the caller."""
 
 
-def _as_matrix(values: object) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"series values must be 1-D or 2-D, got ndim={arr.ndim}")
-    return arr
-
-
 def _freeze(value: object, name: str, arr: np.ndarray) -> np.ndarray:
     """Store ``arr``, an array that only ``value`` holds, read-only as the
     field ``name`` of the frozen dataclass ``value``, and return it. Each value
@@ -68,7 +82,8 @@ def _freeze(value: object, name: str, arr: np.ndarray) -> np.ndarray:
 class TimeSeries:
     """A real-valued matrix of shape (steps, dims) with an identity.
 
-    The values array is copied and frozen at construction; 1-D input is
+    The values array is copied, checked and frozen at construction: it must
+    be finite, 1-D or 2-D, with at least one step and one dim; 1-D input is
     promoted to a single-dimension matrix.
     """
 
@@ -76,7 +91,12 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_matrix(self.values).copy()
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2:
+            raise ValueError(f"series values must be 1-D or 2-D, got ndim={arr.ndim}")
+        arr = arr.copy()
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"series {self.id!r}: need at least 1 step and 1 dim, got shape {arr.shape}")
         if not np.isfinite(arr).all():

@@ -1,4 +1,16 @@
-"""Synthetic corpora, scenario-faithful splits, and CSV ingestion."""
+"""Synthetic corpora, scenario-faithful splits, and CSV ingestion.
+
+``load_csv`` reads a file in two passes (its docstring gives the order of
+the checks). numpy's C reader (``np.loadtxt``) parses the body in one call,
+so the accepted number grammar is numpy's, and a good file's schema is
+checked on its arrays. A rejected file is read again with the ``csv``
+module, record by record, to name its first bad record or series. A file
+that is not all ASCII is read that way too, with each number read by
+numpy's grammar on ASCII text, since numpy's reader takes some non-ASCII
+characters for digits; it loads only if that read finds nothing bad. A
+record ``csv`` cannot read, such as a field past ``csv.field_size_limit()``,
+raises ``CsvParseError`` naming the file and the line.
+"""
 from __future__ import annotations
 
 import csv

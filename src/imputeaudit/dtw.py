@@ -6,6 +6,12 @@ diagonal of exact zeros and a row's minimum is its diagonal cell, and
 bit-identical to the full sweep. The oracles it is tested against, the full
 sweep and an enumeration of every alignment path, live in the test suite.
 
+Every series is read as a ``TimeSeries``: a raw array or list goes through
+its constructor, named after the argument it was passed as, so it is finite,
+1-D or 2-D, with at least one step and one dim, or ValueError. No point cost,
+diagonal-path cost or cell is then NaN: each is a square root of a sum of
+squares, or a sum or minimum of those, so it is finite or +inf.
+
 Every equal-length pair, of any width, goes through a self-alignment; only
 unequal lengths sweep the full cost matrix. The audit aligns many
 completions with one original, and a completion equals the original up to
@@ -17,7 +23,18 @@ sweeps the upper triangle of the shared rows once per original, at one
 bound B, the largest U among the completions that first differ below row 0.
 It then rebuilds by symmetry, from its first cell at or below B, the whole of
 each row that a pair resumes from, at the pair's own first differing row. A
-self-alignment is complete when built, and every pair only reads it.
+self-alignment is complete when built, and every pair only reads it, so its
+pairs may run in any order. ``SelfAlignment.rows`` holds row i from column i
+on.
+
+A ``SelfAlignment`` serves only its own original, as the same object, and
+the completions it was built from: any other pair passed with it, and a
+completion of another shape, raise ValueError. ``dtw_distance`` without one
+builds one for its pair alone. A pair copies from its self-alignment what it
+shares with the original and writes in only its differing rows: up to two
+dims the original's coordinates (``ys``), from which a visited cell's cost is
+computed; wider, the rows of the original's cost matrix (``costs``), which
+the self-alignment's own sweep reads too.
 
 Why the upper triangle is enough: the point cost c(i, j) of a series with
 itself equals c(j, i) bit for bit, since fl(a - b) = -fl(b - a), a square
@@ -49,16 +66,14 @@ from functools import reduce
 
 import numpy as np
 
-from .core import TimeSeries, _as_matrix
+from .core import TimeSeries
 
 __all__ = ["SelfAlignment", "dtw_distance"]
 
 
-def _values(x: TimeSeries | np.ndarray | list) -> np.ndarray:
-    arr = x.values if isinstance(x, TimeSeries) else _as_matrix(x)  # float64 either way
-    if arr.shape[0] < 1:
-        raise ValueError("series must be nonempty")
-    return arr
+def _as_series(x: TimeSeries | np.ndarray | list, name: str) -> TimeSeries:
+    # A raw array or list is copied and checked by the TimeSeries constructor, named after its argument.
+    return x if isinstance(x, TimeSeries) else TimeSeries(name, x)
 
 
 def _point_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,7 +99,7 @@ def _origin(m: int) -> list:
 def _diagonal_bounds(diagonals: np.ndarray) -> tuple[list[float], list[int]]:
     """Per row of ``diagonals`` (one diagonal of point costs each): the
     diagonal path's cost U and the last row with a nonzero diagonal cost (0
-    if none; a NaN cost is nonzero).
+    if none).
 
     ``np.add.accumulate`` adds along each row left to right, one element at a
     time, which is the order the sweep adds the diagonal in, so U has the
@@ -101,9 +116,9 @@ def _near_diagonal(series: list[np.ndarray], vb: np.ndarray) -> list[tuple[float
     ``vb`` and the last row that differs from it (0 if none), for each of
     ``series`` against ``vb``, all of one shape (n, dims).
 
-    Two finite floats differ exactly when their difference is nonzero, and a
-    NaN difference counts as nonzero, so the equal rows are those with an
-    all-zero ``diff`` row, even where a difference squares to zero. U sums
+    Two finite floats differ exactly when their difference is nonzero, so
+    the equal rows are those with an all-zero ``diff`` row, even where a
+    difference squares to zero. U sums
     squares as ``_point_costs`` does (``np.sum``, pairwise from 8 terms on);
     for two, one addition has those bits without a short-axis reduction.
     """
@@ -203,8 +218,9 @@ class SelfAlignment:
     Give it to ``dtw_distance(completion, original, shared)`` for each
     completion. The original may have any width: a pair copies its
     coordinates (``ys``), or wider than two dims its cost rows (``costs``),
-    and writes in its differing rows. A completion of another shape raises
-    ValueError. The constructor computes U, the last nonzero-diagonal row and
+    and writes in its differing rows. Each series is read as the module
+    docstring says, and a completion of another shape raises ValueError too.
+    The constructor computes U, the last nonzero-diagonal row and
     the first differing row of every completion in one stacked pass, so a
     completion must not change afterwards (a ``TimeSeries`` is frozen). It
     then sweeps the upper triangle of the rows once, down to the last row
@@ -215,9 +231,9 @@ class SelfAlignment:
     """
 
     def __init__(self, original: TimeSeries | np.ndarray, completions: list) -> None:
-        vb = _values(original)
+        vb = _as_series(original, "original").values
         n = vb.shape[0]
-        values = [_values(c) for c in completions]
+        values = [_as_series(c, "completion").values for c in completions]
         if any(v.shape != vb.shape for v in values):
             raise ValueError(f"every completion must have the original's shape {vb.shape}")
         numbers = _near_diagonal(values, vb) if values else []
@@ -226,8 +242,8 @@ class SelfAlignment:
         self.costs = _point_costs(vb, vb).tolist() if vb.shape[1] > 2 else None
         # id of a completion -> the completion (held, so its id is not reused), its values, _near_diagonal's numbers.
         self._pairs = {id(c): (c, v, pair) for c, v, pair in zip(completions, values, numbers)}
-        # A NaN U never resumes, nor does a pair that differs at row 0. Every shared row is swept at bound.
-        resuming = [(u, equal) for u, _, equal, _ in numbers if equal and not math.isnan(u)]
+        # A pair that differs at row 0 never resumes. Every shared row is swept at bound.
+        resuming = [(u, equal) for u, _, equal, _ in numbers if equal]
         self.bound = max((u for u, _ in resuming), default=0.0)
         # Row i is rows[i - 1], filled from column i on (the upper triangle; the cells left of it are
         # infinite), with its first and last column at or below bound.
@@ -243,9 +259,9 @@ class SelfAlignment:
         the original starts below, its first and last column at or below
         ``bound``, and its row number: shared row ``equal``, rebuilt whole
         when the self-alignment was built, or row 0, the origin, when the pair
-        differs at row 0 or its U is NaN. Only the pair's own two scans are
-        made here; the row is only read."""
-        if equal == 0 or math.isnan(bound):
+        differs at row 0. Only the pair's own two scans are made here; the
+        row is only read."""
+        if equal == 0:
             return self._origin, 1, 0, 0
         row, first, last = self._starts[equal]
         # D(equal, equal) is 0.0 <= bound, so both scans stop inside [first, last].
@@ -264,6 +280,7 @@ def dtw_distance(
     Dynamic program with the step set {down, right, diagonal},
     boundary-anchored at both ends. Dimensions share one alignment and the
     pointwise cost is the Euclidean distance between the aligned points.
+    ``a`` and ``b`` are read as the module docstring says.
 
     The program is pruned but exact: it returns the same bits as the full
     O(n*m) sweep. For equal lengths the diagonal path's cost U, summed in the
@@ -283,8 +300,7 @@ def dtw_distance(
     D(n, n) <= D(i, i). Every path to (n, n) crosses row i and costs never
     decrease along it, while D(i, i) is no larger than any swept cell of the
     row and the unswept ones are above U >= D(i, i), so D(n, n) >= D(i, i).
-    A NaN cell compares false, so it blocks the stop. A NaN or infinite cost
-    is never 0.0, and unequal lengths never stop early.
+    Unequal lengths never stop early.
 
     Equal lengths go through a self-alignment of ``b``: ``shared``, built
     for ``b`` with ``a`` among its completions (any other pair raises
@@ -303,14 +319,15 @@ def dtw_distance(
     squares in one order whatever the number of rows, so the bits match.
     """
     if shared is None:
-        va, vb = _values(a), _values(b)
+        a, b = _as_series(a, "a"), _as_series(b, "b")
+        va, vb = a.values, b.values
         if va.shape[1] != vb.shape[1]:
             raise ValueError(f"dimension mismatch: {va.shape[1]} vs {vb.shape[1]}")
         n, m = va.shape[0], vb.shape[0]
         if n != m:
             costs = _point_costs(va, vb).tolist()
             return _sweep(_coordinates(va), _coordinates(vb), costs, math.inf, n + 1, _origin(m), 1, 0, range(1, n + 1))
-        shared, a, b = SelfAlignment(vb, [va]), va, vb
+        shared = SelfAlignment(b, [a])
     pair = shared._pairs.get(id(a)) if b is shared.series else None
     if pair is None:
         raise ValueError("shared aligns only its own original with the completions it was built from")

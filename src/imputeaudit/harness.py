@@ -153,9 +153,8 @@ def metrics_from_report(report: AttackReport, labels: list[bool]):
 
     The naive baseline is a projection of the same record (target loss only):
     no additional oracle queries are ever made for it. Theta never enters.
+    A label list of another length raises ValueError (``LabeledScores``).
     """
-    if len(labels) != len(report.scores):
-        raise ValueError(f"{len(labels)} labels for {len(report.scores)} scores")
     lbrm = LabeledScores([s.r for s in report.scores], labels)
     naive = LabeledScores([s.l_t for s in report.scores], labels)
     return headline_summary(lbrm), headline_summary(naive), roc_curve(lbrm), roc_curve(naive)

@@ -25,12 +25,18 @@ every output anyway, and the attention net only the rows that the
 Each epoch draws all of its masks in one ``(n, steps * dims)`` call, the
 same stream as a draw per batch (``Generator.random`` spends one 64-bit word
 per float64). A row hides what is at or below its ``n_hidden``-th smallest
-score; an epoch with a tie at that place picks by ``argpartition``. A step
+score, found with one sort; an epoch with a tie at that place picks by ``argpartition``. A step
 writes its residual over the epoch's shuffled copy, and its ``dy``,
 sign(residual) times a per-epoch scale plus 0.0, has the bits of the masked
 sign over the count, though a NaN prediction at an entry not hidden reaches
 it too. The epoch's end sums each batch's hidden residuals as that batch
 alone would, and adds the sums in batch order.
+
+``parity_check`` queries both models through ``core``'s checked query as the
+``parity`` caller. ``TrainedImputer.impute`` rejects a non-finite
+completion, which the checked query reports as ``OracleError`` naming the
+caller and the series. ``save_model`` and ``load_model`` round-trip a model
+bit for bit.
 
 Models operate in normalized space: callers are expected to z-score series
 (see core.zscore_normalize) before training or querying.

@@ -277,9 +277,12 @@ def test_run_attack_std_rule_requires_nonmembers():
     candidates = [series(i) for i in range(4)]
     cfg = AttackConfig(theta_rule=StdRule(1.0))
     nonmembers = [series(100 + i) for i in range(5)]
-    target, reference = OffsetOracle(0.1, candidates + nonmembers), OffsetOracle(0.4, candidates + nonmembers)
-    with pytest.raises(ValueError):
-        run_attack(target, reference, candidates, cfg)
+    target = CountingOracle(OffsetOracle(0.1, candidates + nonmembers))
+    reference = CountingOracle(OffsetOracle(0.4, candidates + nonmembers))
+    for given in (None, [], nonmembers[:1]):
+        with pytest.raises(ValueError, match=f"^StdRule needs at least 2 known-nonmember ratios, got {len(given or ())}$"):
+            run_attack(target, reference, candidates, cfg, known_nonmembers=given)
+    assert target.calls == reference.calls == 0  # rejected before any query
     report = run_attack(target, reference, candidates, cfg, known_nonmembers=nonmembers)
     assert np.isfinite(report.theta)
 

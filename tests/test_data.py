@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -332,6 +333,15 @@ def test_csv_decode_error_the_whole_file_does_not_reproduce_keeps_the_text_layer
     monkeypatch.setattr(imputeaudit.data, "_records", undecodable)
     path = write_csv(tmp_path / "changed.csv", "id,t,dim,value\na,0,0,1.0\n")
     with pytest.raises(CsvParseError, match="changed.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"):
+        load_csv(path)
+
+
+def test_csv_rejected_by_numpy_but_not_record_by_record_names_the_file(tmp_path, monkeypatch):
+    # As when numpy's reader rejects a file whose every record and series the csv read accepts.
+    monkeypatch.setattr(imputeaudit.data, "_records", lambda fh: None)
+    path = str(tmp_path / "good.csv")
+    save_csv([TimeSeries("a", [1.0, 2.0]), TimeSeries("b", [3.0, 4.0])], path)
+    with pytest.raises(CsvParseError, match=f"^{re.escape(path)}: the file was rejected, but a record-by-record read finds no bad record or series$"):
         load_csv(path)
 
 
